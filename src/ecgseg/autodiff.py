@@ -3,7 +3,11 @@
 Covers exactly the layer set the segmentation network needs: stride-1
 cross-correlation, ReLU, batch norm, 2x max pooling, stride-2 transposed
 convolution, zero-pad channel concatenation, softmax cross-entropy, and
-Adam. All math is float64; forward passes are deterministic.
+Adam. Every op computes in the dtype of its operands, which should share
+one: float32 and float64 pass through, and any other input becomes
+float64. The segmentation model runs in float32; the finite-difference
+gradient checks run these same ops in float64. Forward passes are
+deterministic.
 """
 
 from __future__ import annotations
@@ -11,24 +15,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# Inputs of at most this many channel-taps (C*k) are correlated as one
+# im2col matmul; wider ones tap by tap. In float32 the crossover lies
+# between 36 and 72 at both the training (B=32, L=2000) and the
+# inference (B=1, L=5008) shapes.
+_IM2COL_MAX_TAPS = 36
 
 
 class ShapeError(ValueError):
     """Operand shapes incompatible with the requested operation."""
 
 
+class GraphReleasedError(RuntimeError):
+    """backward() reached a graph that an earlier backward() released."""
+
+
 class Tensor:
     """Array node in the autodiff graph.
 
-    Gradients accumulate into ``.grad`` (zeroed by the optimizer); graph
-    edges are only recorded when some input requires a gradient, so
-    inference builds no graph.
+    Gradients accumulate into ``.grad`` (zeroed by the optimizer) in the
+    dtype of ``.data``; graph edges are only recorded when some input
+    requires a gradient, so inference builds no graph.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in (np.float32, np.float64) else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -40,11 +56,20 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g  # a copy: g may be a view of another node's gradient
+        else:
+            self.grad += g
 
     def backward(self, grad=None) -> None:
-        """Backpropagate from this node; seeds with 1 for scalar outputs."""
+        """Backpropagate from this node; seeds with 1 for scalar outputs.
+
+        The graph is released as it is walked: every node with parents
+        drops its gradient, its parents and its backward closure once it
+        has propagated, so the activations it saved can be freed. Leaves
+        keep their gradients. Calling backward() again through a released
+        node raises GraphReleasedError.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError("backward() needs an explicit gradient for non-scalars")
@@ -59,15 +84,21 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _RELEASED:
+                raise GraphReleasedError("graph already released by an earlier backward()")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self._accumulate(np.asarray(grad, dtype=np.float64))
+        self._accumulate(np.asarray(grad))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = None
+                node._parents = ()
+                node._backward = _RELEASED
 
 
 class Parameter(Tensor):
@@ -80,6 +111,9 @@ class Parameter(Tensor):
         self.name = name
 
 
+_RELEASED = object()  # the _backward of a node whose graph has been released
+
+
 def _track(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
     if any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
@@ -88,21 +122,30 @@ def _track(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _pad_length(a: np.ndarray, amount: int) -> np.ndarray:
-    if amount == 0:
+def _pad_length(a: np.ndarray, left: int, right: int) -> np.ndarray:
+    if left == right == 0:
         return a
     B, C, L = a.shape
-    out = np.zeros((B, C, L + 2 * amount))
-    out[:, :, amount:amount + L] = a
+    out = np.zeros((B, C, left + L + right), dtype=a.dtype)
+    out[:, :, left:left + L] = a
     return out
+
+
+def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
+    # (B, C, Lp) -> (B, C*k, Lp - k + 1); row c*k + j holds xp[:, c, j:j + T].
+    B, C, Lp = xp.shape
+    return sliding_window_view(xp, k, axis=2).transpose(0, 1, 3, 2).reshape(B, C * k, Lp - k + 1)
 
 
 def _correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     # xp (B, C, Lp) cross-correlated with w (O, C, k) -> (B, O, Lp - k + 1).
-    # One broadcasted matmul per kernel tap; the shifted slices stay views,
-    # so nothing the size of an im2col buffer is ever materialized.
+    # Few channel-taps: one matmul over the im2col matrix. Otherwise one
+    # broadcasted matmul per kernel tap; the shifted slices stay views, so
+    # nothing the size of an im2col buffer is materialized.
     B, C, Lp = xp.shape
     O, _, k = w.shape
+    if C * k <= _IM2COL_MAX_TAPS:
+        return np.matmul(w.reshape(O, C * k), _im2col(xp, k))
     T = Lp - k + 1
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (k, O, C)
     y = np.matmul(taps[0], xp[:, :, :T])
@@ -117,7 +160,9 @@ def _correlate_weight_grad(xp: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     # dw[o,i,j] = sum_{b,t} g[b,o,t] * xp[b,i,t+j]
     B, C, Lp = xp.shape
     _, O, T = g.shape
-    dw = np.empty((O, C, k))
+    if C * k <= _IM2COL_MAX_TAPS:
+        return np.matmul(g, _im2col(xp, k).swapaxes(1, 2)).sum(axis=0).reshape(O, C, k)
+    dw = np.empty((O, C, k), dtype=np.result_type(xp, g))
     for j in range(k):
         dw[:, :, j] = np.matmul(g, xp[:, :, j:j + T].swapaxes(1, 2)).sum(axis=0)
     return dw
@@ -131,15 +176,18 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
         raise ShapeError(f"conv1d: input has {Cin} channels, kernel expects {Cin_w}")
     if L + 2 * padding - k + 1 < 1:
         raise ShapeError(f"conv1d: length {L} too short for kernel {k} with padding {padding}")
-    xp = _pad_length(x.data, padding)
-    out = Tensor(_correlate(xp, w.data) + b.data[:, None])
+    xp = _pad_length(x.data, padding, padding)
+    y = _correlate(xp, w.data)
+    y += b.data[:, None]
+    out = Tensor(y)
 
     def backward(g):
         b._accumulate(g.sum(axis=(0, 2)))
         w._accumulate(_correlate_weight_grad(xp, g, k))
-        wf = np.ascontiguousarray(w.data[:, :, ::-1].transpose(1, 0, 2))
-        dxp = _correlate(_pad_length(g, k - 1), wf)
-        x._accumulate(dxp[:, :, padding:padding + L])
+        if x.requires_grad:  # the network's input needs no gradient
+            wf = w.data[:, :, ::-1].transpose(1, 0, 2)
+            dxp = _correlate(_pad_length(g, k - 1, k - 1), wf)
+            x._accumulate(dxp[:, :, padding:padding + L])
 
     return _track(out, (x, w, b), backward)
 
@@ -149,6 +197,10 @@ def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: i
 
     Output length = (L - 1)*stride - 2*padding + k; with k=8, stride=2,
     padding=3 this exactly doubles the input length.
+
+    The forward pass runs one stride-1 correlation per output phase:
+    output m = stride*n + phi only ever meets the taps j = r (mod stride),
+    r = (phi + padding) % stride, so no zero-stuffed input is built.
     """
     B, Cin, L = x.shape
     Cin_w, Cout, k = w.shape
@@ -159,20 +211,33 @@ def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: i
     Lout = (L - 1) * stride - 2 * padding + k
     if Lout < 1:
         raise ShapeError("convtranspose1d: empty output")
-    # Equivalent stride-1 correlation over the zero-stuffed input.
-    stuffed = np.zeros((B, Cin, (L - 1) * stride + 1))
-    stuffed[:, :, ::stride] = x.data
-    wt = np.ascontiguousarray(w.data[:, :, ::-1].transpose(1, 0, 2))
-    out = Tensor(_correlate(_pad_length(stuffed, k - 1 - padding), wt) + b.data[:, None])
+    # Phase phi: y[stride*n + phi] = sum_u x[n + c - u] * w[r + stride*u],
+    # c = (phi + padding) // stride. With its k_r taps flipped this is a
+    # correlation over x from index c - (k_r - 1) on; x is zero outside.
+    phases = []
+    for phi in range(min(stride, Lout)):
+        r, c = (phi + padding) % stride, (phi + padding) // stride
+        taps = w.data[:, :, r::stride][:, :, ::-1].transpose(1, 0, 2)  # (Cout, Cin, k_r)
+        k_r = taps.shape[2]
+        if k_r:  # with k < stride some phases meet no tap and stay zero
+            phases.append((phi, taps, c - k_r + 1, len(range(phi, Lout, stride)) + k_r - 1))
+    left = max([0] + [-start for _, _, start, _ in phases])
+    right = max([0] + [start + span - L for _, _, start, span in phases])
+    xp = _pad_length(x.data, left, right)
+    y = np.zeros((B, Cout, Lout), dtype=np.result_type(x.data, w.data, b.data))
+    for phi, taps, start, span in phases:
+        y[:, :, phi::stride] = _correlate(xp[:, :, left + start:left + start + span], taps)
+    y += b.data[:, None]
+    out = Tensor(y)
 
     def backward(g):
         b._accumulate(g.sum(axis=(0, 2)))
-        gp = _pad_length(g, padding)
+        gp = _pad_length(g, padding, padding)
         # tap j of the kernel sees gp at offsets t*stride + j, t = 0..L-1
         taps = np.ascontiguousarray(w.data.transpose(2, 0, 1))  # (k, Cin, Cout)
         span = (L - 1) * stride + 1
         dx = None
-        dw = np.empty((Cin, Cout, k))
+        dw = np.empty((Cin, Cout, k), dtype=np.result_type(x.data, g))
         for j in range(k):
             gj = np.ascontiguousarray(gp[:, :, j:j + span:stride])  # (B, Cout, L)
             contrib = np.matmul(taps[j], gj)
@@ -187,7 +252,7 @@ def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: i
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient at 0 is 0."""
     mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0.0))
+    out = Tensor(np.fmax(x.data, 0))  # where(mask, x, 0), NaN -> 0 included, but faster
 
     def backward(g):
         x._accumulate(g * mask)
@@ -210,9 +275,9 @@ def maxpool1d(x: Tensor, size: int = 2, stride: int = 2) -> tuple[Tensor, np.nda
     indices = arg + np.arange(Lout)[None, None, :] * size
 
     def backward(g):
-        dwin = np.zeros((B, C, Lout, size))
+        dwin = np.zeros((B, C, Lout, size), dtype=g.dtype)
         np.put_along_axis(dwin, arg[..., None], g[..., None], axis=3)
-        dx = np.zeros((B, C, L))
+        dx = np.zeros((B, C, L), dtype=g.dtype)
         dx[:, :, :Lout * size] = dwin.reshape(B, C, Lout * size)
         x._accumulate(dx)
 
@@ -262,24 +327,27 @@ def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
         mean = state.running_mean
         var = state.running_var
     inv = 1.0 / np.sqrt(var + state.eps)
-    # fused y = scale*x + shift; xhat is only materialized on backward
+    # fused y = scale*x + shift; xhat is never materialized
     scale = gamma.data * inv
     shift = beta.data - scale * mean
-    out = Tensor(x.data * scale[:, None] + shift[:, None])
+    y = x.data * scale[:, None]
+    y += shift[:, None]
+    out = Tensor(y)
     n = B * L
 
     def backward(g):
-        xhat = (x.data - mean[:, None]) * inv[:, None]
-        gamma._accumulate((g * xhat).sum(axis=(0, 2)))
-        beta._accumulate(g.sum(axis=(0, 2)))
+        # One pass over g and x: sum(g*xhat) = inv*(sum(g*x) - mean*sum(g)).
+        sum_g = g.sum(axis=(0, 2))
+        sum_gxhat = inv * ((g * x.data).sum(axis=(0, 2)) - mean * sum_g)
+        gamma._accumulate(sum_gxhat)
+        beta._accumulate(sum_g)
+        dx = g * scale[:, None]
         if state.training:
-            dxhat = g * gamma.data[:, None]
-            centered = x.data - mean[:, None]
-            dvar = (dxhat * centered).sum(axis=(0, 2)) * (-0.5) * inv ** 3
-            dmean = -(dxhat.sum(axis=(0, 2))) * inv + dvar * (-2.0 / n) * centered.sum(axis=(0, 2))
-            dx = dxhat * inv[:, None] + (dvar[:, None] * 2.0 / n) * centered + dmean[:, None] / n
-        else:
-            dx = g * scale[:, None]
+            # dx = gamma*inv/n * (n*g - sum(g) - xhat*sum(g*xhat)), with xhat
+            # expanded to (x - mean)*inv: an affine function of g and x.
+            slope = scale * inv * sum_gxhat / n
+            dx -= x.data * slope[:, None]
+            dx += (slope * mean - scale * sum_g / n)[:, None]
         x._accumulate(dx)
 
     return _track(out, (x, gamma, beta), backward)
@@ -293,9 +361,10 @@ def zero_pad_concat(up: Tensor, skip: Tensor) -> Tensor:
         raise ShapeError(f"zero_pad_concat: batch {B} vs {Bs}")
     if Lu > Ls:
         raise ShapeError(f"zero_pad_concat: up length {Lu} exceeds skip length {Ls}")
-    padded = np.zeros((B, Cu, Ls))
-    padded[:, :, :Lu] = up.data
-    out = Tensor(np.concatenate([skip.data, padded], axis=1))
+    cat = np.zeros((B, Cs + Cu, Ls), dtype=np.result_type(skip.data, up.data))
+    cat[:, :Cs] = skip.data
+    cat[:, Cs:, :Lu] = up.data
+    out = Tensor(cat)
 
     def backward(g):
         skip._accumulate(g[:, :Cs])

@@ -244,8 +244,8 @@ def load_training_checkpoint(path) -> tuple[SegmentationModel, Adam, np.random.G
         beta2=info["beta2"], eps=info["eps"],
     )
     adam.t = int(info["adam_t"])
-    adam.m = [arrays[f"adam.m.{p.name}"].copy() for p in adam.params]
-    adam.v = [arrays[f"adam.v.{p.name}"].copy() for p in adam.params]
+    adam.m = [arrays[f"adam.m.{p.name}"].astype(p.data.dtype) for p in adam.params]
+    adam.v = [arrays[f"adam.v.{p.name}"].astype(p.data.dtype) for p in adam.params]
     rng = np.random.default_rng()
     rng.bit_generator.state = info["rng_state"]
     return model, adam, rng

@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from ecgseg.autodiff import (
+    _IM2COL_MAX_TAPS,
     Adam,
     BatchNormState,
+    GraphReleasedError,
     Parameter,
     ShapeError,
     Tensor,
     batchnorm1d,
     conv1d,
     convtranspose1d,
+    crop_right,
     fan_in_uniform,
     maxpool1d,
+    pad_right,
     relu,
     softmax_cross_entropy,
     zero_pad_concat,
@@ -65,6 +69,24 @@ class TestConv1d:
         b = rand_tensor(rng, (4,))
         assert_grad_matches(lambda: conv1d(x, w, b, padding=2), [x, w, b], rng)
 
+    @pytest.mark.parametrize("cin,k", [(1, 9), (4, 9), (5, 9), (16, 1), (3, 13)])
+    def test_both_kernels_match_oracle_and_gradients(self, cin, k):
+        # C*k on both sides of the im2col/per-tap crossover
+        assert (cin * k <= _IM2COL_MAX_TAPS) == ((cin, k) in [(1, 9), (4, 9), (16, 1)])
+        rng = np.random.default_rng(cin * k)
+        x, w, b = rand_tensor(rng, (2, cin, 20)), rand_tensor(rng, (3, cin, k)), rand_tensor(rng, (3,))
+        y = conv1d(x, w, b, padding=k // 2)
+        np.testing.assert_allclose(y.data, conv1d_naive(x.data, w.data, b.data, k // 2), atol=1e-10)
+        assert_grad_matches(lambda: conv1d(x, w, b, padding=k // 2), [x, w, b], rng)
+
+    def test_input_without_gradient_is_skipped(self):
+        rng = np.random.default_rng(30)
+        for cin in (1, 5):  # im2col and per-tap weight gradients
+            x = rand_tensor(rng, (2, cin, 13), requires_grad=False)
+            w, b = rand_tensor(rng, (3, cin, 9)), rand_tensor(rng, (3,))
+            assert_grad_matches(lambda: conv1d(x, w, b, padding=4), [w, b], rng)
+            assert x.grad is None
+
 
 class TestConvTranspose1d:
     def test_output_length_doubles(self):
@@ -97,6 +119,19 @@ class TestConvTranspose1d:
         w = rand_tensor(rng, (3, 2, 8))
         b = rand_tensor(rng, (2,))
         assert_grad_matches(lambda: convtranspose1d(x, w, b), [x, w, b], rng)
+
+    @pytest.mark.parametrize("k,stride,pad,L", [(2, 3, 0, 4), (2, 3, 0, 1), (3, 4, 2, 2), (5, 2, 4, 3)])
+    def test_phases_without_taps_match_oracle(self, k, stride, pad, L):
+        # k < stride leaves output phases that no tap reaches; tiny outputs
+        # have fewer positions than phases
+        rng = np.random.default_rng(k * 100 + stride * 10 + pad)
+        x = rng.normal(size=(2, 3, L))
+        w = rng.normal(size=(3, 2, k))
+        b = rng.normal(size=2)
+        y = convtranspose1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=pad)
+        np.testing.assert_allclose(
+            y.data, convtranspose1d_naive(x, w, b, k, stride, pad), atol=1e-10
+        )
 
 
 class TestRelu:
@@ -278,3 +313,108 @@ class TestFanInInit:
         b = fan_in_uniform(np.random.default_rng(42), (10, 10), fan_in=24)
         np.testing.assert_array_equal(a, b)
         assert np.abs(a).max() <= np.sqrt(6.0 / 24)
+
+
+class TestGraphRelease:
+    def _graph(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(2, 1, 12)))
+        w, b = rand_tensor(rng, (3, 1, 3)), rand_tensor(rng, (3,))
+        hidden = relu(conv1d(x, w, b, padding=1))
+        targets = rng.integers(0, 3, size=(2, 12))
+        return w, b, hidden, softmax_cross_entropy(hidden, targets)
+
+    def test_backward_releases_interior_nodes_and_keeps_leaf_gradients(self):
+        w, b, hidden, loss = self._graph()
+        loss.backward()
+        for node in (hidden, loss):
+            assert node.grad is None and node._parents == ()
+        assert w.grad is not None and b.grad is not None
+
+    def test_second_backward_raises_and_leaves_gradients_alone(self):
+        w, b, _, loss = self._graph()
+        loss.backward()
+        before = w.grad.copy(), b.grad.copy()
+        with pytest.raises(GraphReleasedError):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, before[0])
+        np.testing.assert_array_equal(b.grad, before[1])
+
+    def test_new_graph_through_released_node_raises(self):
+        _, _, hidden, loss = self._graph()
+        loss.backward()
+        again = relu(hidden)
+        with pytest.raises(GraphReleasedError):
+            again.backward(np.ones(again.shape))
+
+
+OPS = ("conv1d_per_tap", "conv1d_im2col", "convtranspose1d", "relu", "maxpool1d", "batchnorm1d_train",
+       "batchnorm1d_eval", "zero_pad_concat", "pad_right", "crop_right", "softmax_cross_entropy")
+
+
+def _op_cases(dtype):
+    """name -> (thunk building the output, tensors whose gradients to check)."""
+    rng = np.random.default_rng(19)
+
+    def t(*shape):
+        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    def p(*shape):
+        return Parameter(rng.normal(size=shape).astype(dtype), "p")
+
+    def bn(training):
+        state = BatchNormState.create(3, "bn")
+        for q in (state.gamma, state.beta):
+            q.data = q.data.astype(dtype)
+        state.running_mean = state.running_mean.astype(dtype)
+        state.running_var = state.running_var.astype(dtype)
+        state.training = training
+        return state
+
+    x, x1, x5, w1, w5, wt, b, bt = (t(2, 3, 10), t(2, 1, 10), t(2, 5, 10), p(4, 1, 9), p(4, 5, 9),
+                                    p(3, 2, 8), p(4), p(2))
+    up, skip, logits = t(2, 2, 7), t(2, 3, 10), t(2, 4, 10)
+    bn_train, bn_eval = bn(True), bn(False)
+    targets = rng.integers(0, 4, size=(2, 10))
+    cases = [
+        ("conv1d_per_tap", lambda: conv1d(x5, w5, b, padding=4), [x5, w5, b]),
+        ("conv1d_im2col", lambda: conv1d(x1, w1, b, padding=4), [x1, w1, b]),
+        ("convtranspose1d", lambda: convtranspose1d(x, wt, bt), [x, wt, bt]),
+        ("relu", lambda: relu(x), [x]),
+        ("maxpool1d", lambda: maxpool1d(x)[0], [x]),
+        ("batchnorm1d_train", lambda: batchnorm1d(x, bn_train), [x, bn_train.gamma, bn_train.beta]),
+        ("batchnorm1d_eval", lambda: batchnorm1d(x, bn_eval), [x, bn_eval.gamma, bn_eval.beta]),
+        ("zero_pad_concat", lambda: zero_pad_concat(up, skip), [up, skip]),
+        ("pad_right", lambda: pad_right(x, 3), [x]),
+        ("crop_right", lambda: crop_right(x, 4), [x]),
+        ("softmax_cross_entropy", lambda: softmax_cross_entropy(logits, targets), [logits]),
+    ]
+    return {name: (thunk, inputs) for name, thunk, inputs in cases}
+
+
+class TestDtypePolicy:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", OPS)
+    def test_op_keeps_dtype_of_output_and_gradients(self, dtype, name):
+        build_out, inputs = _op_cases(dtype)[name]
+        out = build_out()
+        assert out.data.dtype == dtype, name
+        out.backward(np.ones(out.shape))
+        for tensor in inputs:
+            assert tensor.grad is not None and tensor.grad.dtype == dtype, name
+
+    def test_cases_cover_every_op(self):
+        assert set(_op_cases(np.float64)) == set(OPS)
+
+    @pytest.mark.parametrize("data", [np.arange(6, dtype=np.int32), [1, 2, 3], 2.5,
+                                      np.ones(3, dtype=np.float16)])
+    def test_other_inputs_become_float64(self, data):
+        assert Tensor(data).data.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_keeps_dtype(self, dtype):
+        p = Parameter(np.array([1.0, -2.0], dtype=dtype), "p")
+        opt = Adam([p], lr=0.01)
+        p.grad = np.array([0.5, 0.25], dtype=dtype)
+        opt.step()
+        assert p.data.dtype == opt.m[0].dtype == opt.v[0].dtype == dtype

@@ -186,6 +186,8 @@ class TestTrain:
         )
         first_half = train(model_half, split, interrupted)
         model_resumed, adam, rng = load_training_checkpoint(tmp_path / "step-000003.ckpt")
+        assert model_resumed.dtype == np.float32
+        assert all(slot.dtype == np.float32 for slot in adam.m + adam.v)
         second_half = train(model_resumed, split, config_half, adam=adam, rng=rng)
         assert first_half + second_half == full_history
         for pa, pb in zip(model_full.parameters(), model_resumed.parameters()):

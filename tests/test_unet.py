@@ -3,6 +3,7 @@ import pytest
 
 from ecgseg.autodiff import ShapeError, Tensor, softmax_cross_entropy
 from ecgseg.unet import (
+    MODEL_DTYPE,
     CheckpointError,
     ModelConfig,
     build,
@@ -99,10 +100,36 @@ class TestForwardShapes:
             np.testing.assert_array_equal(state.running_mean, saved)
 
 
+class TestDtype:
+    def test_model_is_float32(self):
+        model = build(tiny_config())
+        assert model.dtype == MODEL_DTYPE == np.float32
+        assert all(p.data.dtype == np.float32 for p in model.parameters())
+        for state in model.bn_states():
+            assert state.running_mean.dtype == state.running_var.dtype == np.float32
+        assert model.eval().scores(np.zeros(40)).dtype == np.float32
+
+    def test_float32_forward_agrees_with_float64(self):
+        # Same weights, full preset, training-mode batch norm. Measured max
+        # deviation is about 2.6e-6 of the largest score; the bound is 1e-4.
+        x = np.random.default_rng(0).normal(size=(2, 1, 2000))
+        m32 = build(ModelConfig(seed=0))
+        m64 = build(ModelConfig(seed=0)).astype(np.float64)
+        s32, s64 = m32.forward(x).data, m64.forward(x).data
+        assert s32.dtype == np.float32 and s64.dtype == np.float64
+        np.testing.assert_allclose(s32, s64, rtol=0, atol=1e-4 * np.abs(s64).max())
+
+    def test_gradient_input_of_other_dtype_rejected(self):
+        model = build(tiny_config())
+        with pytest.raises(TypeError):
+            model.forward(Tensor(np.zeros((1, 1, 32)), requires_grad=True))
+
+
 class TestEndToEndGradients:
     def test_spot_check_twenty_parameters(self):
+        # Central differences at h = 1e-5 need float64; the model's own dtype is float32.
         cfg = ModelConfig(encoder_widths=(2, 2, 2, 2), bottleneck_width=2, seed=3)
-        model = build(cfg).train()
+        model = build(cfg).astype(np.float64).train()
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 1, 32))
         targets = rng.integers(0, 4, size=(2, 32))
@@ -153,6 +180,44 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             model.eval().forward(x).data, loaded.eval().forward(x).data
         )
+
+    def test_float32_round_trip_is_bitwise_and_records_dtype(self, tmp_path):
+        model = build(tiny_config(seed=4)).train()
+        x = np.random.default_rng(3).normal(size=(2, 1, 64))
+        model.forward(x)  # moves the running statistics off their initial values
+        path = tmp_path / "model.ckpt"
+        save_weights(model, path)
+        assert load_container(path)[0]["dtype"] == "float32"
+        loaded = load_weights(path)
+        assert loaded.dtype == np.float32
+        for state in loaded.bn_states():
+            assert state.running_mean.dtype == np.float32
+        np.testing.assert_array_equal(model.eval().forward(x).data, loaded.eval().forward(x).data)
+
+    def test_header_without_dtype_loads_float64(self, tmp_path):
+        model = build(tiny_config(seed=6)).astype(np.float64)
+        path = tmp_path / "model.ckpt"
+        save_weights(model, path)
+        header, arrays = load_container(path)
+        del header["dtype"]
+        save_container(path, header, arrays)
+        loaded = load_weights(path)
+        assert loaded.dtype == np.float64
+        for p, q in zip(model.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
+
+    def test_blobs_cast_to_given_model_dtype(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_weights(build(tiny_config(seed=6)), path)
+        target = build(tiny_config()).astype(np.float64)
+        load_weights(path, model=target)
+        assert all(p.data.dtype == np.float64 for p in target.parameters())
+
+    def test_unknown_dtype_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_weights(build(tiny_config()), path, extra_header={"dtype": "int8"})
+        with pytest.raises(CheckpointError, match="dtype"):
+            load_weights(path)
 
     def test_corrupted_magic_rejected(self, tmp_path):
         model = build(tiny_config())
