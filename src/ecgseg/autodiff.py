@@ -8,10 +8,17 @@ one: float32 and float64 pass through, and any other input becomes
 float64. The segmentation model runs in float32; the finite-difference
 gradient checks run these same ops in float64. Forward passes are
 deterministic.
+
+An op records a graph edge (its parents and a backward closure) when any
+input requires a gradient, which every model parameter does. Inside a
+``no_graph()`` scope ops record nothing and return bare outputs, so a
+forward pass frees each activation as soon as the next op has used it.
+The scope is per thread.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +43,8 @@ class Tensor:
     """Array node in the autodiff graph.
 
     Gradients accumulate into ``.grad`` (zeroed by the optimizer) in the
-    dtype of ``.data``; graph edges are only recorded when some input
-    requires a gradient, so inference builds no graph.
+    dtype of ``.data``. An op's output records graph edges when some input
+    requires a gradient and the op does not run inside ``no_graph()``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -114,8 +121,30 @@ class Parameter(Tensor):
 _RELEASED = object()  # the _backward of a node whose graph has been released
 
 
+class _GraphState(threading.local):
+    recording = True
+
+
+_graph = _GraphState()
+
+
+class no_graph:
+    """Scope in which ops record no graph, on the current thread only.
+
+    Outputs made inside it have no parents and need no gradient, even
+    when an input does; backward() cannot reach through them.
+    """
+
+    def __enter__(self) -> None:
+        self._outer = _graph.recording
+        _graph.recording = False
+
+    def __exit__(self, *exc) -> None:
+        _graph.recording = self._outer
+
+
 def _track(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if any(p.requires_grad or p._parents for p in parents):
+    if _graph.recording and any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward

@@ -148,7 +148,8 @@ def delineate(record: EcgRecord, model, mode: str, native_rate: float = 500.0,
 
     work = record if record.sampling_rate == native_rate else resample(record, native_rate)
     model.eval()
-    scores = {name: model.scores(work.lead(name)) for name in lead_names}
+    rows = model.scores(work.signals[[work.lead_index(name) for name in lead_names]])
+    scores = dict(zip(lead_names, rows))
 
     streams: dict[str, list[WavePrediction]] = {}
     if mode == "avg":

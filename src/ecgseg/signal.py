@@ -23,8 +23,9 @@ class SignalError(ValueError):
 class EcgRecord:
     """Multi-lead voltage sequences with a common sampling rate.
 
-    ``signals`` is (n_leads, n_samples) in mV, row order matching ``leads``.
-    Duration is derived as n_samples / sampling_rate, never stored.
+    ``signals`` is (n_leads, n_samples) in mV, all finite, row order
+    matching ``leads``. Duration is derived as n_samples / sampling_rate,
+    never stored.
     """
 
     record_id: str
@@ -44,6 +45,12 @@ class EcgRecord:
             )
         if self.signals.shape[1] < 1:
             raise SignalError("records must contain at least one sample")
+        if not np.isfinite(self.signals).all():
+            row, col = np.argwhere(~np.isfinite(self.signals))[0]
+            raise SignalError(
+                f"record {self.record_id!r}: lead {self.leads[row]!r} has a non-finite "
+                f"sample ({self.signals[row, col]}) at index {col}"
+            )
         try:
             rate_ok = np.isfinite(self.sampling_rate) and self.sampling_rate > 0
         except TypeError:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Adam, Tensor, softmax_cross_entropy
 from .signal import EcgRecord
-from .unet import SegmentationModel, load_container, load_weights, save_weights
+from .unet import SegmentationModel, _weights_from_container, load_container, save_weights
 from .wfdb import to_mask
 
 
@@ -237,7 +237,7 @@ def load_training_checkpoint(path) -> tuple[SegmentationModel, Adam, np.random.G
     header, arrays = load_container(path)
     if "trainer" not in header:
         raise ConfigurationError(f"{path}: checkpoint has no trainer state to resume from")
-    model = load_weights(path)
+    model = _weights_from_container(path, header, arrays)
     info = header["trainer"]
     adam = Adam(
         model.parameters(), lr=info["lr"], beta1=info["beta1"],

@@ -14,7 +14,9 @@ finite-difference gradient checks.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -31,6 +33,7 @@ from .autodiff import (
     crop_right,
     fan_in_uniform,
     maxpool1d,
+    no_graph,
     pad_right,
     relu,
     zero_pad_concat,
@@ -39,6 +42,39 @@ from .autodiff import (
 N_CLASSES = 4
 MODEL_DTYPE = np.dtype(np.float32)
 _POOL_FACTOR = 16  # four halvings
+
+
+def _lead_workers() -> int:
+    """Usable cores divided by the BLAS threads each matmul may take.
+
+    BLAS threads come from the first of OPENBLAS_NUM_THREADS,
+    OMP_NUM_THREADS and MKL_NUM_THREADS that holds a positive integer.
+    With none set, BLAS takes every core, which leaves one worker: rows
+    are scored one after another.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cores = os.cpu_count() or 1
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, cores // blas)
+
+
+LEAD_WORKERS = _lead_workers()  # threads that score the rows of one scores() call
+
+
+@functools.lru_cache(maxsize=None)
+def _lead_pool(workers: int):
+    # Imported here: concurrent.futures costs an import ~6 ms, which only
+    # multi-row calls with more than one worker should pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="ecgseg-scores")
 
 
 class CheckpointError(ValueError):
@@ -233,9 +269,33 @@ class SegmentationModel:
         h = conv1d(h, self.head_w, self.head_b, padding=0)
         return crop_right(h, length)
 
-    def scores(self, signal: np.ndarray) -> np.ndarray:
-        """Inference on a single lead: (l,) -> (4, l) numpy scores."""
-        return self.forward(np.asarray(signal, dtype=self.dtype)[None, None, :]).data[0]
+    def scores(self, signals: np.ndarray) -> np.ndarray:
+        """Inference scores: one lead (l,) -> (4, l), or n leads (n, l) -> (n, 4, l).
+
+        Each row is its own batch-of-one forward pass, run in a no-graph
+        scope. In eval mode, with LEAD_WORKERS > 1, the rows are spread
+        over that many threads; numpy's matmul releases the GIL. A row's
+        scores are bitwise those of scoring it alone, whatever the worker
+        count. In training mode the rows run in order, since each one
+        updates the batch-norm running statistics.
+        """
+        x = np.asarray(signals, dtype=self.dtype)
+        if x.ndim == 1:
+            return self._score_row(x)
+        if x.ndim != 2:
+            raise ShapeError(f"scores expects (length,) or (leads, length), got {x.shape}")
+        if LEAD_WORKERS == 1 or len(x) < 2 or self.training:
+            rows = map(self._score_row, x)
+        else:
+            rows = _lead_pool(LEAD_WORKERS).map(self._score_row, x)
+        out = np.empty((x.shape[0], N_CLASSES, x.shape[1]), dtype=self.dtype)
+        for i, row in enumerate(rows):
+            out[i] = row
+        return out
+
+    def _score_row(self, signal: np.ndarray) -> np.ndarray:
+        with no_graph():
+            return self.forward(signal[None, None, :]).data[0]
 
 
 def build(config: ModelConfig) -> SegmentationModel:
@@ -289,12 +349,20 @@ def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (header_len,) = struct.unpack("<Q", take(8))
-    header = json.loads(bytes(take(header_len)).decode("utf-8"))
+    try:
+        header = json.loads(bytes(take(header_len)).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint header ({exc})") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt checkpoint header (not a JSON object)")
     (n_arrays,) = struct.unpack("<Q", take(8))
     arrays = {}
     for _ in range(n_arrays):
         (name_len,) = struct.unpack("<Q", take(8))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: corrupt array name ({exc})") from None
         (ndim,) = struct.unpack("<Q", take(8))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
         count = int(np.prod(shape)) if shape else 1
@@ -341,8 +409,17 @@ def load_weights(path, model: SegmentationModel | None = None) -> SegmentationMo
     the header records, or float64, the only one before headers held it.
     """
     header, arrays = load_container(path)
+    return _weights_from_container(path, header, arrays, model)
+
+
+def _weights_from_container(path, header: dict, arrays: dict[str, np.ndarray],
+                            model: SegmentationModel | None = None) -> SegmentationModel:
+    """``load_weights`` on a container that ``load_container`` has already read."""
     if header.get("kind") != "segmentation-model":
         raise CheckpointError(f"{path}: container holds {header.get('kind')!r}, not a model")
+    for key in ("config", "step_count"):
+        if key not in header:
+            raise CheckpointError(f"{path}: checkpoint header lacks {key!r}")
     if model is None:
         stored = header.get("dtype", "float64")
         if stored not in ("float32", "float64"):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ecgseg.autodiff import (
     crop_right,
     fan_in_uniform,
     maxpool1d,
+    no_graph,
     pad_right,
     relu,
     softmax_cross_entropy,
@@ -418,3 +421,34 @@ class TestDtypePolicy:
         p.grad = np.array([0.5, 0.25], dtype=dtype)
         opt.step()
         assert p.data.dtype == opt.m[0].dtype == opt.v[0].dtype == dtype
+
+
+class TestNoGraph:
+    @pytest.mark.parametrize("name", OPS)
+    def test_op_inside_scope_records_nothing_and_computes_the_same(self, name):
+        build_out, _ = _op_cases(np.float64)[name]
+        recorded = build_out()
+        with no_graph():
+            bare = build_out()
+        assert recorded._parents and recorded.requires_grad
+        assert bare._parents == () and bare._backward is None and not bare.requires_grad
+        np.testing.assert_array_equal(bare.data, recorded.data)
+
+    def test_scope_nests_and_restores(self):
+        build_out, _ = _op_cases(np.float64)["relu"]
+        with no_graph():
+            with no_graph():
+                assert build_out()._parents == ()
+            assert build_out()._parents == ()
+        assert build_out()._parents
+
+    def test_scope_is_per_thread(self):
+        build_out, _ = _op_cases(np.float64)["relu"]
+        outs = []
+        with no_graph():
+            worker = threading.Thread(target=lambda: outs.append(build_out()))
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert build_out()._parents == ()
+        assert outs[0]._parents

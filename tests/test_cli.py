@@ -7,6 +7,7 @@ from ecgseg.cli import main
 from ecgseg.unet import build, save_weights, tiny_config
 from ecgseg.wfdb import load_json_record, save_json_record
 from synth import make_ecg_record, write_wfdb_fixture
+from test_unet import CORRUPTIONS, corrupt_checkpoint
 
 
 @pytest.fixture
@@ -191,6 +192,31 @@ class TestSegment:
             "--checkpoint", str(untrained_checkpoint), "--out", str(out),
         ]) == 0
         assert len(list(out.glob("*.delineation.json"))) == 2
+
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corrupt_checkpoint_fails_with_one_line(self, json_dir, untrained_checkpoint,
+                                                    tmp_path, capsys, case):
+        corrupt_checkpoint(untrained_checkpoint, case)
+        code = main([
+            "segment", str(json_dir / "rec0.json"),
+            "--checkpoint", str(untrained_checkpoint), "--out", str(tmp_path / "d"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_finite_sample_fails(self, json_dir, untrained_checkpoint, tmp_path, capsys):
+        path = json_dir / "rec0.json"
+        doc = json.loads(path.read_text())
+        doc["leads"][1]["samples_mV"][7] = float("nan")
+        path.write_text(json.dumps(doc))  # Python's json writes and reads the NaN literal
+        code = main([
+            "segment", str(path), "--checkpoint", str(untrained_checkpoint),
+            "--mode", "avg", "--out", str(tmp_path / "d"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"lead {doc['leads'][1]['name']!r}" in err and "index 7" in err
 
 
 def reference_as_predictions(json_dir, out_dir, mode="per-lead"):

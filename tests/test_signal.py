@@ -217,6 +217,14 @@ class TestEcgRecord:
         with pytest.raises(SignalError):
             EcgRecord("x", ["a"], np.zeros((1, 4)), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_sample_naming_lead_and_index(self, bad):
+        signals = np.zeros((3, 10))
+        signals[1, 6] = bad
+        signals[2, 2] = bad
+        with pytest.raises(SignalError, match=r"lead 'b'.*at index 6"):
+            EcgRecord("x", ["a", "b", "c"], signals, 10.0)
+
     def test_lead_lookup_case_insensitive(self):
         rec = make_record(np.arange(8.0).reshape(2, 4), 4.0, leads=["II", "aVR"])
         np.testing.assert_array_equal(rec.lead("ii"), [0.0, 1.0, 2.0, 3.0])

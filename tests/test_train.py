@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import ecgseg.train
+import ecgseg.unet
 from ecgseg.train import (
     ConfigurationError,
     LeadSignal,
@@ -13,7 +15,7 @@ from ecgseg.train import (
     save_training_checkpoint,
     train,
 )
-from ecgseg.unet import ModelConfig, build
+from ecgseg.unet import ModelConfig, build, load_container
 from synth import make_ecg_record
 
 
@@ -193,6 +195,23 @@ class TestTrain:
         for pa, pb in zip(model_full.parameters(), model_resumed.parameters()):
             assert pa.name == pb.name
             np.testing.assert_array_equal(pa.data, pb.data)
+
+    def test_resume_reads_the_checkpoint_once(self, tmp_path, monkeypatch):
+        model, split, _ = tiny_train_setup()
+        config = TrainConfig(iterations=1, batch_size=2, seed=7,
+                             checkpoint_every=1, checkpoint_dir=str(tmp_path))
+        train(model, split, config)
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return load_container(path)
+
+        monkeypatch.setattr(ecgseg.train, "load_container", counting)
+        monkeypatch.setattr(ecgseg.unet, "load_container", counting)
+        resumed, _, _ = load_training_checkpoint(tmp_path / "step-000001.ckpt")
+        assert len(reads) == 1
+        assert resumed.step_count == 1
 
     def test_nonfinite_loss_aborts_with_provenance(self):
         model, split, config = tiny_train_setup(iterations=2)

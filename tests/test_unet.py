@@ -1,8 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ecgseg.autodiff
+import ecgseg.unet
 from ecgseg.autodiff import ShapeError, Tensor, softmax_cross_entropy
 from ecgseg.unet import (
+    _MAGIC,
+    _VERSION,
     MODEL_DTYPE,
     CheckpointError,
     ModelConfig,
@@ -98,6 +107,109 @@ class TestForwardShapes:
         np.testing.assert_array_equal(out1, out2)
         for state, saved in zip(model.bn_states(), before):
             np.testing.assert_array_equal(state.running_mean, saved)
+
+
+class TestScoresRows:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_rows_bitwise_equal_single_calls(self, monkeypatch, workers, n):
+        model = build(tiny_config(seed=2)).eval()
+        x = np.random.default_rng(n).normal(size=(n, 83))
+        monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", workers)
+        rows = model.scores(x)
+        assert rows.shape == (n, 4, 83) and rows.dtype == model.dtype
+        for i in range(n):
+            np.testing.assert_array_equal(rows[i], model.scores(x[i]))
+            # the graph-recording forward pass gives the same bits
+            np.testing.assert_array_equal(rows[i], model.forward(x[i][None, None]).data[0])
+
+    def test_rows_under_frequent_thread_switches(self, monkeypatch):
+        model = build(tiny_config(seed=8)).eval()
+        x = np.random.default_rng(8).normal(size=(8, 64))
+        expected = [model.scores(row) for row in x]
+        monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                np.testing.assert_array_equal(model.scores(x), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scores_records_no_graph(self, monkeypatch, workers):
+        model = build(tiny_config(seed=3)).eval()
+        made = []
+        track = ecgseg.autodiff._track
+
+        def spy(out, parents, backward):
+            made.append(track(out, parents, backward))
+            return made[-1]
+
+        monkeypatch.setattr(ecgseg.autodiff, "_track", spy)
+        monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", workers)
+        model.scores(np.random.default_rng(0).normal(size=(3, 50)))
+        model.scores(np.random.default_rng(1).normal(size=50))
+        assert made
+        assert all(t._parents == () and not t.requires_grad for t in made)
+        assert all(p.grad is None for p in model.parameters())
+
+    @pytest.mark.parametrize("shape", [(40,), (3, 40)])
+    def test_forward_after_scores_records_a_graph(self, monkeypatch, shape):
+        monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", 2)
+        model = build(tiny_config(seed=5)).eval()
+        rng = np.random.default_rng(4)
+        model.scores(rng.normal(size=shape))
+        loss = softmax_cross_entropy(model.forward(rng.normal(size=(2, 1, 40))),
+                                     rng.integers(0, 4, size=(2, 40)))
+        loss.backward()
+        assert all(p.grad is not None for p in model.parameters())
+
+    def test_training_mode_rows_update_statistics_in_order(self, monkeypatch):
+        x = np.random.default_rng(6).normal(size=(4, 48))
+        serial = build(tiny_config(seed=7))
+        for row in x:
+            serial.scores(row)
+        monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", 3)
+        rows = build(tiny_config(seed=7))
+        rows.scores(x)
+        for a, b in zip(serial.bn_states(), rows.bn_states()):
+            np.testing.assert_array_equal(a.running_mean, b.running_mean)
+            np.testing.assert_array_equal(a.running_var, b.running_var)
+
+    def test_rejects_three_dimensional_input(self):
+        with pytest.raises(ShapeError):
+            build(tiny_config()).scores(np.zeros((1, 1, 32)))
+
+    @pytest.mark.parametrize("env, cores, workers", [
+        ({}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4),
+        ({"OMP_NUM_THREADS": "2"}, 4, 2),
+        ({"MKL_NUM_THREADS": "3"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 2, 1),
+    ])
+    def test_worker_count_follows_blas_threads(self, monkeypatch, env, cores, workers):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        assert ecgseg.unet._lead_workers() == workers
+
+    def test_thread_pool_is_imported_only_for_parallel_rows(self):
+        code = (
+            "import sys; import numpy as np; import ecgseg.unet as u\n"
+            "m = u.SegmentationModel(u.tiny_config()).eval()\n"
+            "m.scores(np.zeros(32)); m.scores(np.zeros((1, 32)))\n"
+            "print('concurrent.futures' in sys.modules, end=' ')\n"
+            "u.LEAD_WORKERS = 2; m.scores(np.zeros((2, 32)))\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["False", "True"]
 
 
 class TestDtype:
@@ -249,3 +361,51 @@ class TestCheckpoint:
         assert h2 == header
         np.testing.assert_array_equal(a2["a"], arrays["a"])
         np.testing.assert_array_equal(a2["b"], arrays["b"])
+
+
+def _write_raw_container(path, header_bytes: bytes) -> None:
+    path.write_bytes(_MAGIC + _VERSION.to_bytes(4, "little")
+                     + len(header_bytes).to_bytes(8, "little") + header_bytes
+                     + (0).to_bytes(8, "little"))
+
+
+def corrupt_checkpoint(path, case: str) -> None:
+    """Overwrite a saved model checkpoint with one corrupted the way ``case`` names."""
+    blob = path.read_bytes()
+    if case == "header-utf8":
+        _write_raw_container(path, b'{"kind": "\xff"}')
+    elif case == "header-json":
+        _write_raw_container(path, b'{"kind": ')
+    elif case == "header-not-object":
+        _write_raw_container(path, b'[1, 2]')
+    elif case == "array-name":
+        at = blob.index(b"enc1.conv1.weight")
+        path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    else:  # a header key to drop
+        header, arrays = load_container(path)
+        del header[case]
+        save_container(path, header, arrays)
+
+
+CORRUPTIONS = ("header-utf8", "header-json", "header-not-object", "array-name",
+               "config", "step_count")
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_typed_error(self, tmp_path, case):
+        path = tmp_path / "model.ckpt"
+        save_weights(build(tiny_config()), path)
+        corrupt_checkpoint(path, case)
+        with pytest.raises(CheckpointError, match=str(path)):
+            load_weights(path)
+
+    def test_header_flip_is_json_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_weights(build(tiny_config()), path)
+        header_bytes = json.dumps(load_container(path)[0]).encode()
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(header_bytes)] ^= 0x01  # '{' -> 'z'
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+            load_container(path)
