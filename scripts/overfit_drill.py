@@ -1,85 +1,81 @@
 #!/usr/bin/env python3
-"""Desk-scale overfit drill: tiny model, 2 synthetic records, ~90 s on a laptop.
+"""Desk-scale overfit drill: tiny model, 2 synthetic records, ~30 s on a laptop.
 
-Trains the tiny preset on two generated 12-lead records, then evaluates the
-averaged-mode delineation on those same records at 150 ms tolerance. Expected
-outcome: >= 10x training-loss drop and QRS onset/offset F1 >= 0.99 (in
-practice all six point types reach 100%).
+Writes two generated 12-lead records into OUT, then runs exactly these
+three CLI commands on them (S is --seed):
+
+    ecgseg train --preset drill --data-root OUT --out OUT --seed S
+    ecgseg segment OUT/drill0.json OUT/drill1.json --checkpoint OUT/model.ckpt \\
+           --mode avg --out OUT/pred
+    ecgseg evaluate --ref OUT/drill0.json OUT/drill1.json --pred OUT/pred --out OUT/report
+
+Expected outcome: >= 10x training-loss drop and QRS onset/offset F1 >= 0.99
+at 150 ms tolerance (in practice all six point types reach 100%). The
+verdict is read back from OUT/loss.csv and the TP/FP/FN rows of
+OUT/report.csv; the exit status is 0 when the drill passes.
 
 Usage: python scripts/overfit_drill.py [--out runs/drill] [--iterations 400]
 """
 
 import argparse
+import csv
 import time
 from pathlib import Path
 
-import numpy as np
-
-from ecgseg.autodiff import Adam
-from ecgseg.delineate import delineate
-from ecgseg.evaluate import EvaluatorConfig, ReferenceRecord, evaluate_dataset, render_report
+from ecgseg import cli
+from ecgseg.evaluate import csv_report_f1
 from ecgseg.synthetic import make_ecg_record
-from ecgseg.train import TrainConfig, make_split, save_loss_history, save_training_checkpoint, train
-from ecgseg.unet import build, tiny_config
 from ecgseg.wfdb import save_json_record
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv=None) -> int:
+    preset = cli.DRILL_PRESET
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default="runs/drill")
-    parser.add_argument("--iterations", type=int, default=400)
-    parser.add_argument("--batch-size", type=int, default=8)
-    parser.add_argument("--learning-rate", type=float, default=3e-3)
+    parser.add_argument("--iterations", type=int, help=f"default {preset['iterations']}")
+    parser.add_argument("--batch-size", type=int, help=f"default {preset['batch_size']}")
+    parser.add_argument("--learning-rate", type=float,
+                        help=f"default {preset['learning_rate']:g}")
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for i in range(2):
+        record, waves = make_ecg_record(record_id=f"drill{i}", seed=100 + i, n_leads=12)
+        paths.append(str(out / f"{record.record_id}.json"))
+        save_json_record(paths[-1], record, waves)
 
-    records = [
-        make_ecg_record(record_id=f"drill{i}", seed=100 + i, n_leads=12) for i in range(2)
-    ]
-    for record, waves in records:
-        save_json_record(out / f"{record.record_id}.json", record, waves)
-    split = make_split(records, [r.record_id for r, _ in records], [])
-
-    model = build(tiny_config(seed=args.seed))
-    config = TrainConfig(
-        iterations=args.iterations, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, seed=args.seed,
-    )
-    adam = Adam(model.parameters(), lr=config.learning_rate,
-                beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
-    rng = np.random.default_rng(config.seed)
-
+    train = ["train", "--preset", "drill", "--data-root", str(out), "--out", str(out),
+             "--seed", str(args.seed)]
+    for flag, value in (("--iterations", args.iterations), ("--batch-size", args.batch_size),
+                        ("--learning-rate", args.learning_rate)):
+        if value is not None:
+            train += [flag, str(value)]
+    pred = str(out / "pred")
     start = time.monotonic()
-    history = train(
-        model, split, config, adam=adam, rng=rng,
-        progress=lambda s, v: print(f"iteration {s}/{config.iterations}  loss {v:.4f}")
-        if s % 50 == 0 or s == 1 else None,
-    )
+    for command in (
+        train,
+        ["segment", *paths, "--checkpoint", str(out / "model.ckpt"), "--mode", "avg",
+         "--out", pred],
+        ["evaluate", "--ref", *paths, "--pred", pred, "--out", str(out / "report")],
+    ):
+        code = cli.main(command)
+        if code != cli.EXIT_OK:
+            return code
     elapsed = time.monotonic() - start
-    save_training_checkpoint(out / "model.ckpt", model, adam, rng)
-    save_loss_history(out / "loss.csv", history)
 
-    refs = [ReferenceRecord(r.record_id, r.sampling_rate, w) for r, w in records]
-    preds = [delineate(r, model, "avg") for r, _ in records]
-    report = evaluate_dataset(refs, preds, EvaluatorConfig(tolerance_ms=150.0))
-    text = render_report(report, "text")
-    (out / "report.txt").write_text(text)
-    (out / "report.csv").write_text(render_report(report, "csv"))
-
-    drop = history[0] / history[-1]
-    print()
-    print(text)
-    print(f"train time {elapsed:.0f}s; loss {history[0]:.3f} -> {history[-1]:.3f} ({drop:.1f}x)")
-    qrs_ok = all(
-        report.per_point[pt].f1 is not None and report.per_point[pt].f1 >= 0.99
-        for pt in ("QRS-on", "QRS-off")
-    )
-    print(f"drill {'PASSED' if qrs_ok and drop >= 10 else 'FAILED'}: "
-          f"QRS F1 >= 0.99 and >= 10x loss drop")
-    return 0 if qrs_ok and drop >= 10 else 1
+    with open(out / "loss.csv", newline="") as fh:
+        losses = [float(row["loss"]) for row in csv.DictReader(fh)]
+    f1 = csv_report_f1((out / "report.csv").read_text())
+    drop = losses[0] / losses[-1]
+    print(f"pipeline time {elapsed:.0f}s; loss {losses[0]:.3f} -> {losses[-1]:.3f} ({drop:.1f}x)")
+    qrs_ok = all(f1[pt] is not None and f1[pt] >= 0.99 for pt in ("QRS-on", "QRS-off"))
+    passed = qrs_ok and drop >= 10
+    print(f"drill {'PASSED' if passed else 'FAILED'}: QRS F1 >= 0.99 and >= 10x loss drop")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

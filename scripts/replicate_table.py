@@ -10,6 +10,11 @@ than the 455-record set the original result used, so these are not gated):
 
     QRS-on/off F1 >= 99.0%, P-on/off F1 >= 94%, T-on/off F1 >= 96%
 
+The run is the CLI pipeline: ``ecgseg convert`` into OUT/records, a seeded
+shuffle written to OUT/train_ids.txt and OUT/test_ids.txt, ``ecgseg train``
+on those ids, then per mode ``ecgseg segment`` of the test records into
+OUT/pred-<mode> and ``ecgseg evaluate`` into OUT/report-<mode>.{txt,csv}.
+
 Expect hours of CPU time at the default 8000 iterations (roughly 10 h
 on one core; BLAS threading on a multi-core box cuts that down).
 
@@ -18,18 +23,13 @@ Usage:
 """
 
 import argparse
-import time
 from pathlib import Path
 
 import numpy as np
 
-from ecgseg.autodiff import Adam
-from ecgseg.cli import cmd_convert
-from ecgseg.delineate import delineate
-from ecgseg.evaluate import EvaluatorConfig, ReferenceRecord, evaluate_dataset, render_report
-from ecgseg.train import TrainConfig, make_split, save_loss_history, save_training_checkpoint, train
-from ecgseg.unet import ModelConfig, build
-from ecgseg.wfdb import load_json_record
+from ecgseg import cli
+from ecgseg.delineate import MODES
+from ecgseg.evaluate import csv_report_f1
 
 TARGETS = {
     "QRS-on": 0.990, "QRS-off": 0.990,
@@ -38,8 +38,9 @@ TARGETS = {
 }
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--wfdb-dir", required=True, help="directory of LUDB WFDB files")
     parser.add_argument("--out", default="runs/replication")
     parser.add_argument("--train-fraction", type=float, default=0.8)
@@ -48,75 +49,62 @@ def main() -> int:
     parser.add_argument("--learning-rate", type=float, default=1e-3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--checkpoint-every", type=int, default=2000)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out = Path(args.out)
     json_dir = out / "records"
     out.mkdir(parents=True, exist_ok=True)
 
-    convert_args = argparse.Namespace(wfdb_dir=args.wfdb_dir, out_dir=str(json_dir))
-    if cmd_convert(convert_args) != 0:
+    if cli.main(["convert", args.wfdb_dir, str(json_dir)]) != cli.EXIT_OK:
         print("conversion reported failures; continuing with the converted subset")
-
-    records = []
-    for path in sorted(json_dir.glob("*.json")):
-        records.append(load_json_record(path))
+    records = sorted(json_dir.glob("*.json"))
     if len(records) < 10:
         print(f"only {len(records)} records converted; aborting")
         return 1
 
-    ids = sorted(record.record_id for record, _ in records)
+    ids = sorted(path.stem for path in records)
     rng = np.random.default_rng(args.seed)
     rng.shuffle(ids)
     n_train = int(round(args.train_fraction * len(ids)))
     train_ids, test_ids = ids[:n_train], ids[n_train:]
+    if not train_ids or not test_ids:
+        print(f"--train-fraction {args.train_fraction:g} leaves an empty split; aborting")
+        return 1
     (out / "train_ids.txt").write_text("\n".join(sorted(train_ids)) + "\n")
     (out / "test_ids.txt").write_text("\n".join(sorted(test_ids)) + "\n")
-    print(f"{len(train_ids)} train records ({len(train_ids) * 12} lead-signals), "
-          f"{len(test_ids)} test records")
+    print(f"{len(train_ids)} train records, {len(test_ids)} test records")
 
-    split = make_split(records, train_ids, test_ids)
-    model = build(ModelConfig(seed=args.seed))
-    config = TrainConfig(
-        iterations=args.iterations, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, seed=args.seed,
-        checkpoint_every=args.checkpoint_every, checkpoint_dir=str(out),
-    )
-    adam = Adam(model.parameters(), lr=config.learning_rate,
-                beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
-    train_rng = np.random.default_rng(config.seed)
+    code = cli.main([
+        "train", "--data-root", str(json_dir), "--out", str(out),
+        "--train-ids", ",".join(train_ids), "--test-ids", ",".join(test_ids),
+        "--iterations", str(args.iterations), "--batch-size", str(args.batch_size),
+        "--learning-rate", str(args.learning_rate), "--seed", str(args.seed),
+        "--checkpoint-every", str(args.checkpoint_every),
+    ])
+    if code != cli.EXIT_OK:
+        return code
 
-    start = time.monotonic()
-    history = train(
-        model, split, config, adam=adam, rng=train_rng,
-        progress=lambda s, v: print(f"iteration {s}/{config.iterations}  loss {v:.4f}", flush=True)
-        if s % 100 == 0 or s == 1 else None,
-    )
-    print(f"training took {(time.monotonic() - start) / 60:.1f} min")
-    save_training_checkpoint(out / "model.ckpt", model, adam, train_rng)
-    save_loss_history(out / "loss.csv", history)
+    test_paths = [str(json_dir / f"{rid}.json") for rid in test_ids]
+    for mode in MODES:
+        pred = str(out / f"pred-{mode}")
+        for command in (
+            ["segment", *test_paths, "--checkpoint", str(out / "model.ckpt"),
+             "--mode", mode, "--out", pred],
+            ["evaluate", "--ref", *test_paths, "--pred", pred,
+             "--out", str(out / f"report-{mode}")],
+        ):
+            code = cli.main(command)
+            if code != cli.EXIT_OK:
+                return code
 
-    refs = [
-        ReferenceRecord(record.record_id, record.sampling_rate, waves)
-        for record, waves in split.test_records
-    ]
-    config_eval = EvaluatorConfig(tolerance_ms=150.0)
     all_ok = True
-    for mode in ("avg", "lead2", "per-lead"):
-        preds = [delineate(record, model, mode) for record, _ in split.test_records]
-        report = evaluate_dataset(refs, preds, config_eval)
-        text = render_report(report, "text")
-        (out / f"report-{mode}.txt").write_text(text)
-        (out / f"report-{mode}.csv").write_text(render_report(report, "csv"))
-        print(f"\n=== mode: {mode} ===\n{text}")
-        if mode == "avg":
-            for pt, target in TARGETS.items():
-                f1 = report.per_point[pt].f1
-                ok = f1 is not None and f1 >= target
-                all_ok &= ok
-                shown = "absent" if f1 is None else f"{100 * f1:.2f}%"
-                print(f"  {pt}: F1 {shown} (target {100 * target:.1f}%) "
-                      f"{'OK' if ok else 'below target'}")
+    print("\naveraged mode against the targets:")
+    for pt, f1 in csv_report_f1((out / "report-avg.csv").read_text()).items():
+        ok = f1 is not None and f1 >= TARGETS[pt]
+        all_ok &= ok
+        shown = "absent" if f1 is None else f"{100 * f1:.2f}%"
+        print(f"  {pt}: F1 {shown} (target {100 * TARGETS[pt]:.1f}%) "
+              f"{'OK' if ok else 'below target'}")
     print(f"\nreplication report {'meets' if all_ok else 'does not meet'} "
           f"all averaged-mode targets; reports written under {out}")
     return 0

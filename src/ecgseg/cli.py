@@ -17,7 +17,6 @@ import numpy as np
 
 from .autodiff import Adam
 from .config import (
-    build_evaluator_config,
     build_model_config,
     build_train_config,
     parse_tolerance,
@@ -25,7 +24,13 @@ from .config import (
     read_id_list,
 )
 from .delineate import MODES, DelineationError, DelineationResult, delineate
-from .evaluate import EvaluationError, ReferenceRecord, evaluate_dataset, render_report
+from .evaluate import (
+    EvaluationError,
+    EvaluatorConfig,
+    ReferenceRecord,
+    evaluate_dataset,
+    render_report,
+)
 from .render import render_svg
 from .signal import SignalError, map_sample_indices, resample
 from .train import (
@@ -36,7 +41,7 @@ from .train import (
     save_training_checkpoint,
     train,
 )
-from .unet import CheckpointError, build, load_weights, tiny_config
+from .unet import CheckpointError, SegmentationModel, load_weights, tiny_config
 from .wfdb import (
     WaveAnnotation,
     WfdbError,
@@ -191,7 +196,7 @@ def cmd_train(args) -> int:
                 bottleneck_width=args.bottleneck_width,
                 seed=args.seed,
             )
-        model = build(model_cfg)
+        model = SegmentationModel(model_cfg)
         adam = Adam(
             model.parameters(), lr=train_cfg.learning_rate,
             beta1=train_cfg.beta1, beta2=train_cfg.beta2, eps=train_cfg.adam_eps,
@@ -252,11 +257,7 @@ def _load_predictions(specs) -> list[DelineationResult]:
 
 
 def cmd_evaluate(args) -> int:
-    config = build_evaluator_config(
-        None,
-        tolerance_ms=args.tolerance,
-        trim_edges=not args.no_trim,
-    )
+    config = EvaluatorConfig(tolerance_ms=args.tolerance, trim_edges=not args.no_trim)
     refs = _load_references(args.ref)
     preds = _load_predictions(args.pred)
     report = evaluate_dataset(refs, preds, config)
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_resample)
 
     p = sub.add_parser("train", help="train the segmentation network")
-    p.add_argument("--config", help="INI config file (sections data/model/train/evaluate)")
+    p.add_argument("--config", help="INI config file (sections data/model/train)")
     p.add_argument("--data-root", help="directory of interchange JSON records "
                                        "(default $ECG_DATA_ROOT)")
     p.add_argument("--out", default="runs/latest", help="output directory")

@@ -1,7 +1,9 @@
-"""Shared key = value config file (INI sections) for train/segment/evaluate.
+"""The key = value config file (INI sections) that ``ecgseg train --config`` reads.
 
 Sections: [data] (root, train_ids/test_ids inline or *_file), [model],
-[train], [segment], [evaluate]. CLI flags override file values.
+[train]. An unknown section or key, or a value that does not parse, is a
+ConfigurationError naming the file, section and key. CLI flags override
+file values.
 """
 
 from __future__ import annotations
@@ -9,33 +11,8 @@ from __future__ import annotations
 import configparser
 from pathlib import Path
 
-from .evaluate import EvaluatorConfig
 from .train import ConfigurationError, TrainConfig
 from .unet import ModelConfig
-
-
-def read_config_file(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    text = Path(path).read_text()
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-    return parser
-
-
-def _section(parser: configparser.ConfigParser | None, name: str) -> dict[str, str]:
-    if parser is None or not parser.has_section(name):
-        return {}
-    return dict(parser.items(name))
-
-
-def _merged(parser, section: str, overrides: dict) -> dict[str, str]:
-    values = _section(parser, section)
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = str(value)
-    return values
 
 
 def _widths(text: str) -> tuple[int, ...]:
@@ -45,37 +22,77 @@ def _widths(text: str) -> tuple[int, ...]:
         raise ConfigurationError(f"bad channel width list {text!r}") from None
 
 
-def build_model_config(parser=None, **overrides) -> ModelConfig:
-    values = _merged(parser, "model", overrides)
-    kwargs = {}
-    if "encoder_widths" in values:
-        kwargs["encoder_widths"] = _widths(values["encoder_widths"])
-    for key, cast in [
-        ("bottleneck_width", int), ("seed", int),
-        ("bn_eps", float), ("bn_momentum", float),
-    ]:
-        if key in values:
-            kwargs[key] = cast(values[key])
-    return ModelConfig(**kwargs)
+_DATA_KEYS = dict.fromkeys(("root", "train_ids", "train_ids_file", "test_ids", "test_ids_file"), str)
+_MODEL_KEYS = {
+    "encoder_widths": _widths, "bottleneck_width": int, "seed": int,
+    "bn_eps": float, "bn_momentum": float,
+}
+_TRAIN_KEYS = {
+    "iterations": int, "batch_size": int, "learning_rate": float,
+    "beta1": float, "beta2": float, "adam_eps": float, "seed": int,
+    "crop_seconds": float, "crop_start_min": float, "crop_start_max": float,
+    "checkpoint_every": int,
+}
+_SECTIONS = {"data": _DATA_KEYS, "model": _MODEL_KEYS, "train": _TRAIN_KEYS}
 
 
-def build_train_config(parser=None, **overrides) -> TrainConfig:
-    values = _merged(parser, "train", overrides)
-    kwargs = {}
-    for key, cast in [
-        ("iterations", int), ("batch_size", int), ("learning_rate", float),
-        ("beta1", float), ("beta2", float), ("adam_eps", float), ("seed", int),
-        ("crop_seconds", float), ("crop_start_min", float), ("crop_start_max", float),
-        ("checkpoint_every", int),
-    ]:
-        if key in values:
-            kwargs[key] = cast(values[key])
-    if "checkpoint_dir" in values:
-        kwargs["checkpoint_dir"] = values["checkpoint_dir"]
+def read_config_file(path) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser()
     try:
-        return TrainConfig(**kwargs)
-    except TypeError as exc:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot read config file ({exc.strerror})") from None
+    try:
+        parser.read_string(text, source=str(path))
+        for section in parser.sections():
+            _check_section(path, section, dict(parser.items(section)))
+    except configparser.Error as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    return parser
+
+
+def _check_section(path, section: str, values: dict[str, str]) -> None:
+    if section == "evaluate":
+        raise ConfigurationError(
+            f"{path}: [evaluate] is not read from a config file; "
+            f"pass --tolerance or --no-trim to ecgseg evaluate"
+        )
+    if section not in _SECTIONS:
+        raise ConfigurationError(
+            f"{path}: unknown section [{section}] (sections: {', '.join(_SECTIONS)})"
+        )
+    casts = _SECTIONS[section]
+    for key, value in values.items():
+        if key not in casts:
+            raise ConfigurationError(
+                f"{path}: [{section}] unknown key {key!r} (keys: {', '.join(casts)})"
+            )
+        try:
+            casts[key](value)
+        except ValueError:
+            raise ConfigurationError(f"{path}: [{section}] {key}: bad value {value!r}") from None
+
+
+def _build(cls, parser, section: str, overrides: dict, **fixed):
+    """``cls`` from a file section, with the non-None ``overrides`` on top."""
+    values = {}
+    if parser is not None and parser.has_section(section):
+        values = dict(parser.items(section))
+    values.update((key, str(value)) for key, value in overrides.items() if value is not None)
+    casts = _SECTIONS[section]
+    try:
+        return cls(**{key: cast(values[key]) for key, cast in casts.items() if key in values},
+                   **fixed)
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(str(exc)) from None
+
+
+def build_model_config(parser=None, **overrides) -> ModelConfig:
+    return _build(ModelConfig, parser, "model", overrides)
+
+
+def build_train_config(parser=None, checkpoint_dir: str | None = None, **overrides) -> TrainConfig:
+    return _build(TrainConfig, parser, "train", overrides, checkpoint_dir=checkpoint_dir)
 
 
 def parse_tolerance(text: str) -> float:
@@ -88,24 +105,6 @@ def parse_tolerance(text: str) -> float:
     else:
         value = float(raw)
     return value
-
-
-def build_evaluator_config(parser=None, **overrides) -> EvaluatorConfig:
-    values = _merged(parser, "evaluate", overrides)
-    kwargs = {}
-    if "tolerance" in values:
-        kwargs["tolerance_ms"] = parse_tolerance(values["tolerance"])
-    if "tolerance_ms" in values:
-        kwargs["tolerance_ms"] = parse_tolerance(values["tolerance_ms"])
-    if "trim_edges" in values:
-        kwargs["trim_edges"] = values["trim_edges"].strip().lower() in ("1", "true", "yes", "on")
-    if "window_expansion_ms" in values:
-        kwargs["window_expansion_ms"] = float(values["window_expansion_ms"])
-    if "reference_leads" in values and values["reference_leads"] != "all":
-        kwargs["reference_leads"] = tuple(
-            part.strip() for part in values["reference_leads"].split(",") if part.strip()
-        )
-    return EvaluatorConfig(**kwargs)
 
 
 def read_id_list(values: dict[str, str], key: str) -> list[str]:

@@ -33,18 +33,15 @@ class EvaluationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class EvaluatorConfig:
-    """Matching protocol knobs.
+    """Matching protocol: the tolerance and whether edge cycles are trimmed.
 
-    ``window_expansion_ms`` widens the predicted-point retention window on
-    both sides; the default 0 trims predictions and reference symmetrically
-    so that self-evaluation is exactly perfect.
+    Trimming drops predictions and reference alike outside the same window,
+    so that self-evaluation is exactly perfect. Deviation sigma is always
+    the population one (divide by N).
     """
 
     tolerance_ms: float = 150.0
     trim_edges: bool = True
-    window_expansion_ms: float = 0.0
-    sigma_convention: str = "population"
-    reference_leads: tuple[str, ...] | str = "all"
 
     def __post_init__(self) -> None:
         if not self.tolerance_ms > 0:
@@ -68,13 +65,12 @@ def waves_to_points(waves, rate: float) -> dict[str, list[float]]:
 
 
 def trim_edge_cycles(ref_waves: list[WaveAnnotation], pred_waves: list[WavePrediction],
-                     rate: float, config: EvaluatorConfig = EvaluatorConfig()
-                     ) -> tuple[list[WaveAnnotation], dict[str, list[float]]]:
+                     rate: float) -> tuple[list[WaveAnnotation], dict[str, list[float]]]:
     """Drop the unreliable edge cycles before matching.
 
     Removes the first and last reference QRS (plus any reference wave not
     strictly inside the remaining window) and keeps only predicted points
-    inside that window, optionally expanded by ``window_expansion_ms``.
+    inside that window.
     Returns (kept reference waves, predicted points by type, in ms).
     """
     qrs = sorted((w for w in ref_waves if w.wave_type == "QRS"), key=lambda w: w.onset)
@@ -90,11 +86,9 @@ def trim_edge_cycles(ref_waves: list[WaveAnnotation], pred_waves: list[WavePredi
         and sample_time_ms(w.onset, rate) > window_start
         and sample_time_ms(w.offset, rate) < window_end
     ]
-    lo = window_start - config.window_expansion_ms
-    hi = window_end + config.window_expansion_ms
     pred_points = waves_to_points(pred_waves, rate)
     for pt in POINT_TYPES:
-        pred_points[pt] = [t for t in pred_points[pt] if lo < t < hi]
+        pred_points[pt] = [t for t in pred_points[pt] if window_start < t < window_end]
     return kept_ref, pred_points
 
 
@@ -160,7 +154,6 @@ class PointMetrics:
 @dataclass
 class MetricsReport:
     tolerance_ms: float
-    sigma_convention: str
     per_point: dict[str, PointMetrics]
 
 
@@ -186,7 +179,7 @@ def evaluate_record(ref_waves, pred_waves, rate: float,
                     config: EvaluatorConfig = EvaluatorConfig()) -> dict[str, MatchResult]:
     """Match one reference wave list against one predicted wave list."""
     if config.trim_edges:
-        kept_ref, pred_points = trim_edge_cycles(ref_waves, pred_waves, rate, config)
+        kept_ref, pred_points = trim_edge_cycles(ref_waves, pred_waves, rate)
     else:
         kept_ref, pred_points = list(ref_waves), waves_to_points(pred_waves, rate)
     ref_points = waves_to_points(kept_ref, rate)
@@ -203,24 +196,16 @@ class ReferenceRecord:
     waves_by_lead: dict[str, list[WaveAnnotation]]
 
 
-def _stream_pairs(ref: ReferenceRecord, pred: DelineationResult, config: EvaluatorConfig):
-    """Yield (ref waves, pred waves) pairs for one record.
+def _stream_pairs(ref: ReferenceRecord, pred: DelineationResult):
+    """Yield (lead, ref waves, pred waves) triples for one record.
 
     Lead-named streams pair with the same reference lead; the averaged
-    stream is evaluated against every configured reference lead.
+    stream is evaluated against every reference lead.
     """
     ref_leads = {name.lower(): waves for name, waves in ref.waves_by_lead.items()}
     for stream, waves in sorted(pred.streams.items()):
         if stream == AVERAGED_STREAM:
-            if config.reference_leads == "all":
-                targets = sorted(ref_leads)
-            else:
-                targets = [name.lower() for name in config.reference_leads]
-            for name in targets:
-                if name not in ref_leads:
-                    raise EvaluationError(
-                        f"record {ref.record_id!r}: no reference annotations for lead {name!r}"
-                    )
+            for name in sorted(ref_leads):
                 yield name, ref_leads[name], waves
         else:
             key = stream.lower()
@@ -257,7 +242,7 @@ def evaluate_dataset(references: list[ReferenceRecord], predictions: list[Deline
                 f"record {record_id!r}: reference at {ref.sampling_rate} Hz but "
                 f"predictions at {pred.sampling_rate} Hz"
             )
-        for lead, ref_waves, pred_waves in _stream_pairs(ref, pred, config):
+        for lead, ref_waves, pred_waves in _stream_pairs(ref, pred):
             try:
                 per_type = evaluate_record(ref_waves, pred_waves, ref.sampling_rate, config)
             except TooFewCyclesError as exc:
@@ -269,7 +254,6 @@ def evaluate_dataset(references: list[ReferenceRecord], predictions: list[Deline
                 pooled[pt].add(per_type[pt])
     return MetricsReport(
         tolerance_ms=config.tolerance_ms,
-        sigma_convention=config.sigma_convention,
         per_point={pt: compute_metrics(pooled[pt]) for pt in POINT_TYPES},
     )
 
@@ -302,10 +286,7 @@ def render_report(report: MetricsReport, fmt: str = "text") -> str:
         rows.append(["FN", *[str(report.per_point[c].fn) for c in cols]])
         return "\n".join(",".join(row) for row in rows) + "\n"
 
-    header = (
-        f"tolerance: {report.tolerance_ms:g} ms; "
-        f"sigma: {report.sigma_convention}"
-    )
+    header = f"tolerance: {report.tolerance_ms:g} ms; sigma: population"
     rows = [["metric", *cols]]
     rows.append(["Se (%)", *[_pct(report.per_point[c].se) for c in cols]])
     rows.append(["PPV (%)", *[_pct(report.per_point[c].ppv) for c in cols]])
@@ -324,3 +305,15 @@ def render_report(report: MetricsReport, fmt: str = "text") -> str:
     for row in rows:
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines) + "\n"
+
+
+def csv_report_f1(text: str) -> dict[str, float | None]:
+    """Exact F1 per point type from the TP/FP/FN rows of a ``render_report`` CSV.
+
+    The CSV's ``F1(%)`` row is rounded to two decimals; the counts are not.
+    """
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in text.splitlines()}
+    return {
+        pt: compute_metrics(MatchResult(int(tp), int(fp), int(fn))).f1
+        for pt, tp, fp, fn in zip(rows["metric"], rows["TP"], rows["FP"], rows["FN"])
+    }

@@ -298,10 +298,6 @@ class SegmentationModel:
             return self.forward(signal[None, None, :]).data[0]
 
 
-def build(config: ModelConfig) -> SegmentationModel:
-    return SegmentationModel(config)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint container: magic, version, JSON header, named float64 blobs.
 # The model header records the model's dtype; float32 values round-trip
@@ -420,13 +416,17 @@ def _weights_from_container(path, header: dict, arrays: dict[str, np.ndarray],
     for key in ("config", "step_count"):
         if key not in header:
             raise CheckpointError(f"{path}: checkpoint header lacks {key!r}")
+    try:
+        step_count = int(header["step_count"])
+        config = ModelConfig(**{
+            k: tuple(v) if isinstance(v, list) else v for k, v in header["config"].items()
+        })
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad checkpoint header ({exc})") from None
     if model is None:
         stored = header.get("dtype", "float64")
         if stored not in ("float32", "float64"):
             raise CheckpointError(f"{path}: unsupported model dtype {stored!r}")
-        config = ModelConfig(**{
-            k: tuple(v) if isinstance(v, list) else v for k, v in header["config"].items()
-        })
         model = SegmentationModel(config).astype(stored)
     expected = _model_arrays(model)
     for name, target in expected.items():
@@ -444,5 +444,5 @@ def _weights_from_container(path, header: dict, arrays: dict[str, np.ndarray],
         prefix = state.gamma.name.rsplit(".", 1)[0]
         state.running_mean = arrays[f"{prefix}.running_mean"].astype(dtype)
         state.running_var = arrays[f"{prefix}.running_var"].astype(dtype)
-    model.step_count = int(header["step_count"])
+    model.step_count = step_count
     return model

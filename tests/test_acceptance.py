@@ -31,7 +31,7 @@ from ecgseg.evaluate import (
 )
 from ecgseg.signal import ResamplePlan, resample
 from ecgseg.train import TrainConfig, make_split, train
-from ecgseg.unet import build, tiny_config
+from ecgseg.unet import SegmentationModel, tiny_config
 from ecgseg.wfdb import (
     group_events,
     parse_annotations,
@@ -119,7 +119,7 @@ def test_criterion_1_gradient_suite_all_layers():
 @pytest.mark.parametrize("length", [1, 15, 16, 17, 496, 2000, 4000, 5000, 5001])
 def test_criterion_2_output_shape_contract(length):
     """Forward output is exactly (4, l) for the boundary length set."""
-    model = build(tiny_config(seed=1)).eval()
+    model = SegmentationModel(tiny_config(seed=1)).eval()
     out = model.scores(np.random.default_rng(length).normal(size=length))
     assert out.shape == (4, length)
 
@@ -248,7 +248,7 @@ def test_criterion_6_overfit_drill():
         make_ecg_record(record_id=f"drill{i}", seed=100 + i, n_leads=12) for i in range(2)
     ]
     split = make_split(records, ["drill0", "drill1"], [])
-    model = build(tiny_config(seed=0))
+    model = SegmentationModel(tiny_config(seed=0))
     config = TrainConfig(iterations=400, batch_size=8, learning_rate=3e-3, seed=0)
     history = train(model, split, config)
     assert len(history) <= 500

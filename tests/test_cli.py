@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ecgseg.cli import main
-from ecgseg.unet import build, save_weights, tiny_config
+from ecgseg.unet import SegmentationModel, save_weights, tiny_config
 from ecgseg.wfdb import load_json_record, save_json_record
 from synth import make_ecg_record, write_wfdb_fixture
 from test_unet import CORRUPTIONS, corrupt_checkpoint
@@ -32,7 +32,7 @@ def json_dir(tmp_path):
 @pytest.fixture
 def untrained_checkpoint(tmp_path):
     path = tmp_path / "untrained.ckpt"
-    save_weights(build(tiny_config(seed=4)), path)
+    save_weights(SegmentationModel(tiny_config(seed=4)), path)
     return path
 
 

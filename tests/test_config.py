@@ -1,7 +1,7 @@
 import pytest
 
+from ecgseg.cli import main
 from ecgseg.config import (
-    build_evaluator_config,
     build_model_config,
     build_train_config,
     parse_tolerance,
@@ -25,10 +25,6 @@ seed = 3
 iterations = 50
 batch_size = 4
 learning_rate = 0.003
-
-[evaluate]
-tolerance = 0.15s
-trim_edges = true
 """
 
 
@@ -71,11 +67,6 @@ class TestBuildConfigs:
         # untouched defaults stay
         assert cfg.crop_seconds == 4.0
 
-    def test_evaluator_tolerance_units(self, config_file):
-        cfg = build_evaluator_config(read_config_file(config_file))
-        assert cfg.tolerance_ms == pytest.approx(150.0)
-        assert cfg.trim_edges is True
-
     def test_defaults_without_file(self):
         cfg = build_train_config(None)
         assert cfg.iterations == 2000
@@ -84,6 +75,52 @@ class TestBuildConfigs:
     def test_bad_widths(self, config_file):
         with pytest.raises(ConfigurationError):
             build_model_config(read_config_file(config_file), encoder_widths="a,b")
+
+    def test_three_widths_is_configuration_error(self, config_file):
+        with pytest.raises(ConfigurationError, match="4 encoder widths"):
+            build_model_config(read_config_file(config_file), encoder_widths="4,8,16")
+
+
+class TestRejectMalformedFile:
+    @pytest.mark.parametrize("text,match", [
+        ("[train]\niteratons = 50\n", r"\[train\] unknown key 'iteratons'"),
+        ("[model]\nkernel_size = 5\n", r"\[model\] unknown key 'kernel_size'"),
+        ("[data]\nroot_dir = /data\n", r"\[data\] unknown key 'root_dir'"),
+        ("[train]\ncheckpoint_dir = runs/x\n", r"\[train\] unknown key 'checkpoint_dir'"),
+        ("[segment]\nmode = avg\n", r"unknown section \[segment\]"),
+        ("[evaluate]\ntolerance = 150ms\n", r"\[evaluate\].*--tolerance or --no-trim"),
+        ("[train]\niterations = ten\n", r"\[train\] iterations: bad value 'ten'"),
+        ("[train]\nlearning_rate = fast\n", r"\[train\] learning_rate: bad value"),
+        ("[model]\nseed = x\n", r"\[model\] seed: bad value 'x'"),
+        ("[model]\nencoder_widths = a, b\n", r"\[model\] encoder_widths: bad value"),
+    ])
+    def test_names_file_section_and_key(self, tmp_path, text, match):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=match) as info:
+            read_config_file(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.ini"
+        with pytest.raises(ConfigurationError, match=f"{path}: cannot read config file"):
+            read_config_file(path)
+
+    def test_known_keys_accepted(self, config_file):
+        parser = read_config_file(config_file)
+        assert parser.sections() == ["data", "model", "train"]
+
+    @pytest.mark.parametrize("text", ["[train]\niteratons = 50\n", "[model]\nseed = x\n",
+                                      "[evaluate]\ntrim_edges = true\n"])
+    def test_cli_train_exits_2_with_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        code = main(["train", "--config", str(path), "--data-root", str(tmp_path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "model.ckpt").exists()
 
 
 class TestReadIdList:

@@ -13,7 +13,7 @@ from ecgseg.delineate import (
     extract_segments,
 )
 from ecgseg.signal import EcgRecord, resample
-from ecgseg.unet import build, tiny_config
+from ecgseg.unet import SegmentationModel, tiny_config
 from ecgseg.wfdb import to_mask
 from synth import make_ecg_record
 
@@ -122,7 +122,7 @@ class TestAverageLeads:
 
 @pytest.fixture(scope="module")
 def tiny_model():
-    return build(tiny_config(seed=11)).eval()
+    return SegmentationModel(tiny_config(seed=11)).eval()
 
 
 class TestDelineate:

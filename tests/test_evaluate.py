@@ -14,6 +14,7 @@ from ecgseg.evaluate import (
     ReferenceRecord,
     TooFewCyclesError,
     compute_metrics,
+    csv_report_f1,
     evaluate_dataset,
     evaluate_record,
     match_points,
@@ -74,16 +75,6 @@ class TestTrimEdgeCycles:
         ref = [wave("QRS", 100, 200), wave("QRS", 1100, 1200)]
         with pytest.raises(TooFewCyclesError):
             trim_edge_cycles(ref, [], rate=1000.0)
-
-    def test_window_expansion_keeps_edge_points(self):
-        ref = five_cycle_reference()
-        pred = [WavePrediction("QRS", 100, 200)]  # copy of the dropped first QRS
-        _, strict = trim_edge_cycles(ref, pred, rate=1000.0)
-        assert strict["QRS-off"] == []
-        _, expanded = trim_edge_cycles(
-            ref, pred, rate=1000.0, config=EvaluatorConfig(window_expansion_ms=150.0)
-        )
-        assert len(expanded["QRS-off"]) == 1
 
 
 class TestMatchPoints:
@@ -325,7 +316,7 @@ class TestRenderReport:
             "T-on": compute_metrics(MatchResult(0, 0, 0, [])),
             "T-off": compute_metrics(MatchResult(0, 5, 0, [])),
         }
-        return MetricsReport(150.0, "population", per_point)
+        return MetricsReport(150.0, per_point)
 
     def test_golden_csv(self):
         assert render_report(self.fixed_report(), "csv") == GOLDEN_CSV
@@ -333,11 +324,17 @@ class TestRenderReport:
     def test_golden_text(self):
         assert render_report(self.fixed_report(), "text") == GOLDEN_TEXT
 
+    def test_csv_report_f1_is_exact(self):
+        report = self.fixed_report()
+        f1 = csv_report_f1(render_report(report, "csv"))
+        assert f1 == {pt: report.per_point[pt].f1 for pt in POINT_TYPES}
+        assert f1["P-on"] < 0.995  # 198/199; the F1(%) row rounds it to 99.50
+
     def test_perfect_report_all_hundreds(self):
         per_point = {
             pt: compute_metrics(MatchResult(10, 0, 0, [0.0] * 10)) for pt in POINT_TYPES
         }
-        text = render_report(MetricsReport(150.0, "population", per_point), "text")
+        text = render_report(MetricsReport(150.0, per_point), "text")
         assert text.count("100.00") == 18  # Se, PPV, F1 x 6 point types
         assert "0.0±0.0" in text
 

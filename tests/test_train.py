@@ -15,7 +15,7 @@ from ecgseg.train import (
     save_training_checkpoint,
     train,
 )
-from ecgseg.unet import ModelConfig, build, load_container
+from ecgseg.unet import ModelConfig, SegmentationModel, load_container
 from synth import make_ecg_record
 
 
@@ -137,7 +137,7 @@ def tiny_train_setup(iterations=3, batch_size=2, n_leads=2, **cfg_kwargs):
         iterations=iterations, batch_size=batch_size, learning_rate=1e-3,
         seed=7, **cfg_kwargs,
     )
-    model = build(ModelConfig(encoder_widths=(1, 1, 1, 1), bottleneck_width=1, seed=2))
+    model = SegmentationModel(ModelConfig(encoder_widths=(1, 1, 1, 1), bottleneck_width=1, seed=2))
     return model, split, config
 
 
@@ -145,7 +145,7 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         model_a, split, config = tiny_train_setup()
         history_a = train(model_a, split, config)
-        model_b = build(ModelConfig(encoder_widths=(1, 1, 1, 1), bottleneck_width=1, seed=2))
+        model_b = SegmentationModel(ModelConfig(encoder_widths=(1, 1, 1, 1), bottleneck_width=1, seed=2))
         history_b = train(model_b, split, config)
         assert history_a == history_b
         for pa, pb in zip(model_a.parameters(), model_b.parameters()):
@@ -158,7 +158,7 @@ class TestTrain:
             iterations=3, batch_size=2, learning_rate=0.0, seed=1,
             crop_start_min=2.0, crop_start_max=2.0,
         )
-        model = build(ModelConfig(encoder_widths=(1, 1, 1, 1), bottleneck_width=1, seed=0))
+        model = SegmentationModel(ModelConfig(encoder_widths=(1, 1, 1, 1), bottleneck_width=1, seed=0))
         before = [p.data.copy() for p in model.parameters()]
         history = train(model, split, config)
         assert len(set(history)) == 1
@@ -226,7 +226,7 @@ class TestTrain:
         )
         records.append((short_record, short_waves))
         split = make_split(records, ["rec0", "short"], [])
-        model = build(ModelConfig(encoder_widths=(1, 1, 1, 1), bottleneck_width=1, seed=0))
+        model = SegmentationModel(ModelConfig(encoder_widths=(1, 1, 1, 1), bottleneck_width=1, seed=0))
         config = TrainConfig(iterations=1, batch_size=1, seed=0)
         with pytest.warns(TrainingWarning, match="skipped 2"):
             train(model, split, config)
@@ -234,7 +234,7 @@ class TestTrain:
     def test_empty_pool_rejected(self):
         record, waves = make_ecg_record(record_id="short", seed=98, n_leads=1, duration=4.0)
         split = make_split([(record, waves)], ["short"], [])
-        model = build(ModelConfig(encoder_widths=(1, 1, 1, 1), bottleneck_width=1, seed=0))
+        model = SegmentationModel(ModelConfig(encoder_widths=(1, 1, 1, 1), bottleneck_width=1, seed=0))
         with pytest.warns(TrainingWarning):
             with pytest.raises(ConfigurationError, match="empty"):
                 train(model, split, TrainConfig(iterations=1, batch_size=1))
@@ -260,7 +260,7 @@ class TestCheckpointState:
     def test_plain_model_checkpoint_cannot_resume(self, tmp_path):
         from ecgseg.unet import save_weights, tiny_config
 
-        model = build(tiny_config())
+        model = SegmentationModel(tiny_config())
         path = tmp_path / "m.ckpt"
         save_weights(model, path)
         with pytest.raises(ConfigurationError, match="trainer"):

@@ -15,7 +15,7 @@ from ecgseg.unet import (
     MODEL_DTYPE,
     CheckpointError,
     ModelConfig,
-    build,
+    SegmentationModel,
     load_container,
     load_weights,
     save_container,
@@ -45,31 +45,31 @@ def expected_param_count(widths, bottleneck, k=9, ku=8, n_classes=4):
 class TestBuild:
     def test_parameter_count_matches_closed_form(self):
         cfg = tiny_config()
-        model = build(cfg)
+        model = SegmentationModel(cfg)
         counted = sum(p.data.size for p in model.parameters())
         assert counted == expected_param_count(cfg.encoder_widths, cfg.bottleneck_width)
 
     def test_default_parameter_count_matches_closed_form(self):
         cfg = ModelConfig()
-        model = build(cfg)
+        model = SegmentationModel(cfg)
         counted = sum(p.data.size for p in model.parameters())
         assert counted == expected_param_count((16, 32, 64, 128), 256)
 
     def test_minimal_widths_build_and_run(self):
-        model = build(ModelConfig(encoder_widths=(1, 1, 1, 1), bottleneck_width=1))
+        model = SegmentationModel(ModelConfig(encoder_widths=(1, 1, 1, 1), bottleneck_width=1))
         out = model.forward(np.zeros((1, 1, 20)))
         assert out.shape == (1, 4, 20)
 
     def test_same_seed_same_weights(self):
-        a = build(tiny_config(seed=5))
-        b = build(tiny_config(seed=5))
+        a = SegmentationModel(tiny_config(seed=5))
+        b = SegmentationModel(tiny_config(seed=5))
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert pa.name == pb.name
             np.testing.assert_array_equal(pa.data, pb.data)
 
     def test_different_seed_different_weights(self):
-        a = build(tiny_config(seed=1))
-        b = build(tiny_config(seed=2))
+        a = SegmentationModel(tiny_config(seed=1))
+        b = SegmentationModel(tiny_config(seed=2))
         assert any(
             not np.array_equal(pa.data, pb.data)
             for pa, pb in zip(a.parameters(), b.parameters())
@@ -83,23 +83,23 @@ class TestBuild:
 class TestForwardShapes:
     @pytest.mark.parametrize("length", [1, 15, 16, 17, 100, 496])
     def test_output_is_4_by_l(self, length):
-        model = build(tiny_config()).eval()
+        model = SegmentationModel(tiny_config()).eval()
         rng = np.random.default_rng(length)
         out = model.forward(rng.normal(size=(1, 1, length)))
         assert out.shape == (1, 4, length)
 
     def test_default_config_shape(self):
-        model = build(ModelConfig()).eval()
+        model = SegmentationModel(ModelConfig()).eval()
         out = model.scores(np.random.default_rng(0).normal(size=496))
         assert out.shape == (4, 496)
 
     def test_rejects_multi_channel_input(self):
-        model = build(tiny_config())
+        model = SegmentationModel(tiny_config())
         with pytest.raises(ShapeError):
             model.forward(np.zeros((1, 2, 32)))
 
     def test_inference_is_pure(self):
-        model = build(tiny_config()).eval()
+        model = SegmentationModel(tiny_config()).eval()
         x = np.random.default_rng(1).normal(size=(1, 1, 48))
         before = [s.running_mean.copy() for s in model.bn_states()]
         out1 = model.forward(x).data
@@ -113,7 +113,7 @@ class TestScoresRows:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_rows_bitwise_equal_single_calls(self, monkeypatch, workers, n):
-        model = build(tiny_config(seed=2)).eval()
+        model = SegmentationModel(tiny_config(seed=2)).eval()
         x = np.random.default_rng(n).normal(size=(n, 83))
         monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", workers)
         rows = model.scores(x)
@@ -124,7 +124,7 @@ class TestScoresRows:
             np.testing.assert_array_equal(rows[i], model.forward(x[i][None, None]).data[0])
 
     def test_rows_under_frequent_thread_switches(self, monkeypatch):
-        model = build(tiny_config(seed=8)).eval()
+        model = SegmentationModel(tiny_config(seed=8)).eval()
         x = np.random.default_rng(8).normal(size=(8, 64))
         expected = [model.scores(row) for row in x]
         monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", 4)
@@ -138,7 +138,7 @@ class TestScoresRows:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_scores_records_no_graph(self, monkeypatch, workers):
-        model = build(tiny_config(seed=3)).eval()
+        model = SegmentationModel(tiny_config(seed=3)).eval()
         made = []
         track = ecgseg.autodiff._track
 
@@ -157,7 +157,7 @@ class TestScoresRows:
     @pytest.mark.parametrize("shape", [(40,), (3, 40)])
     def test_forward_after_scores_records_a_graph(self, monkeypatch, shape):
         monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", 2)
-        model = build(tiny_config(seed=5)).eval()
+        model = SegmentationModel(tiny_config(seed=5)).eval()
         rng = np.random.default_rng(4)
         model.scores(rng.normal(size=shape))
         loss = softmax_cross_entropy(model.forward(rng.normal(size=(2, 1, 40))),
@@ -167,11 +167,11 @@ class TestScoresRows:
 
     def test_training_mode_rows_update_statistics_in_order(self, monkeypatch):
         x = np.random.default_rng(6).normal(size=(4, 48))
-        serial = build(tiny_config(seed=7))
+        serial = SegmentationModel(tiny_config(seed=7))
         for row in x:
             serial.scores(row)
         monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", 3)
-        rows = build(tiny_config(seed=7))
+        rows = SegmentationModel(tiny_config(seed=7))
         rows.scores(x)
         for a, b in zip(serial.bn_states(), rows.bn_states()):
             np.testing.assert_array_equal(a.running_mean, b.running_mean)
@@ -179,7 +179,7 @@ class TestScoresRows:
 
     def test_rejects_three_dimensional_input(self):
         with pytest.raises(ShapeError):
-            build(tiny_config()).scores(np.zeros((1, 1, 32)))
+            SegmentationModel(tiny_config()).scores(np.zeros((1, 1, 32)))
 
     @pytest.mark.parametrize("env, cores, workers", [
         ({}, 4, 1),
@@ -214,7 +214,7 @@ class TestScoresRows:
 
 class TestDtype:
     def test_model_is_float32(self):
-        model = build(tiny_config())
+        model = SegmentationModel(tiny_config())
         assert model.dtype == MODEL_DTYPE == np.float32
         assert all(p.data.dtype == np.float32 for p in model.parameters())
         for state in model.bn_states():
@@ -225,14 +225,14 @@ class TestDtype:
         # Same weights, full preset, training-mode batch norm. Measured max
         # deviation is about 2.6e-6 of the largest score; the bound is 1e-4.
         x = np.random.default_rng(0).normal(size=(2, 1, 2000))
-        m32 = build(ModelConfig(seed=0))
-        m64 = build(ModelConfig(seed=0)).astype(np.float64)
+        m32 = SegmentationModel(ModelConfig(seed=0))
+        m64 = SegmentationModel(ModelConfig(seed=0)).astype(np.float64)
         s32, s64 = m32.forward(x).data, m64.forward(x).data
         assert s32.dtype == np.float32 and s64.dtype == np.float64
         np.testing.assert_allclose(s32, s64, rtol=0, atol=1e-4 * np.abs(s64).max())
 
     def test_gradient_input_of_other_dtype_rejected(self):
-        model = build(tiny_config())
+        model = SegmentationModel(tiny_config())
         with pytest.raises(TypeError):
             model.forward(Tensor(np.zeros((1, 1, 32)), requires_grad=True))
 
@@ -241,7 +241,7 @@ class TestEndToEndGradients:
     def test_spot_check_twenty_parameters(self):
         # Central differences at h = 1e-5 need float64; the model's own dtype is float32.
         cfg = ModelConfig(encoder_widths=(2, 2, 2, 2), bottleneck_width=2, seed=3)
-        model = build(cfg).astype(np.float64).train()
+        model = SegmentationModel(cfg).astype(np.float64).train()
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 1, 32))
         targets = rng.integers(0, 4, size=(2, 32))
@@ -279,7 +279,7 @@ class TestEndToEndGradients:
 
 class TestCheckpoint:
     def test_save_load_forward_bitwise(self, tmp_path):
-        model = build(tiny_config(seed=9))
+        model = SegmentationModel(tiny_config(seed=9))
         # some training-like state
         model.step_count = 17
         for state in model.bn_states():
@@ -294,7 +294,7 @@ class TestCheckpoint:
         )
 
     def test_float32_round_trip_is_bitwise_and_records_dtype(self, tmp_path):
-        model = build(tiny_config(seed=4)).train()
+        model = SegmentationModel(tiny_config(seed=4)).train()
         x = np.random.default_rng(3).normal(size=(2, 1, 64))
         model.forward(x)  # moves the running statistics off their initial values
         path = tmp_path / "model.ckpt"
@@ -307,7 +307,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(model.eval().forward(x).data, loaded.eval().forward(x).data)
 
     def test_header_without_dtype_loads_float64(self, tmp_path):
-        model = build(tiny_config(seed=6)).astype(np.float64)
+        model = SegmentationModel(tiny_config(seed=6)).astype(np.float64)
         path = tmp_path / "model.ckpt"
         save_weights(model, path)
         header, arrays = load_container(path)
@@ -320,19 +320,19 @@ class TestCheckpoint:
 
     def test_blobs_cast_to_given_model_dtype(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_weights(build(tiny_config(seed=6)), path)
-        target = build(tiny_config()).astype(np.float64)
+        save_weights(SegmentationModel(tiny_config(seed=6)), path)
+        target = SegmentationModel(tiny_config()).astype(np.float64)
         load_weights(path, model=target)
         assert all(p.data.dtype == np.float64 for p in target.parameters())
 
     def test_unknown_dtype_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_weights(build(tiny_config()), path, extra_header={"dtype": "int8"})
+        save_weights(SegmentationModel(tiny_config()), path, extra_header={"dtype": "int8"})
         with pytest.raises(CheckpointError, match="dtype"):
             load_weights(path)
 
     def test_corrupted_magic_rejected(self, tmp_path):
-        model = build(tiny_config())
+        model = SegmentationModel(tiny_config())
         path = tmp_path / "model.ckpt"
         save_weights(model, path)
         blob = bytearray(path.read_bytes())
@@ -342,10 +342,10 @@ class TestCheckpoint:
             load_weights(path)
 
     def test_width_mismatch_rejected_by_name(self, tmp_path):
-        small = build(ModelConfig(encoder_widths=(4, 8, 16, 32), bottleneck_width=64))
+        small = SegmentationModel(ModelConfig(encoder_widths=(4, 8, 16, 32), bottleneck_width=64))
         path = tmp_path / "small.ckpt"
         save_weights(small, path)
-        big = build(ModelConfig(encoder_widths=(8, 16, 32, 64), bottleneck_width=128))
+        big = SegmentationModel(ModelConfig(encoder_widths=(8, 16, 32, 64), bottleneck_width=128))
         with pytest.raises(CheckpointError, match="enc1"):
             load_weights(path, model=big)
 
@@ -381,28 +381,33 @@ def corrupt_checkpoint(path, case: str) -> None:
     elif case == "array-name":
         at = blob.index(b"enc1.conv1.weight")
         path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
-    else:  # a header key to drop
+    else:
         header, arrays = load_container(path)
-        del header[case]
+        if case == "config-unknown-key":
+            header["config"]["bogus"] = 1
+        elif case == "step_count-not-int":
+            header["step_count"] = "abc"
+        else:  # a header key to drop
+            del header[case]
         save_container(path, header, arrays)
 
 
 CORRUPTIONS = ("header-utf8", "header-json", "header-not-object", "array-name",
-               "config", "step_count")
+               "config", "step_count", "config-unknown-key", "step_count-not-int")
 
 
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize("case", CORRUPTIONS)
     def test_typed_error(self, tmp_path, case):
         path = tmp_path / "model.ckpt"
-        save_weights(build(tiny_config()), path)
+        save_weights(SegmentationModel(tiny_config()), path)
         corrupt_checkpoint(path, case)
         with pytest.raises(CheckpointError, match=str(path)):
             load_weights(path)
 
     def test_header_flip_is_json_error(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_weights(build(tiny_config()), path)
+        save_weights(SegmentationModel(tiny_config()), path)
         header_bytes = json.dumps(load_container(path)[0]).encode()
         blob = bytearray(path.read_bytes())
         blob[blob.index(header_bytes)] ^= 0x01  # '{' -> 'z'
