@@ -14,10 +14,21 @@ input requires a gradient, which every model parameter does. Inside a
 ``no_graph()`` scope ops record nothing and return bare outputs, so a
 forward pass frees each activation as soon as the next op has used it.
 The scope is per thread.
+
+The convolution kernels of a training step split their work over
+LEAD_WORKERS threads: the usable cores divided by the BLAS threads each
+matmul may take. A correlation splits over the batch and a weight
+gradient over the kernel taps, so every sample and every tap goes through
+the same matmuls as in one thread, and the results are bitwise those of
+one worker. Calls too small to pay for the hand-off stay on the calling
+thread. The same workers score the rows of ``SegmentationModel.scores``;
+batch norm, relu, pooling, the loss and Adam run on the calling thread.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import threading
 from dataclasses import dataclass
 
@@ -29,6 +40,89 @@ from numpy.lib.stride_tricks import sliding_window_view
 # between 36 and 72 at both the training (B=32, L=2000) and the
 # inference (B=1, L=5008) shapes.
 _IM2COL_MAX_TAPS = 36
+
+# A kernel call of fewer multiply-adds than this runs on the calling
+# thread alone. Handing chunks to the pool costs 0.1-0.25 ms on a 2-core
+# box, more than splitting gains below about 4e7 MACs; every tiny-preset
+# conv is under the floor, and every full-preset one but the 1-channel
+# input conv and the head is above it.
+_SPLIT_MIN_MACS = 1 << 26
+
+
+def _lead_workers() -> int:
+    """Usable cores divided by the BLAS threads each matmul may take.
+
+    BLAS threads come from the first of OPENBLAS_NUM_THREADS,
+    OMP_NUM_THREADS and MKL_NUM_THREADS that holds a positive integer.
+    With none set, BLAS takes every core, which leaves one worker: work
+    runs on the calling thread alone.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cores = os.cpu_count() or 1
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, cores // blas)
+
+
+LEAD_WORKERS = _lead_workers()  # threads that share a split kernel or a scores() call
+
+
+class _PoolThread(threading.local):
+    active = False
+
+
+_pool_thread = _PoolThread()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
+
+
+@functools.lru_cache(maxsize=None)
+def _lead_pool(workers: int):
+    # Imported here: concurrent.futures costs an import ~6 ms, which only
+    # split work with more than one worker should pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="ecgseg-worker",
+                              initializer=_mark_pool_thread)
+
+
+def run_chunks(n: int, run) -> None:
+    """Call ``run(start, stop)`` on contiguous chunks that cover range(n).
+
+    With LEAD_WORKERS > 1 and n >= 2 the chunks run at once, the first on
+    the calling thread and the others on the worker pool; ``run`` must
+    touch only its own chunk of any shared output. A call made on a pool
+    thread runs inline, since a worker that waited on its own pool could
+    deadlock it.
+    """
+    workers = min(LEAD_WORKERS, n)
+    if workers < 2 or _pool_thread.active:
+        run(0, n)
+        return
+    bounds = [n * i // workers for i in range(workers + 1)]
+    pool = _lead_pool(LEAD_WORKERS)
+    futures = [pool.submit(run, start, stop) for start, stop in zip(bounds[1:-1], bounds[2:])]
+    try:
+        run(bounds[0], bounds[1])
+    finally:
+        for future in futures:
+            future.result()
+
+
+def _split_kernel(n: int, macs: int, run) -> None:
+    # run_chunks for a kernel, unless the call is too small to pay for it
+    if macs < _SPLIT_MIN_MACS:
+        run(0, n)
+    else:
+        run_chunks(n, run)
 
 
 class ShapeError(ValueError):
@@ -170,30 +264,46 @@ def _correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     # xp (B, C, Lp) cross-correlated with w (O, C, k) -> (B, O, Lp - k + 1).
     # Few channel-taps: one matmul over the im2col matrix. Otherwise one
     # broadcasted matmul per kernel tap; the shifted slices stay views, so
-    # nothing the size of an im2col buffer is materialized.
+    # nothing the size of an im2col buffer is materialized. The batch is
+    # split into chunks that each fill their rows of y.
     B, C, Lp = xp.shape
     O, _, k = w.shape
-    if C * k <= _IM2COL_MAX_TAPS:
-        return np.matmul(w.reshape(O, C * k), _im2col(xp, k))
     T = Lp - k + 1
-    taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (k, O, C)
-    y = np.matmul(taps[0], xp[:, :, :T])
-    tmp = np.empty_like(y)
-    for j in range(1, k):
-        np.matmul(taps[j], xp[:, :, j:j + T], out=tmp)
-        y += tmp
+    y = np.empty((B, O, T), dtype=np.result_type(xp, w))
+    if C * k <= _IM2COL_MAX_TAPS:
+        flat = w.reshape(O, C * k)
+
+        def rows(start, stop):
+            np.matmul(flat, _im2col(xp[start:stop], k), out=y[start:stop])
+    else:
+        taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (k, O, C)
+
+        def rows(start, stop):
+            part = y[start:stop]
+            np.matmul(taps[0], xp[start:stop, :, :T], out=part)
+            tmp = np.empty_like(part)
+            for j in range(1, k):
+                np.matmul(taps[j], xp[start:stop, :, j:j + T], out=tmp)
+                part += tmp
+
+    _split_kernel(B, B * O * C * k * T, rows)
     return y
 
 
 def _correlate_weight_grad(xp: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
-    # dw[o,i,j] = sum_{b,t} g[b,o,t] * xp[b,i,t+j]
+    # dw[o,i,j] = sum_{b,t} g[b,o,t] * xp[b,i,t+j]; the taps are split
+    # into chunks, each tap one full-batch matmul.
     B, C, Lp = xp.shape
     _, O, T = g.shape
     if C * k <= _IM2COL_MAX_TAPS:
         return np.matmul(g, _im2col(xp, k).swapaxes(1, 2)).sum(axis=0).reshape(O, C, k)
     dw = np.empty((O, C, k), dtype=np.result_type(xp, g))
-    for j in range(k):
-        dw[:, :, j] = np.matmul(g, xp[:, :, j:j + T].swapaxes(1, 2)).sum(axis=0)
+
+    def taps(start, stop):
+        for j in range(start, stop):
+            dw[:, :, j] = np.matmul(g, xp[:, :, j:j + T].swapaxes(1, 2)).sum(axis=0)
+
+    _split_kernel(k, B * O * C * k * T, taps)
     return dw
 
 
@@ -265,13 +375,27 @@ def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: i
         # tap j of the kernel sees gp at offsets t*stride + j, t = 0..L-1
         taps = np.ascontiguousarray(w.data.transpose(2, 0, 1))  # (k, Cin, Cout)
         span = (L - 1) * stride + 1
-        dx = None
+        dx = np.empty((B, Cin, L), dtype=np.result_type(w.data, g))
         dw = np.empty((Cin, Cout, k), dtype=np.result_type(x.data, g))
-        for j in range(k):
-            gj = np.ascontiguousarray(gp[:, :, j:j + span:stride])  # (B, Cout, L)
-            contrib = np.matmul(taps[j], gj)
-            dx = contrib if dx is None else dx + contrib
-            dw[:, :, j] = np.matmul(x.data, gj.swapaxes(1, 2)).sum(axis=0)
+
+        def tap_input(j, start, stop):  # (stop - start, Cout, L)
+            return np.ascontiguousarray(gp[start:stop, :, j:j + span:stride])
+
+        def dx_rows(start, stop):  # the taps summed in order, per chunk of the batch
+            part = dx[start:stop]
+            np.matmul(taps[0], tap_input(0, start, stop), out=part)
+            tmp = np.empty_like(part)
+            for j in range(1, k):
+                np.matmul(taps[j], tap_input(j, start, stop), out=tmp)
+                part += tmp
+
+        def dw_taps(start, stop):
+            for j in range(start, stop):
+                dw[:, :, j] = np.matmul(x.data, tap_input(j, 0, B).swapaxes(1, 2)).sum(axis=0)
+
+        macs = B * Cin * Cout * k * L
+        _split_kernel(B, macs, dx_rows)
+        _split_kernel(k, macs, dw_taps)
         x._accumulate(dx)
         w._accumulate(dw)
 
@@ -280,11 +404,10 @@ def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: i
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient at 0 is 0."""
-    mask = x.data > 0
-    out = Tensor(np.fmax(x.data, 0))  # where(mask, x, 0), NaN -> 0 included, but faster
+    out = Tensor(np.fmax(x.data, 0))  # where(x > 0, x, 0), NaN -> 0 included, but faster
 
     def backward(g):
-        x._accumulate(g * mask)
+        x._accumulate(g * (x.data > 0))
 
     return _track(out, (x,), backward)
 

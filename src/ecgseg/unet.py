@@ -14,7 +14,6 @@ finite-difference gradient checks.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import struct
@@ -36,45 +35,13 @@ from .autodiff import (
     no_graph,
     pad_right,
     relu,
+    run_chunks,
     zero_pad_concat,
 )
 
 N_CLASSES = 4
 MODEL_DTYPE = np.dtype(np.float32)
 _POOL_FACTOR = 16  # four halvings
-
-
-def _lead_workers() -> int:
-    """Usable cores divided by the BLAS threads each matmul may take.
-
-    BLAS threads come from the first of OPENBLAS_NUM_THREADS,
-    OMP_NUM_THREADS and MKL_NUM_THREADS that holds a positive integer.
-    With none set, BLAS takes every core, which leaves one worker: rows
-    are scored one after another.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        cores = os.cpu_count() or 1
-    blas = cores
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            blas = int(value)
-            break
-    return max(1, cores // blas)
-
-
-LEAD_WORKERS = _lead_workers()  # threads that score the rows of one scores() call
-
-
-@functools.lru_cache(maxsize=None)
-def _lead_pool(workers: int):
-    # Imported here: concurrent.futures costs an import ~6 ms, which only
-    # multi-row calls with more than one worker should pay.
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="ecgseg-scores")
 
 
 class CheckpointError(ValueError):
@@ -273,24 +240,27 @@ class SegmentationModel:
         """Inference scores: one lead (l,) -> (4, l), or n leads (n, l) -> (n, 4, l).
 
         Each row is its own batch-of-one forward pass, run in a no-graph
-        scope. In eval mode, with LEAD_WORKERS > 1, the rows are spread
-        over that many threads; numpy's matmul releases the GIL. A row's
-        scores are bitwise those of scoring it alone, whatever the worker
-        count. In training mode the rows run in order, since each one
-        updates the batch-norm running statistics.
+        scope. In eval mode, with autodiff.LEAD_WORKERS > 1, the rows are
+        spread over that many threads; numpy's matmul releases the GIL. A
+        row's scores are bitwise those of scoring it alone, whatever the
+        worker count. In training mode the rows run in order, since each
+        one updates the batch-norm running statistics.
         """
         x = np.asarray(signals, dtype=self.dtype)
         if x.ndim == 1:
             return self._score_row(x)
         if x.ndim != 2:
             raise ShapeError(f"scores expects (length,) or (leads, length), got {x.shape}")
-        if LEAD_WORKERS == 1 or len(x) < 2 or self.training:
-            rows = map(self._score_row, x)
-        else:
-            rows = _lead_pool(LEAD_WORKERS).map(self._score_row, x)
         out = np.empty((x.shape[0], N_CLASSES, x.shape[1]), dtype=self.dtype)
-        for i, row in enumerate(rows):
-            out[i] = row
+
+        def rows(start, stop):
+            for i in range(start, stop):
+                out[i] = self._score_row(x[i])
+
+        if self.training:
+            rows(0, len(x))
+        else:
+            run_chunks(len(x), rows)
         return out
 
     def _score_row(self, signal: np.ndarray) -> np.ndarray:
@@ -321,8 +291,18 @@ def save_container(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<Q", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
         chunks.append(arr.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    # Write beside the target, then rename over it: a write that fails
+    # partway leaves the previous file as it was.
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(b"".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -26,6 +26,7 @@ CODE_BY_SYMBOL = {v: k for k, v in SYMBOL_BY_CODE.items()}
 WAVE_BY_PEAK = {"p": "P", "N": "QRS", "t": "T"}
 
 _SKIP, _NUM, _SUB, _CHN, _AUX = 59, 60, 61, 62, 63
+_INVALID_SAMPLE = -32768  # format 16's marker for a sample that was not recorded
 
 
 class WfdbError(ValueError):
@@ -189,7 +190,9 @@ def _parse_signal_line(lineno: int, line: str, idx: int) -> SignalSpec:
 def read_signal_format16(data: bytes, header: HeaderInfo) -> EcgRecord:
     """Decode interleaved 16-bit little-endian samples to mV.
 
-    Physical value = (raw - adc_zero) / gain per signal.
+    Physical value = (raw - adc_zero) / gain per signal. A raw -32768,
+    the format's invalid-sample marker, becomes NaN, which EcgRecord
+    rejects by record, lead and index.
     """
     expected = 2 * header.n_signals * header.n_samples
     if len(data) != expected:
@@ -200,6 +203,7 @@ def read_signal_format16(data: bytes, header: HeaderInfo) -> EcgRecord:
     signals = np.empty((header.n_signals, header.n_samples), dtype=np.float64)
     for j, spec in enumerate(header.signals):
         signals[j] = (raw[:, j].astype(np.float64) - spec.adc_zero) / spec.gain
+    signals[raw.T == _INVALID_SAMPLE] = np.nan
     return EcgRecord(
         record_id=header.record_name,
         leads=header.lead_names,

@@ -64,7 +64,8 @@ def write_wfdb_fixture(directory, record: EcgRecord, waves_by_lead, gain=1000.0)
     path, the quantized raw matrix, and the annotation-file map.
     """
     directory.mkdir(parents=True, exist_ok=True)
-    raw = np.clip(np.round(record.signals * gain), -32768, 32767).astype(np.int16)
+    # -32767, not -32768: format 16 reserves -32768 for an invalid sample
+    raw = np.clip(np.round(record.signals * gain), -32767, 32767).astype(np.int16)
     name = record.record_id
     lines = [f"{name} {len(record.leads)} {record.sampling_rate:g} {record.n_samples}"]
     for lead in record.leads:

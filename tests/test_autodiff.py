@@ -1,8 +1,10 @@
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import ecgseg.autodiff
 from ecgseg.autodiff import (
     _IM2COL_MAX_TAPS,
     Adam,
@@ -20,6 +22,7 @@ from ecgseg.autodiff import (
     no_graph,
     pad_right,
     relu,
+    run_chunks,
     softmax_cross_entropy,
     zero_pad_concat,
 )
@@ -452,3 +455,139 @@ class TestNoGraph:
             assert not worker.is_alive()
             assert build_out()._parents == ()
         assert outs[0]._parents
+
+
+def _conv_case(rng, batch, cin, k):
+    x = Tensor(rng.normal(size=(batch, cin, 23)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, cin, k)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)
+    return x, w, b
+
+
+def _convtranspose_case(rng, batch):
+    x = Tensor(rng.normal(size=(batch, 6, 13)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 3, 8)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)
+    return x, w, b
+
+
+def _forward_and_grads(op, tensors, rng_seed):
+    out = op(*tensors)
+    g = np.random.default_rng(rng_seed).normal(size=out.shape).astype(out.data.dtype)
+    out.backward(g)
+    return [out.data] + [t.grad for t in tensors]
+
+
+class TestSplitKernels:
+    """Kernels split over the worker threads give the bits of one worker."""
+
+    @pytest.fixture(autouse=True)
+    def split_every_call(self, monkeypatch):
+        monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)
+
+    CONV_SHAPES = [(2, 9), (8, 9)]  # C*k on each side of the im2col threshold
+
+    def test_conv_shapes_cover_both_kernels(self):
+        assert [c * k <= _IM2COL_MAX_TAPS for c, k in self.CONV_SHAPES] == [True, False]
+
+    @pytest.mark.parametrize("cin, k", CONV_SHAPES)
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_conv1d_forward_and_gradients(self, monkeypatch, batch, cin, k):
+        results = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+            case = _conv_case(np.random.default_rng(batch), batch, cin, k)
+            results[workers] = _forward_and_grads(
+                lambda x, w, b: conv1d(x, w, b, padding=k // 2), case, batch)
+        for workers in (2, 3):
+            for got, want in zip(results[workers], results[1]):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_convtranspose1d_forward_and_gradients(self, monkeypatch, batch):
+        results = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+            case = _convtranspose_case(np.random.default_rng(batch), batch)
+            results[workers] = _forward_and_grads(convtranspose1d, case, batch)
+        for workers in (2, 3):
+            for got, want in zip(results[workers], results[1]):
+                np.testing.assert_array_equal(got, want)
+
+    def test_under_frequent_thread_switches(self, monkeypatch):
+        def run():
+            rng = np.random.default_rng(6)
+            conv = _forward_and_grads(lambda x, w, b: conv1d(x, w, b, padding=4),
+                                      _conv_case(rng, 7, 8, 9), 6)
+            return conv + _forward_and_grads(convtranspose1d, _convtranspose_case(rng, 7), 6)
+
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 1)
+        expected = run()
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 4)  # more workers than cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                for got, want in zip(run(), expected):
+                    np.testing.assert_array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_conv_submitted_from_a_pool_thread(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        xp = rng.normal(size=(4, 8, 40)).astype(np.float32)
+        w = rng.normal(size=(5, 8, 9)).astype(np.float32)
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 1)
+        serial = ecgseg.autodiff._correlate(xp, w)
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
+        pool = ecgseg.autodiff._lead_pool(2)
+        futures = [pool.submit(ecgseg.autodiff._correlate, xp, w) for _ in range(2)]
+        for future in futures:
+            np.testing.assert_array_equal(future.result(timeout=60), serial)
+
+    @pytest.mark.parametrize("workers, n", [(1, 5), (2, 1), (2, 7), (3, 2), (3, 10)])
+    def test_run_chunks_covers_the_range_once(self, monkeypatch, workers, n):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+        # every chunk waits for all the others, so they must run at once
+        together = threading.Barrier(min(workers, n), timeout=30)
+        calls = []
+
+        def run(start, stop):
+            calls.append((start, stop))
+            together.wait()
+
+        run_chunks(n, run)
+        chunks = sorted(calls)
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert all(start < stop for start, stop in chunks)
+        assert len(calls) == min(workers, n)
+
+    def test_run_chunks_on_a_pool_thread_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
+        calls = []
+
+        def nested():
+            run_chunks(6, lambda start, stop: calls.append((start, stop, threading.get_ident())))
+            return threading.get_ident()
+
+        worker = ecgseg.autodiff._lead_pool(2).submit(nested).result(timeout=60)
+        assert calls == [(0, 6, worker)]
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
+
+        def run(start, stop):
+            if start:
+                raise ValueError("chunk failed")
+
+        with pytest.raises(ValueError, match="chunk failed"):
+            run_chunks(4, run)
+
+
+def test_small_kernel_calls_stay_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
+    monkeypatch.setattr(ecgseg.autodiff, "run_chunks", None)  # any split would fail
+    rng = np.random.default_rng(5)
+    _forward_and_grads(lambda x, w, b: conv1d(x, w, b, padding=4), _conv_case(rng, 4, 8, 9), 5)
+    _forward_and_grads(convtranspose1d, _convtranspose_case(rng, 4), 5)

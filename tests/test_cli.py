@@ -61,6 +61,18 @@ class TestConvert:
         assert "100.hea" in err
         assert (out / "101.json").exists()
 
+    def test_invalid_sample_marker_fails_the_record(self, wfdb_dir, tmp_path, capsys):
+        dat = wfdb_dir / "100.dat"
+        raw = np.frombuffer(dat.read_bytes(), dtype="<i2").copy()
+        raw[3 * 40 + 1] = -32768  # sample 40 of the second of three leads
+        dat.write_bytes(raw.tobytes())
+        out = tmp_path / "converted"
+        assert main(["convert", str(wfdb_dir), str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "100.hea" in err[0] and "index 40" in err[0]
+        assert not (out / "100.json").exists() and (out / "101.json").exists()
+
 
 class TestResample:
     def test_same_rate_identity(self, json_dir, tmp_path):

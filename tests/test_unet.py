@@ -115,7 +115,7 @@ class TestScoresRows:
     def test_rows_bitwise_equal_single_calls(self, monkeypatch, workers, n):
         model = SegmentationModel(tiny_config(seed=2)).eval()
         x = np.random.default_rng(n).normal(size=(n, 83))
-        monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", workers)
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
         rows = model.scores(x)
         assert rows.shape == (n, 4, 83) and rows.dtype == model.dtype
         for i in range(n):
@@ -127,7 +127,7 @@ class TestScoresRows:
         model = SegmentationModel(tiny_config(seed=8)).eval()
         x = np.random.default_rng(8).normal(size=(8, 64))
         expected = [model.scores(row) for row in x]
-        monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", 4)
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -147,7 +147,7 @@ class TestScoresRows:
             return made[-1]
 
         monkeypatch.setattr(ecgseg.autodiff, "_track", spy)
-        monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", workers)
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
         model.scores(np.random.default_rng(0).normal(size=(3, 50)))
         model.scores(np.random.default_rng(1).normal(size=50))
         assert made
@@ -156,7 +156,7 @@ class TestScoresRows:
 
     @pytest.mark.parametrize("shape", [(40,), (3, 40)])
     def test_forward_after_scores_records_a_graph(self, monkeypatch, shape):
-        monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", 2)
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
         model = SegmentationModel(tiny_config(seed=5)).eval()
         rng = np.random.default_rng(4)
         model.scores(rng.normal(size=shape))
@@ -170,7 +170,7 @@ class TestScoresRows:
         serial = SegmentationModel(tiny_config(seed=7))
         for row in x:
             serial.scores(row)
-        monkeypatch.setattr(ecgseg.unet, "LEAD_WORKERS", 3)
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 3)
         rows = SegmentationModel(tiny_config(seed=7))
         rows.scores(x)
         for a, b in zip(serial.bn_states(), rows.bn_states()):
@@ -195,7 +195,7 @@ class TestScoresRows:
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-        assert ecgseg.unet._lead_workers() == workers
+        assert ecgseg.autodiff._lead_workers() == workers
 
     def test_thread_pool_is_imported_only_for_parallel_rows(self):
         code = (
@@ -203,7 +203,7 @@ class TestScoresRows:
             "m = u.SegmentationModel(u.tiny_config()).eval()\n"
             "m.scores(np.zeros(32)); m.scores(np.zeros((1, 32)))\n"
             "print('concurrent.futures' in sys.modules, end=' ')\n"
-            "u.LEAD_WORKERS = 2; m.scores(np.zeros((2, 32)))\n"
+            "import ecgseg.autodiff as a; a.LEAD_WORKERS = 2; m.scores(np.zeros((2, 32)))\n"
             "print('concurrent.futures' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -361,6 +361,65 @@ class TestCheckpoint:
         assert h2 == header
         np.testing.assert_array_equal(a2["a"], arrays["a"])
         np.testing.assert_array_equal(a2["b"], arrays["b"])
+
+    def test_container_bytes(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_container(path, {"k": 1}, {"a": np.array([1.5], dtype=np.float32)})
+        header = b'{"k": 1}'
+        assert path.read_bytes() == (
+            _MAGIC + _VERSION.to_bytes(4, "little") + len(header).to_bytes(8, "little") + header
+            + (1).to_bytes(8, "little") + (1).to_bytes(8, "little") + b"a"
+            + (1).to_bytes(8, "little") + (1).to_bytes(8, "little")
+            + np.array([1.5], dtype="<f8").tobytes()
+        )
+
+    def test_save_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_weights(SegmentationModel(tiny_config(seed=1)), path)
+        save_weights(SegmentationModel(tiny_config(seed=2)), path)
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+        loaded = load_weights(path)
+        np.testing.assert_array_equal(loaded.head_w.data,
+                                      SegmentationModel(tiny_config(seed=2)).head_w.data)
+
+    def test_write_failing_partway_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_weights(SegmentationModel(tiny_config(seed=1)), path)
+        before = path.read_bytes()
+
+        class HalfWriter:
+            def __init__(self, name, mode):
+                self.fh = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ecgseg.unet, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_weights(SegmentationModel(tiny_config(seed=2)), path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_weights(SegmentationModel(tiny_config(seed=1)), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            save_weights(SegmentationModel(tiny_config(seed=2)), path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def _write_raw_container(path, header_bytes: bytes) -> None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgseg.signal import SignalError
 from ecgseg.wfdb import (
     AnnotationEvent,
     AnnotationWarning,
@@ -96,6 +97,15 @@ class TestReadSignal:
     def test_byte_count_mismatch(self):
         with pytest.raises(TruncatedFileError):
             read_signal_format16(b"\x00\x00\x00", self.header())
+
+    def test_invalid_sample_marker_rejected_by_lead_and_index(self):
+        data = struct.pack("<6h", 5, 7, -32768, 8, 9, 10)
+        with pytest.raises(SignalError, match=r"record 'r': lead 'ch0' .* at index 1"):
+            read_signal_format16(data, self.header(nsig=2, nsamp=3))
+
+    def test_most_negative_valid_sample_decodes(self):
+        rec = read_signal_format16(struct.pack("<4h", -32767, 0, 0, 0), self.header())
+        assert rec.signals[0, 0] == -32.767
 
     def test_interleaving_round_trip(self):
         rng = np.random.default_rng(0)
