@@ -20,9 +20,11 @@ LEAD_WORKERS threads: the usable cores divided by the BLAS threads each
 matmul may take. A correlation splits over the batch and a weight
 gradient over the kernel taps, so every sample and every tap goes through
 the same matmuls as in one thread, and the results are bitwise those of
-one worker. Calls too small to pay for the hand-off stay on the calling
-thread. The same workers score the rows of ``SegmentationModel.scores``;
-batch norm, relu, pooling, the loss and Adam run on the calling thread.
+one worker. The threads take chunks in turn, so a slow core costs its
+share, not the whole call. Calls too small to pay for the hand-off stay
+on the calling thread. The same workers score the rows of
+``SegmentationModel.scores``; batch norm, relu, pooling, the loss and
+Adam run on the calling thread.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ _IM2COL_MAX_TAPS = 36
 # conv is under the floor, and every full-preset one but the 1-channel
 # input conv and the head is above it.
 _SPLIT_MIN_MACS = 1 << 26
+
+# run_chunks cuts its range into up to this many chunks per worker, so
+# that a worker slowed by a busy core hands its share to the others.
+_CHUNKS_PER_WORKER = 4
 
 
 def _lead_workers() -> int:
@@ -97,24 +103,40 @@ def _lead_pool(workers: int):
 def run_chunks(n: int, run) -> None:
     """Call ``run(start, stop)`` on contiguous chunks that cover range(n).
 
-    With LEAD_WORKERS > 1 and n >= 2 the chunks run at once, the first on
-    the calling thread and the others on the worker pool; ``run`` must
-    touch only its own chunk of any shared output. A call made on a pool
-    thread runs inline, since a worker that waited on its own pool could
-    deadlock it.
+    With LEAD_WORKERS > 1 and n >= 2, range(n) is cut into equal chunks,
+    up to _CHUNKS_PER_WORKER per worker, and the calling thread and the
+    pool's workers take the next untaken chunk until none is left. So a
+    thread whose core is slow or busy takes fewer chunks instead of holding
+    up the call, and a worker that has not started by the time the caller
+    runs out of chunks is cancelled, not waited for. ``run`` must touch
+    only its own chunk of any shared output. A call made on a pool thread
+    runs inline, since a worker that waited on its own pool could deadlock
+    it.
     """
     workers = min(LEAD_WORKERS, n)
     if workers < 2 or _pool_thread.active:
         run(0, n)
         return
-    bounds = [n * i // workers for i in range(workers + 1)]
+    size = -(-n // (_CHUNKS_PER_WORKER * workers))  # equal chunks but the last
+    starts = iter(range(0, n, size))
+    lock = threading.Lock()
+
+    def take():
+        while True:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            run(start, min(start + size, n))
+
     pool = _lead_pool(LEAD_WORKERS)
-    futures = [pool.submit(run, start, stop) for start, stop in zip(bounds[1:-1], bounds[2:])]
+    futures = [pool.submit(take) for _ in range(workers - 1)]
     try:
-        run(bounds[0], bounds[1])
+        take()
     finally:
         for future in futures:
-            future.result()
+            if not future.cancel():
+                future.result()
 
 
 def _split_kernel(n: int, macs: int, run) -> None:

@@ -545,23 +545,46 @@ class TestSplitKernels:
         for future in futures:
             np.testing.assert_array_equal(future.result(timeout=60), serial)
 
-    @pytest.mark.parametrize("workers, n", [(1, 5), (2, 1), (2, 7), (3, 2), (3, 10)])
+    @pytest.mark.parametrize("workers, n", [(1, 5), (2, 1), (2, 7), (2, 12), (3, 2), (3, 10), (2, 32)])
     def test_run_chunks_covers_the_range_once(self, monkeypatch, workers, n):
         monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
-        # every chunk waits for all the others, so they must run at once
-        together = threading.Barrier(min(workers, n), timeout=30)
+        # every chunk waits until each worker has taken one, so they must run at once
+        threads = set()
+        joined = threading.Condition()
         calls = []
 
         def run(start, stop):
-            calls.append((start, stop))
-            together.wait()
+            with joined:
+                calls.append((start, stop))
+                threads.add(threading.get_ident())
+                joined.notify_all()
+                assert joined.wait_for(lambda: len(threads) == min(workers, n), timeout=30)
 
         run_chunks(n, run)
         chunks = sorted(calls)
         assert chunks[0][0] == 0 and chunks[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         assert all(start < stop for start, stop in chunks)
-        assert len(calls) == min(workers, n)
+        if min(workers, n) > 1:
+            size = -(-n // (ecgseg.autodiff._CHUNKS_PER_WORKER * workers))
+            assert {stop - start for start, stop in chunks[:-1]} <= {size}
+        else:
+            assert chunks == [(0, n)]
+
+    def test_run_chunks_does_not_wait_for_a_worker_that_never_started(self, monkeypatch):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
+        pool = ecgseg.autodiff._lead_pool(2)
+        release = threading.Event()
+        busy = [pool.submit(release.wait, 30) for _ in range(2)]  # every worker is held
+        calls = []
+        try:
+            run_chunks(6, lambda start, stop: calls.append((start, stop, threading.get_ident())))
+        finally:
+            release.set()
+        for future in busy:
+            future.result(timeout=30)
+        assert sorted(c[:2] for c in calls) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+        assert {c[2] for c in calls} == {threading.get_ident()}
 
     def test_run_chunks_on_a_pool_thread_runs_inline(self, monkeypatch):
         monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
