@@ -17,14 +17,24 @@ The scope is per thread.
 
 The convolution kernels of a training step split their work over
 LEAD_WORKERS threads: the usable cores divided by the BLAS threads each
-matmul may take. A correlation splits over the batch and a weight
-gradient over the kernel taps, so every sample and every tap goes through
-the same matmuls as in one thread, and the results are bitwise those of
-one worker. The threads take chunks in turn, so a slow core costs its
-share, not the whole call. Calls too small to pay for the hand-off stay
-on the calling thread. The same workers score the rows of
-``SegmentationModel.scores``; batch norm, relu, pooling, the loss and
-Adam run on the calling thread.
+matmul may take. The calling thread is always one of them, so the pool
+holds LEAD_WORKERS - 1 threads. A correlation splits over the batch and a
+weight gradient over the kernel taps, so every sample and every tap goes
+through the same matmuls as in one thread, and the results are bitwise
+those of one worker. The threads take chunks in turn, so a slow core
+costs its share, not the whole call. Calls too small to pay for the
+hand-off stay on the calling thread. The same workers score the rows of
+``SegmentationModel.scores``.
+
+In backward(), only a convolution's input gradient blocks the next layer.
+So conv1d and convtranspose1d hand their weight gradient to the pool as a
+deferred task and go straight on with the input gradient, under the same
+rules as a split: more than one worker, at least _SPLIT_MIN_MACS
+multiply-adds, and inline on a pool thread. backward() waits for every
+task, then adds each weight gradient into its parameter in the order the
+tasks were submitted, which gives the bits of one worker. A deferred task
+reads only arrays that no later step of the backward writes. Batch norm,
+relu, pooling, the loss and Adam run on the calling thread.
 """
 
 from __future__ import annotations
@@ -93,10 +103,12 @@ def _mark_pool_thread() -> None:
 @functools.lru_cache(maxsize=None)
 def _lead_pool(workers: int):
     # Imported here: concurrent.futures costs an import ~6 ms, which only
-    # split work with more than one worker should pay.
+    # split work with more than one worker should pay. The calling thread
+    # is the other worker, so a split chunk queued behind deferred weight
+    # gradients waits there, or is cancelled, instead of taking a core.
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="ecgseg-worker",
+    return ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="ecgseg-worker",
                               initializer=_mark_pool_thread)
 
 
@@ -147,6 +159,64 @@ def _split_kernel(n: int, macs: int, run) -> None:
         run_chunks(n, run)
 
 
+class _WeightGrad:
+    """A weight gradient of one backward() call, added to its parameter when the call ends."""
+
+    __slots__ = ("param", "compute", "future", "value", "error")
+
+    def __init__(self, param: "Tensor", compute, pool) -> None:
+        self.param, self.compute = param, compute
+        self.value = self.error = None
+        self.future = None if pool is None else pool.submit(self.run)
+        if pool is None:
+            self.run()
+
+    def run(self) -> None:
+        compute, self.compute = self.compute, None  # what it holds is freed once it has run
+        try:
+            self.value = compute()
+        except Exception as exc:
+            self.error = exc
+
+
+class _Backward(threading.local):
+    weight_grads: list[_WeightGrad] | None = None  # of the backward() running on this thread
+
+
+_backward_call = _Backward()
+
+
+def _weight_grad(param: "Tensor", macs: int, compute) -> None:
+    """Add ``compute()``, a fresh weight gradient, into param.grad.
+
+    Inside backward(), the result is kept and added when the call ends. With
+    more than one worker, at least _SPLIT_MIN_MACS multiply-adds and the
+    caller outside the pool, ``compute`` runs on a pool thread meanwhile,
+    and must read only arrays that no later step writes. A parameter that
+    is itself computed needs its whole gradient before its own backward
+    runs, so it gets this one at once.
+    """
+    grads = _backward_call.weight_grads
+    if grads is None or param._parents:
+        param._accumulate(compute(), fresh=True)
+        return
+    defer = LEAD_WORKERS > 1 and macs >= _SPLIT_MIN_MACS and not _pool_thread.active
+    grads.append(_WeightGrad(param, compute, _lead_pool(LEAD_WORKERS) if defer else None))
+
+
+def _finish_weight_grads(grads: list[_WeightGrad]) -> None:
+    # The calling thread runs, from the last one back, the tasks that no pool
+    # thread has started, while the pool takes them from the front; then it
+    # waits for the rest. Every task has ended when this returns.
+    for grad in reversed(grads):
+        if grad.future is not None and grad.future.cancel():
+            grad.future = None
+            grad.run()
+    for grad in grads:
+        if grad.future is not None:
+            grad.future.result()
+
+
 class ShapeError(ValueError):
     """Operand shapes incompatible with the requested operation."""
 
@@ -177,12 +247,18 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.empty_like(self.data)
-            self.grad[...] = g  # a copy: g may be a view of another node's gradient
-        else:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        # fresh: g is a new array that no other node holds and nothing else
+        # writes, so a contiguous one of this shape and dtype becomes the
+        # gradient itself. Any other g is copied: it may be a view of
+        # another node's gradient.
+        if self.grad is not None:
             self.grad += g
+        elif fresh and g.flags.c_contiguous and g.dtype == self.data.dtype and g.shape == self.data.shape:
+            self.grad = g
+        else:
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
 
     def backward(self, grad=None) -> None:
         """Backpropagate from this node; seeds with 1 for scalar outputs.
@@ -191,7 +267,9 @@ class Tensor:
         drops its gradient, its parents and its backward closure once it
         has propagated, so the activations it saved can be freed. Leaves
         keep their gradients. Calling backward() again through a released
-        node raises GraphReleasedError.
+        node raises GraphReleasedError. The weight gradients deferred to the
+        pool have all ended when backward() returns or raises; an error in
+        one of them is raised after the others have ended.
         """
         if grad is None:
             if self.data.size != 1:
@@ -215,13 +293,24 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.asarray(grad))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-            if node._parents:
-                node.grad = None
-                node._parents = ()
-                node._backward = _RELEASED
+        weight_grads: list[_WeightGrad] = []
+        outer, _backward_call.weight_grads = _backward_call.weight_grads, weight_grads
+        try:
+            for node in reversed(order):
+                if node._backward is not None and node.grad is not None:
+                    node._backward(node.grad)
+                if node._parents:
+                    node.grad = None
+                    node._parents = ()
+                    node._backward = _RELEASED
+        finally:
+            _backward_call.weight_grads = outer
+            _finish_weight_grads(weight_grads)
+        for grad in weight_grads:
+            if grad.error is not None:
+                raise grad.error
+        for grad in weight_grads:
+            grad.param._accumulate(grad.value, fresh=True)
 
 
 class Parameter(Tensor):
@@ -343,12 +432,12 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     out = Tensor(y)
 
     def backward(g):
-        b._accumulate(g.sum(axis=(0, 2)))
-        w._accumulate(_correlate_weight_grad(xp, g, k))
+        b._accumulate(g.sum(axis=(0, 2)), fresh=True)
+        _weight_grad(w, B * Cout * Cin * k * g.shape[2], lambda: _correlate_weight_grad(xp, g, k))
         if x.requires_grad:  # the network's input needs no gradient
             wf = w.data[:, :, ::-1].transpose(1, 0, 2)
             dxp = _correlate(_pad_length(g, k - 1, k - 1), wf)
-            x._accumulate(dxp[:, :, padding:padding + L])
+            x._accumulate(dxp[:, :, padding:padding + L], fresh=True)
 
     return _track(out, (x, w, b), backward)
 
@@ -392,16 +481,28 @@ def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: i
     out = Tensor(y)
 
     def backward(g):
-        b._accumulate(g.sum(axis=(0, 2)))
+        b._accumulate(g.sum(axis=(0, 2)), fresh=True)
         gp = _pad_length(g, padding, padding)
         # tap j of the kernel sees gp at offsets t*stride + j, t = 0..L-1
-        taps = np.ascontiguousarray(w.data.transpose(2, 0, 1))  # (k, Cin, Cout)
         span = (L - 1) * stride + 1
-        dx = np.empty((B, Cin, L), dtype=np.result_type(w.data, g))
-        dw = np.empty((Cin, Cout, k), dtype=np.result_type(x.data, g))
+        macs = B * Cin * Cout * k * L
 
         def tap_input(j, start, stop):  # (stop - start, Cout, L)
             return np.ascontiguousarray(gp[start:stop, :, j:j + span:stride])
+
+        def weight_grad():
+            dw = np.empty((Cin, Cout, k), dtype=np.result_type(x.data, g))
+
+            def dw_taps(start, stop):
+                for j in range(start, stop):
+                    dw[:, :, j] = np.matmul(x.data, tap_input(j, 0, B).swapaxes(1, 2)).sum(axis=0)
+
+            _split_kernel(k, macs, dw_taps)
+            return dw
+
+        _weight_grad(w, macs, weight_grad)
+        taps = np.ascontiguousarray(w.data.transpose(2, 0, 1))  # (k, Cin, Cout)
+        dx = np.empty((B, Cin, L), dtype=np.result_type(w.data, g))
 
         def dx_rows(start, stop):  # the taps summed in order, per chunk of the batch
             part = dx[start:stop]
@@ -411,15 +512,8 @@ def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: i
                 np.matmul(taps[j], tap_input(j, start, stop), out=tmp)
                 part += tmp
 
-        def dw_taps(start, stop):
-            for j in range(start, stop):
-                dw[:, :, j] = np.matmul(x.data, tap_input(j, 0, B).swapaxes(1, 2)).sum(axis=0)
-
-        macs = B * Cin * Cout * k * L
         _split_kernel(B, macs, dx_rows)
-        _split_kernel(k, macs, dw_taps)
-        x._accumulate(dx)
-        w._accumulate(dw)
+        x._accumulate(dx, fresh=True)
 
     return _track(out, (x, w, b), backward)
 
@@ -428,8 +522,9 @@ def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient at 0 is 0."""
     out = Tensor(np.fmax(x.data, 0))  # where(x > 0, x, 0), NaN -> 0 included, but faster
 
-    def backward(g):
-        x._accumulate(g * (x.data > 0))
+    def backward(g):  # g is this node's own gradient, dropped once this returns
+        np.multiply(g, x.data > 0, out=g)
+        x._accumulate(g, fresh=True)
 
     return _track(out, (x,), backward)
 
@@ -438,22 +533,41 @@ def maxpool1d(x: Tensor, size: int = 2, stride: int = 2) -> tuple[Tensor, np.nda
     """Non-overlapping max pooling; a trailing incomplete window is dropped.
 
     Returns (pooled tensor, absolute argmax indices of shape (B, C, Lout)).
+    As in ``argmax``, the first of equal values wins, +0.0 and -0.0 among
+    them, and a NaN beats any number, the first NaN any later one.
     """
     if size != stride:
         raise ShapeError("maxpool1d supports size == stride only")
     B, C, L = x.shape
     Lout = L // size
-    win = x.data[:, :, :Lout * size].reshape(B, C, Lout, size)
-    arg = win.argmax(axis=3)
-    out = Tensor(np.take_along_axis(win, arg[..., None], axis=3)[..., 0])
-    indices = arg + np.arange(Lout)[None, None, :] * size
+    phases = x.data[:, :, :Lout * size]
+    # The window's phases x[..., j::size] are compared in turn: elementwise
+    # passes instead of a size-`size` argmax and gather.
+    best = phases[:, :, 0::size]
+    arg = np.zeros((B, C, Lout), dtype=np.min_scalar_type(size - 1))
+    for j in range(1, size):
+        first_nan = np.isnan(best)
+        # np.maximum keeps its second operand on a tie of equal values or of
+        # +0.0 and -0.0, and returns the first of two NaNs
+        cand = np.maximum(phases[:, :, j::size], best)
+        np.copyto(cand, best, where=first_nan)
+        wins = np.not_equal(cand, best)
+        np.greater(wins, first_nan, out=wins)  # best's NaN compared unequal to itself
+        np.maximum(arg, wins * arg.dtype.type(j), out=arg)
+        best = cand
+    out = Tensor(best)
+    indices = arg + np.arange(Lout) * size
 
     def backward(g):
-        dwin = np.zeros((B, C, Lout, size), dtype=g.dtype)
-        np.put_along_axis(dwin, arg[..., None], g[..., None], axis=3)
+        # dx holds g where the window's max was and +0.0 elsewhere: the
+        # winning phase's bits are g's, the others' are masked to zero.
+        bits = np.dtype(f"u{g.itemsize}")
         dx = np.zeros((B, C, L), dtype=g.dtype)
-        dx[:, :, :Lout * size] = dwin.reshape(B, C, Lout * size)
-        x._accumulate(dx)
+        for j in range(size):
+            keep = np.equal(arg, j).astype(bits)
+            np.negative(keep, out=keep)  # 1 -> all ones
+            np.bitwise_and(g.view(bits), keep, out=dx.view(bits)[:, :, j:Lout * size:size])
+        x._accumulate(dx, fresh=True)
 
     return _track(out, (x,), backward), indices
 
@@ -492,9 +606,15 @@ def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
     if C != state.gamma.data.size:
         raise ShapeError(f"batchnorm1d: {C} channels vs state of {state.gamma.data.size}")
     gamma, beta = state.gamma, state.beta
+    n = B * L
     if state.training:
-        mean = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
+        # One sum gives the mean and, through it, the variance: the bits of
+        # np.mean and np.var, which would each take their own sum.
+        mean = x.data.sum(axis=(0, 2), keepdims=True) / n
+        dev = x.data - mean
+        dev *= dev
+        var = dev.sum(axis=(0, 2)) / n
+        mean = mean.reshape(C)
         state.running_mean = (1.0 - state.momentum) * state.running_mean + state.momentum * mean
         state.running_var = (1.0 - state.momentum) * state.running_var + state.momentum * var
     else:
@@ -507,7 +627,6 @@ def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
     y = x.data * scale[:, None]
     y += shift[:, None]
     out = Tensor(y)
-    n = B * L
 
     def backward(g):
         # One pass over g and x: sum(g*xhat) = inv*(sum(g*x) - mean*sum(g)).
@@ -522,7 +641,7 @@ def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
             slope = scale * inv * sum_gxhat / n
             dx -= x.data * slope[:, None]
             dx += (slope * mean - scale * sum_g / n)[:, None]
-        x._accumulate(dx)
+        x._accumulate(dx, fresh=True)
 
     return _track(out, (x, gamma, beta), backward)
 
@@ -572,7 +691,7 @@ def crop_right(x: Tensor, length: int) -> Tensor:
     def backward(g):
         full = np.zeros_like(x.data)
         full[:, :, :length] = g
-        x._accumulate(full)
+        x._accumulate(full, fresh=True)
 
     return _track(out, (x,), backward)
 
@@ -602,7 +721,7 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         onehot = np.zeros_like(p)
         np.put_along_axis(onehot, t[:, None, :], 1.0, axis=1)
         d = (p - onehot) * (float(g) / (B * L))
-        logits._accumulate(d if batched else d[0])
+        logits._accumulate(d if batched else d[0], fresh=True)
 
     return _track(out, (logits,), backward)
 

@@ -23,7 +23,7 @@ from .config import (
     read_config_file,
     read_id_list,
 )
-from .delineate import MODES, DelineationError, DelineationResult, delineate
+from .delineate import MODES, DelineationError, DelineationResult, delineate, read_delineation
 from .evaluate import (
     EvaluationError,
     EvaluatorConfig,
@@ -63,6 +63,16 @@ def _positive_rate(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"rate must be positive, got {value}")
+    return value
+
+
+def _non_negative_ms(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"duration must be >= 0 ms, got {text!r}")
     return value
 
 
@@ -252,7 +262,7 @@ def _load_predictions(specs) -> list[DelineationResult]:
     preds = []
     for spec in specs:
         for path in _json_paths(spec):
-            preds.append(DelineationResult.from_json(json.loads(path.read_text())))
+            preds.append(read_delineation(path))
     return preds
 
 
@@ -274,9 +284,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_render(args) -> int:
     record, _ = load_json_record(args.record)
-    delineation = None
-    if args.delineation:
-        delineation = DelineationResult.from_json(json.loads(Path(args.delineation).read_text()))
+    delineation = read_delineation(args.delineation) if args.delineation else None
     Path(args.output).write_text(render_svg(record, delineation))
     print(f"wrote {args.output}")
     return EXIT_OK
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mode", choices=MODES, default="avg")
     p.add_argument("--out", default="delineations", help="output dir (or .json for one input)")
-    p.add_argument("--min-duration-ms", type=float, default=0.0,
+    p.add_argument("--min-duration-ms", type=_non_negative_ms, default=0.0,
                    help="drop waves shorter than this (keep 0 for evaluation runs)")
     p.set_defaults(func=cmd_segment)
 

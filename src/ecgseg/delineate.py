@@ -6,7 +6,9 @@ across all leads, one stream), ``lead2`` (lead II only, one forward pass).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -62,6 +64,8 @@ class DelineationResult:
         for key in ("record_id", "mode", "sampling_rate", "waves"):
             if key not in doc:
                 raise DelineationError(f"delineation document: missing key {key!r}")
+        if not isinstance(doc["waves"], list):
+            raise DelineationError("delineation document: waves must be a list")
         streams: dict[str, list[WavePrediction]] = {}
         for i, w in enumerate(doc["waves"]):
             if not isinstance(w, dict):
@@ -69,6 +73,8 @@ class DelineationResult:
             for key in ("lead", "type", "onset", "offset"):
                 if key not in w:
                     raise DelineationError(f"waves[{i}]: missing key {key!r}")
+            if not isinstance(w["lead"], str):
+                raise DelineationError(f"waves[{i}]: lead must be a string")
             try:
                 prediction = WavePrediction(w["type"], int(w["onset"]), int(w["offset"]))
             except (TypeError, ValueError) as exc:
@@ -79,6 +85,18 @@ class DelineationResult:
         for waves in streams.values():
             waves.sort(key=lambda w: w.onset)
         return cls(doc["record_id"], doc["mode"], doc["sampling_rate"], streams)
+
+
+def read_delineation(path) -> DelineationResult:
+    """Read a delineation JSON file; a malformed one raises DelineationError naming it."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DelineationError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        return DelineationResult.from_json(doc)
+    except DelineationError as exc:
+        raise DelineationError(f"{path}: {exc}") from None
 
 
 def argmax_labels(scores: np.ndarray) -> np.ndarray:

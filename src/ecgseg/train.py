@@ -55,6 +55,8 @@ class TrainConfig:
             raise ConfigurationError(
                 f"crop start window [{self.crop_start_min}, {self.crop_start_max}] is invalid"
             )
+        if self.checkpoint_every < 0:
+            raise ConfigurationError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.checkpoint_every > 0 and not self.checkpoint_dir:
             raise ConfigurationError("checkpoint_every needs a checkpoint_dir")
 

@@ -94,6 +94,29 @@ def convtranspose1d_naive(x, w, b, k, stride, padding):
     return y + b[None, :, None]
 
 
+def maxpool1d_argmax(x, size):
+    """Max pooling through a per-window argmax and gather, size == stride.
+
+    Returns (out, indices, backward), where backward(g) scatters g to each
+    window's argmax in a zero gradient of x's shape. numpy's argmax takes
+    the first of equal values and the first NaN.
+    """
+    B, C, L = x.shape
+    Lout = L // size
+    win = x[:, :, :Lout * size].reshape(B, C, Lout, size)
+    arg = win.argmax(axis=3)
+    out = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
+
+    def backward(g):
+        dwin = np.zeros((B, C, Lout, size), dtype=g.dtype)
+        np.put_along_axis(dwin, arg[..., None], g[..., None], axis=3)
+        dx = np.zeros((B, C, L), dtype=g.dtype)
+        dx[:, :, :Lout * size] = dwin.reshape(B, C, Lout * size)
+        return dx
+
+    return out, arg + np.arange(Lout)[None, None, :] * size, backward
+
+
 def optimal_matching(ref, pred, tolerance):
     """Exhaustive best one-to-one matching under the tolerance.
 

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,8 +29,9 @@ from ecgseg.autodiff import (
     softmax_cross_entropy,
     zero_pad_concat,
 )
+from ecgseg.unet import ModelConfig, tiny_config
 from gradcheck import assert_grad_matches
-from oracles import conv1d_naive, convtranspose1d_naive
+from oracles import conv1d_naive, convtranspose1d_naive, maxpool1d_argmax
 
 
 def rand_tensor(rng, shape, requires_grad=True):
@@ -170,8 +174,75 @@ class TestMaxPool:
         x = Tensor(data, requires_grad=True)
         assert_grad_matches(lambda: maxpool1d(x)[0], [x], rng)
 
+    @staticmethod
+    def _ties_and_nans(rng, shape, dtype):
+        # equal values, +0.0 against -0.0, and NaNs of two bit patterns in every phase
+        nan = np.array(np.nan, dtype=dtype)
+        other_nan = -(nan.view(f"u{nan.itemsize}") + 1).view(dtype)  # another sign and payload
+        pool = np.array([-1.0, 0.0, -0.0, 1.0, nan, other_nan], dtype=dtype)
+        return pool[rng.integers(0, len(pool), size=shape)]
+
+    CASES = [  # (shape, size, values)
+        ((2, 3, 40), 2, "ties"),
+        ((2, 3, 41), 2, "ties"),  # an odd trailing sample
+        ((2, 3, 41), 3, "ties"),
+        ((1, 2, 8), 1, "ties"),
+        ((3, 4, 57), 2, "normal"),
+        ((1, 16, 5008), 2, "normal"),  # the first inference level, B = 1
+        ((1, 32, 2504), 2, "ties"),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, size, values", CASES)
+    def test_matches_argmax_oracle_bit_for_bit(self, dtype, shape, size, values):
+        rng = np.random.default_rng(sum(shape) + size)
+        if values == "ties":
+            data = self._ties_and_nans(rng, shape, dtype)
+        else:
+            data = rng.normal(size=shape).astype(dtype)
+        want, want_indices, want_backward = maxpool1d_argmax(data, size)
+        x = Tensor(data, requires_grad=True)
+        out, indices = maxpool1d(x, size, size)
+        g = self._ties_and_nans(rng, out.shape, dtype)
+        out.backward(g)
+        bits = f"u{np.dtype(dtype).itemsize}"
+        assert out.data.dtype == dtype and x.grad.dtype == dtype
+        np.testing.assert_array_equal(out.data.view(bits), want.view(bits))
+        np.testing.assert_array_equal(indices, want_indices)
+        np.testing.assert_array_equal(x.grad.view(bits), want_backward(g).view(bits))
+
+    def test_oracle_cases_hold_every_tie(self):
+        data = self._ties_and_nans(np.random.default_rng(0), (2, 3, 40), np.float32)
+        a, b = data[..., 0::2], data[..., 1::2]
+        assert (np.signbit(a) != np.signbit(b))[(a == 0) & (b == 0)].any()
+        assert ((a == b) & (a != 0)).any()
+        assert (np.isnan(a) & ~np.isnan(b)).any() and (~np.isnan(a) & np.isnan(b)).any()
+        both = np.isnan(a) & np.isnan(b)
+        assert (a.view(np.uint32) != b.view(np.uint32))[both].any()
+
+
+def _unet_batchnorm_shapes():
+    # (B, C, L) of every batch norm of the full and tiny presets, at the
+    # training crop and at a 10 s record scored as one row
+    shapes = set()
+    for cfg in (ModelConfig(), tiny_config()):
+        widths = cfg.encoder_widths + (cfg.bottleneck_width,)
+        for batch, length in ((32, 2000), (8, 2000), (1, 5008)):
+            shapes.update((batch, w, length >> level) for level, w in enumerate(widths))
+    return sorted(shapes)
+
 
 class TestBatchNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_statistics_are_those_of_mean_and_var(self, dtype):
+        rng = np.random.default_rng(20)
+        for shape in _unet_batchnorm_shapes():
+            x = (rng.normal(size=shape) * 3 + 0.5).astype(dtype)
+            state = BatchNormState.create(shape[1], "bn", momentum=1.0)
+            batchnorm1d(Tensor(x), state)
+            np.testing.assert_array_equal(state.running_mean, x.mean(axis=(0, 2)), err_msg=str(shape))
+            np.testing.assert_array_equal(state.running_var, x.var(axis=(0, 2)), err_msg=str(shape))
+
     def test_normalizes_batch(self):
         rng = np.random.default_rng(9)
         state = BatchNormState.create(3, "bn")
@@ -611,6 +682,126 @@ class TestSplitKernels:
 def test_small_kernel_calls_stay_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
     monkeypatch.setattr(ecgseg.autodiff, "run_chunks", None)  # any split would fail
+    monkeypatch.setattr(ecgseg.autodiff, "_lead_pool", None)  # and so would any deferral
     rng = np.random.default_rng(5)
     _forward_and_grads(lambda x, w, b: conv1d(x, w, b, padding=4), _conv_case(rng, 4, 8, 9), 5)
     _forward_and_grads(convtranspose1d, _convtranspose_case(rng, 4), 5)
+
+
+def _shared_weight_case(rng):
+    # one weight used by three convolutions, so the order its gradients are added in shows
+    x = Tensor(rng.normal(size=(3, 4, 30)).astype(np.float32), requires_grad=True)
+    w = Parameter(rng.normal(size=(4, 4, 9)).astype(np.float32) * 0.3, "w")
+    biases = [Parameter(rng.normal(size=4).astype(np.float32), f"b{i}") for i in range(3)]
+    return x, w, biases
+
+
+def _shared_weight_grads(rng_seed):
+    x, w, biases = _shared_weight_case(np.random.default_rng(rng_seed))
+    h = x
+    for b in biases:
+        h = relu(conv1d(h, w, b, padding=4))
+    h.backward(np.random.default_rng(rng_seed + 1).normal(size=h.shape).astype(np.float32))
+    return [x.grad, w.grad] + [b.grad for b in biases]
+
+
+class TestDeferredWeightGrads:
+    """Weight gradients computed on the pool while backward() goes on with dx."""
+
+    @pytest.fixture(autouse=True)
+    def defer_every_call(self, monkeypatch):
+        monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)
+
+    def test_shared_parameter_gets_the_bits_of_one_worker(self, monkeypatch):
+        results = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+            results[workers] = _shared_weight_grads(11)
+        for workers in (2, 3):
+            for got, want in zip(results[workers], results[1]):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_parameter_adds_its_uses_in_backward_order(self, monkeypatch, workers):
+        # each use's gradient, taken from a copy of the weight, added last use first
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+        x, w, biases = _shared_weight_case(np.random.default_rng(12))
+        copies = [Parameter(w.data.copy(), f"w{i}") for i in range(3)]
+        for weights in ([w] * 3, copies):
+            h = x
+            for weight, b in zip(weights, biases):
+                h = relu(conv1d(h, weight, b, padding=4))
+            h.backward(np.random.default_rng(13).normal(size=h.shape).astype(np.float32))
+        want = copies[2].grad.copy()
+        want += copies[1].grad
+        want += copies[0].grad
+        np.testing.assert_array_equal(w.grad, want)
+        np.testing.assert_allclose(w.grad, sum(c.grad for c in copies), rtol=1e-5)
+
+    def test_task_error_is_raised_after_every_other_task_ended(self, monkeypatch):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
+        real = ecgseg.autodiff._correlate_weight_grad
+        lock = threading.Lock()
+        started, ended = [], []
+
+        def weight_grad(xp, g, k):
+            with lock:
+                started.append(k)
+                first = len(started) == 1
+            if first:
+                ended.append("failed")
+                raise ValueError("weight gradient failed")
+            time.sleep(0.05)
+            dw = real(xp, g, k)
+            ended.append("done")
+            return dw
+
+        monkeypatch.setattr(ecgseg.autodiff, "_correlate_weight_grad", weight_grad)
+        x, w, biases = _shared_weight_case(np.random.default_rng(13))
+        h = x
+        for b in biases:
+            h = conv1d(h, w, b, padding=4)
+        with pytest.raises(ValueError, match="weight gradient failed"):
+            h.backward(np.ones(h.shape, dtype=np.float32))
+        assert ended == ["failed", "done", "done"]
+        assert w.grad is None  # no task's result is added when one of them failed
+
+    def test_backward_on_a_pool_thread_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 1)
+        want = _shared_weight_grads(14)
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 3)  # the pool's other thread stays idle
+        real = ecgseg.autodiff._correlate_weight_grad
+        threads = set()
+
+        def weight_grad(xp, g, k):
+            threads.add(threading.get_ident())
+            return real(xp, g, k)
+
+        monkeypatch.setattr(ecgseg.autodiff, "_correlate_weight_grad", weight_grad)
+
+        def on_pool():
+            return threading.get_ident(), _shared_weight_grads(14)
+
+        worker, got = ecgseg.autodiff._lead_pool(3).submit(on_pool).result(timeout=60)
+        assert threads == {worker}
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_training_step_starts_one_thread_fewer_than_workers(self, workers):
+        code = (
+            "import threading; import numpy as np; import ecgseg.autodiff as a\n"
+            "from ecgseg.unet import SegmentationModel, tiny_config\n"
+            f"a.LEAD_WORKERS = {workers}; a._SPLIT_MIN_MACS = 0\n"
+            "model = SegmentationModel(tiny_config())\n"
+            "adam = a.Adam(model.parameters())\n"
+            "rng = np.random.default_rng(0)\n"
+            "logits = model.forward(rng.normal(size=(8, 1, 64)))\n"
+            "a.softmax_cross_entropy(logits, rng.integers(0, 4, size=(8, 64))).backward()\n"
+            "adam.step()\n"
+            "print(sum(t.name.startswith('ecgseg-worker') for t in threading.enumerate()))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert 1 <= int(out) <= workers - 1

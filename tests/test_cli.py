@@ -281,6 +281,39 @@ class TestEvaluate:
         assert "rec0" in capsys.readouterr().err
 
 
+MALFORMED_DELINEATIONS = [
+    ("not json", "{not json"),
+    ("waves not a list", '{"record_id": "rec0", "mode": "avg", "sampling_rate": 500, "waves": 5}'),
+    ("unhashable lead", '{"record_id": "rec0", "mode": "avg", "sampling_rate": 500, '
+                        '"waves": [{"lead": [1], "type": "qrs", "onset": 1, "offset": 2}]}'),
+    ("not an object", "[1, 2]"),
+]
+
+
+class TestMalformedDelineation:
+    @pytest.mark.parametrize("name, text", MALFORMED_DELINEATIONS)
+    def test_evaluate_fails_with_one_line(self, json_dir, tmp_path, capsys, name, text):
+        preds = tmp_path / "preds"
+        reference_as_predictions(json_dir, preds)
+        bad = preds / "rec0.delineation.json"
+        bad.write_text(text)
+        code = main(["evaluate", "--ref", str(json_dir), "--pred", str(preds)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, text", MALFORMED_DELINEATIONS)
+    def test_render_fails_with_one_line(self, json_dir, tmp_path, capsys, name, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["render", str(json_dir / "rec0.json"), str(tmp_path / "out.svg"),
+                     "--delineation", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.svg").exists()
+
+
 class TestRender:
     def test_plain_record(self, json_dir, tmp_path):
         target = tmp_path / "out.svg"
@@ -312,3 +345,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["segment", str(json_dir / "rec0.json")])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "nan"])
+    def test_negative_min_duration(self, json_dir, untrained_checkpoint, tmp_path, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["segment", str(json_dir / "rec0.json"), "--checkpoint", str(untrained_checkpoint),
+                  "--out", str(tmp_path / "d"), f"--min-duration-ms={value}"])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "d").exists()
+
+    def test_negative_checkpoint_every(self, json_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["train", "--data-root", str(json_dir), "--out", str(out), "--preset", "drill",
+                     "--iterations", "2", "--checkpoint-every", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: checkpoint_every must be >= 0, got -1\n"
+        assert not (out / "model.ckpt").exists()

@@ -203,20 +203,21 @@ class TestTrain:
         config = TrainConfig(iterations=3, batch_size=5, learning_rate=1e-3, seed=7)
         monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)  # split even tiny convs
         runs = {}
-        for workers in (1, 3):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
             model = SegmentationModel(tiny_config(seed=4))
             adam = Adam(model.parameters(), lr=config.learning_rate)
             runs[workers] = (train(model, split, config, adam=adam), model, adam)
-        (history_1, model_1, adam_1), (history_3, model_3, adam_3) = runs[1], runs[3]
-        assert history_3 == history_1
-        for pa, pb in zip(model_1.parameters(), model_3.parameters()):
-            np.testing.assert_array_equal(pa.data, pb.data)
-        for slot_1, slot_3 in zip(adam_1.m + adam_1.v, adam_3.m + adam_3.v):
-            np.testing.assert_array_equal(slot_1, slot_3)
-        for state_1, state_3 in zip(model_1.bn_states(), model_3.bn_states()):
-            np.testing.assert_array_equal(state_1.running_mean, state_3.running_mean)
-            np.testing.assert_array_equal(state_1.running_var, state_3.running_var)
+        history_1, model_1, adam_1 = runs[1]
+        for history_n, model_n, adam_n in (runs[2], runs[3]):
+            assert history_n == history_1
+            for pa, pb in zip(model_1.parameters(), model_n.parameters()):
+                np.testing.assert_array_equal(pa.data, pb.data)
+            for slot_1, slot_n in zip(adam_1.m + adam_1.v, adam_n.m + adam_n.v):
+                np.testing.assert_array_equal(slot_1, slot_n)
+            for state_1, state_n in zip(model_1.bn_states(), model_n.bn_states()):
+                np.testing.assert_array_equal(state_1.running_mean, state_n.running_mean)
+                np.testing.assert_array_equal(state_1.running_var, state_n.running_var)
 
     def test_resume_reads_the_checkpoint_once(self, tmp_path, monkeypatch):
         model, split, _ = tiny_train_setup()
