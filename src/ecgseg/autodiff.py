@@ -15,26 +15,33 @@ input requires a gradient, which every model parameter does. Inside a
 forward pass frees each activation as soon as the next op has used it.
 The scope is per thread.
 
-The convolution kernels of a training step split their work over
-LEAD_WORKERS threads: the usable cores divided by the BLAS threads each
-matmul may take. The calling thread is always one of them, so the pool
-holds LEAD_WORKERS - 1 threads. A correlation splits over the batch and a
-weight gradient over the kernel taps, so every sample and every tap goes
-through the same matmuls as in one thread, and the results are bitwise
-those of one worker. The threads take chunks in turn, so a slow core
-costs its share, not the whole call. Calls too small to pay for the
-hand-off stay on the calling thread. The same workers score the rows of
-``SegmentationModel.scores``.
+One strided cross-correlation and its weight gradient serve every
+convolution pass but the two transposed ones: conv1d's forward and weight
+gradient, and convtranspose1d's input and weight gradients at its stride.
+Those two, conv1d's input gradient and convtranspose1d's forward, run on
+it as stride-1 correlations of a flipped kernel, the latter once per
+output phase.
+
+The correlations of a training step split their work over LEAD_WORKERS
+threads: the usable cores divided by the BLAS threads each matmul may
+take. The calling thread is always one of them, so the pool holds
+LEAD_WORKERS - 1 threads. A correlation splits over the batch, so every
+sample goes through the same matmuls as in one thread, and the results
+are bitwise those of one worker. The threads take chunks in turn, so a
+slow core costs its share, not the whole call. Calls too small to pay for
+the hand-off stay on the calling thread. The same workers score the rows
+of ``SegmentationModel.scores``.
 
 In backward(), only a convolution's input gradient blocks the next layer.
 So conv1d and convtranspose1d hand their weight gradient to the pool as a
-deferred task and go straight on with the input gradient, under the same
-rules as a split: more than one worker, at least _SPLIT_MIN_MACS
-multiply-adds, and inline on a pool thread. backward() waits for every
-task, then adds each weight gradient into its parameter in the order the
-tasks were submitted, which gives the bits of one worker. A deferred task
-reads only arrays that no later step of the backward writes. Batch norm,
-relu, pooling, the loss and Adam run on the calling thread.
+deferred task, which runs it whole, and go straight on with the input
+gradient, under the same rules as a split: more than one worker, at least
+_SPLIT_MIN_MACS multiply-adds, and inline on a pool thread. backward()
+waits for every task, then adds each weight gradient into its parameter
+in the order the tasks were submitted, which gives the bits of one
+worker. A deferred task reads only arrays that no later step of the
+backward writes. Batch norm, relu, pooling, the loss and Adam run on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -149,14 +156,6 @@ def run_chunks(n: int, run) -> None:
         for future in futures:
             if not future.cancel():
                 future.result()
-
-
-def _split_kernel(n: int, macs: int, run) -> None:
-    # run_chunks for a kernel, unless the call is too small to pay for it
-    if macs < _SPLIT_MIN_MACS:
-        run(0, n)
-    else:
-        run_chunks(n, run)
 
 
 class _WeightGrad:
@@ -365,23 +364,30 @@ def _pad_length(a: np.ndarray, left: int, right: int) -> np.ndarray:
     return out
 
 
-def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    # (B, C, Lp) -> (B, C*k, Lp - k + 1); row c*k + j holds xp[:, c, j:j + T].
-    B, C, Lp = xp.shape
-    return sliding_window_view(xp, k, axis=2).transpose(0, 1, 3, 2).reshape(B, C * k, Lp - k + 1)
+def _im2col(xp: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
+    # (B, C, Lp) -> (B, C*k, T), T = (Lp - k) // stride + 1; row c*k + j
+    # holds xp[:, c, j + stride*t] for t < T.
+    B, C, _ = xp.shape
+    windows = sliding_window_view(xp, k, axis=2)[:, :, ::stride]
+    return windows.transpose(0, 1, 3, 2).reshape(B, C * k, windows.shape[2])
 
 
-def _correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # xp (B, C, Lp) cross-correlated with w (O, C, k) -> (B, O, Lp - k + 1).
-    # Few channel-taps: one matmul over the im2col matrix. Otherwise one
+def _correlate(xp: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
+    # xp (B, C, Lp) cross-correlated with w (O, C, k) at the given stride ->
+    # (B, O, T), y[b, o, t] = sum_{c,j} w[o, c, j] * xp[b, c, stride*t + j].
+    # Few channel-taps at stride 1: one matmul over the im2col matrix. (The
+    # crossover was measured at stride 1 only, and a strided im2col changes
+    # the bits of the transposed conv's input gradient.) Otherwise one
     # broadcasted matmul per kernel tap; the shifted slices stay views, so
-    # nothing the size of an im2col buffer is materialized. The batch is
-    # split into chunks that each fill their rows of y.
+    # nothing the size of an im2col buffer is materialized (matmul copies a
+    # strided one). The batch is split into chunks that each fill their
+    # rows of y, unless the call is too small to pay for it.
     B, C, Lp = xp.shape
     O, _, k = w.shape
-    T = Lp - k + 1
+    T = (Lp - k) // stride + 1
+    span = (T - 1) * stride + 1
     y = np.empty((B, O, T), dtype=np.result_type(xp, w))
-    if C * k <= _IM2COL_MAX_TAPS:
+    if stride == 1 and C * k <= _IM2COL_MAX_TAPS:
         flat = w.reshape(O, C * k)
 
         def rows(start, stop):
@@ -391,30 +397,31 @@ def _correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
 
         def rows(start, stop):
             part = y[start:stop]
-            np.matmul(taps[0], xp[start:stop, :, :T], out=part)
+            np.matmul(taps[0], xp[start:stop, :, :span:stride], out=part)
             tmp = np.empty_like(part)
             for j in range(1, k):
-                np.matmul(taps[j], xp[start:stop, :, j:j + T], out=tmp)
+                np.matmul(taps[j], xp[start:stop, :, j:j + span:stride], out=tmp)
                 part += tmp
 
-    _split_kernel(B, B * O * C * k * T, rows)
+    if B * O * C * k * T < _SPLIT_MIN_MACS:
+        rows(0, B)
+    else:
+        run_chunks(B, rows)
     return y
 
 
-def _correlate_weight_grad(xp: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
-    # dw[o,i,j] = sum_{b,t} g[b,o,t] * xp[b,i,t+j]; the taps are split
-    # into chunks, each tap one full-batch matmul.
-    B, C, Lp = xp.shape
+def _correlate_weight_grad(xp: np.ndarray, g: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
+    # dw[o, i, j] = sum_{b,t} g[b, o, t] * xp[b, i, stride*t + j]: one matmul
+    # over the im2col matrix for few channel-taps, else one full-batch
+    # matmul per tap.
+    C = xp.shape[1]
     _, O, T = g.shape
     if C * k <= _IM2COL_MAX_TAPS:
-        return np.matmul(g, _im2col(xp, k).swapaxes(1, 2)).sum(axis=0).reshape(O, C, k)
+        return np.matmul(g, _im2col(xp, k, stride).swapaxes(1, 2)).sum(axis=0).reshape(O, C, k)
+    span = (T - 1) * stride + 1
     dw = np.empty((O, C, k), dtype=np.result_type(xp, g))
-
-    def taps(start, stop):
-        for j in range(start, stop):
-            dw[:, :, j] = np.matmul(g, xp[:, :, j:j + T].swapaxes(1, 2)).sum(axis=0)
-
-    _split_kernel(k, B * O * C * k * T, taps)
+    for j in range(k):
+        dw[:, :, j] = np.matmul(g, xp[:, :, j:j + span:stride].swapaxes(1, 2)).sum(axis=0)
     return dw
 
 
@@ -482,38 +489,11 @@ def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: i
 
     def backward(g):
         b._accumulate(g.sum(axis=(0, 2)), fresh=True)
+        # The transposed conv's backward is a strided correlation of the
+        # padded g, (L - 1)*stride + k long, with w read as (Cin, Cout, k).
         gp = _pad_length(g, padding, padding)
-        # tap j of the kernel sees gp at offsets t*stride + j, t = 0..L-1
-        span = (L - 1) * stride + 1
-        macs = B * Cin * Cout * k * L
-
-        def tap_input(j, start, stop):  # (stop - start, Cout, L)
-            return np.ascontiguousarray(gp[start:stop, :, j:j + span:stride])
-
-        def weight_grad():
-            dw = np.empty((Cin, Cout, k), dtype=np.result_type(x.data, g))
-
-            def dw_taps(start, stop):
-                for j in range(start, stop):
-                    dw[:, :, j] = np.matmul(x.data, tap_input(j, 0, B).swapaxes(1, 2)).sum(axis=0)
-
-            _split_kernel(k, macs, dw_taps)
-            return dw
-
-        _weight_grad(w, macs, weight_grad)
-        taps = np.ascontiguousarray(w.data.transpose(2, 0, 1))  # (k, Cin, Cout)
-        dx = np.empty((B, Cin, L), dtype=np.result_type(w.data, g))
-
-        def dx_rows(start, stop):  # the taps summed in order, per chunk of the batch
-            part = dx[start:stop]
-            np.matmul(taps[0], tap_input(0, start, stop), out=part)
-            tmp = np.empty_like(part)
-            for j in range(1, k):
-                np.matmul(taps[j], tap_input(j, start, stop), out=tmp)
-                part += tmp
-
-        _split_kernel(B, macs, dx_rows)
-        x._accumulate(dx, fresh=True)
+        _weight_grad(w, B * Cin * Cout * k * L, lambda: _correlate_weight_grad(gp, x.data, k, stride))
+        x._accumulate(_correlate(gp, w.data, stride), fresh=True)
 
     return _track(out, (x, w, b), backward)
 

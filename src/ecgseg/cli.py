@@ -61,8 +61,8 @@ def _positive_rate(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"rate must be positive, got {value}")
+    if not 0 < value < float("inf"):  # NaN fails both
+        raise argparse.ArgumentTypeError(f"rate must be positive and finite, got {text!r}")
     return value
 
 

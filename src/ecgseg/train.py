@@ -17,7 +17,8 @@ import numpy as np
 
 from .autodiff import Adam, Tensor, softmax_cross_entropy
 from .signal import EcgRecord
-from .unet import SegmentationModel, _weights_from_container, load_container, save_weights
+from .unet import (CheckpointError, SegmentationModel, _weights_from_container, load_container,
+                   save_weights)
 from .wfdb import to_mask
 
 
@@ -241,15 +242,24 @@ def load_training_checkpoint(path) -> tuple[SegmentationModel, Adam, np.random.G
         raise ConfigurationError(f"{path}: checkpoint has no trainer state to resume from")
     model = _weights_from_container(path, header, arrays)
     info = header["trainer"]
-    adam = Adam(
-        model.parameters(), lr=info["lr"], beta1=info["beta1"],
-        beta2=info["beta2"], eps=info["eps"],
-    )
-    adam.t = int(info["adam_t"])
-    adam.m = [arrays[f"adam.m.{p.name}"].astype(p.data.dtype) for p in adam.params]
-    adam.v = [arrays[f"adam.v.{p.name}"].astype(p.data.dtype) for p in adam.params]
-    rng = np.random.default_rng()
-    rng.bit_generator.state = info["rng_state"]
+
+    def slot(name, param):
+        if arrays[name].shape != param.data.shape:
+            raise ValueError(f"{name!r} has shape {arrays[name].shape}, not {param.data.shape}")
+        return arrays[name].astype(param.data.dtype)
+
+    try:
+        adam = Adam(model.parameters(), lr=float(info["lr"]), beta1=float(info["beta1"]),
+                    beta2=float(info["beta2"]), eps=float(info["eps"]))
+        adam.t = int(info["adam_t"])
+        adam.m = [slot(f"adam.m.{p.name}", p) for p in adam.params]
+        adam.v = [slot(f"adam.v.{p.name}", p) for p in adam.params]
+        rng = np.random.default_rng()
+        rng.bit_generator.state = info["rng_state"]
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: trainer state lacks {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: bad trainer state ({exc})") from None
     return model, adam, rng
 
 

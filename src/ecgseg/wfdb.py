@@ -395,6 +395,13 @@ def _require(doc, key: str, where: str):
     return doc[key]
 
 
+def _sample_index(doc, key: str, where: str) -> int:
+    value = _require(doc, key, where)
+    if type(value) is not int:  # int() would truncate 1.7 and take true as 1
+        raise JsonFormatError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
+
+
 def record_from_json(doc: dict) -> tuple[EcgRecord, dict[str, list[WaveAnnotation]]]:
     record_id = _require(doc, "record_id", "document")
     sampling_rate = _require(doc, "sampling_rate", "document")
@@ -409,6 +416,8 @@ def record_from_json(doc: dict) -> tuple[EcgRecord, dict[str, list[WaveAnnotatio
         name = _require(lead_doc, "name", where)
         samples = _require(lead_doc, "samples_mV", where)
         waves_doc = _require(lead_doc, "waves", where)
+        if not isinstance(waves_doc, list):
+            raise JsonFormatError(f"{where}: waves must be a list")
         names.append(name)
         try:
             row = np.asarray(samples, dtype=np.float64)
@@ -420,19 +429,11 @@ def record_from_json(doc: dict) -> tuple[EcgRecord, dict[str, list[WaveAnnotatio
         waves = []
         for wi, w in enumerate(waves_doc):
             wwhere = f"{where}.waves[{wi}]"
+            wave_type = _require(w, "type", wwhere)
+            onset, peak, offset = (_sample_index(w, key, wwhere) for key in ("onset", "peak", "offset"))
             try:
-                waves.append(
-                    WaveAnnotation(
-                        wave_type=_require(w, "type", wwhere),
-                        onset=int(_require(w, "onset", wwhere)),
-                        peak=int(_require(w, "peak", wwhere)),
-                        offset=int(_require(w, "offset", wwhere)),
-                        lead=li,
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                if isinstance(exc, JsonFormatError):
-                    raise
+                waves.append(WaveAnnotation(wave_type, onset, peak, offset, lead=li))
+            except InvalidAnnotationError as exc:
                 raise JsonFormatError(f"{wwhere}: {exc}") from None
         waves_by_lead[name] = waves
     lengths = {r.size for r in rows}
@@ -457,7 +458,7 @@ def save_json_record(path, record: EcgRecord, waves_by_lead=None) -> None:
 def load_json_record(path) -> tuple[EcgRecord, dict[str, list[WaveAnnotation]]]:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise JsonFormatError(f"{path}: not valid JSON ({exc})") from None
     return record_from_json(doc)
 

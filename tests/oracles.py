@@ -94,6 +94,30 @@ def convtranspose1d_naive(x, w, b, k, stride, padding):
     return y + b[None, :, None]
 
 
+def convtranspose1d_backward_taps(x, w, g, stride, padding):
+    """Input and weight gradients of a transposed convolution, tap by tap.
+
+    x is (B, Cin, L), w (Cin, Cout, k) and g the output gradient. Tap j of
+    the kernel meets the padded g at offsets t*stride + j, t = 0..L-1, copied
+    out contiguous: dx sums the taps' matmuls in tap order, and dw[:, :, j]
+    is one full-batch matmul per tap. Returns (dx, dw).
+    """
+    B, Cin, L = x.shape
+    _, Cout, k = w.shape
+    gp = np.zeros((B, Cout, g.shape[2] + 2 * padding), dtype=g.dtype)
+    gp[:, :, padding:padding + g.shape[2]] = g
+    span = (L - 1) * stride + 1
+    tap_inputs = [np.ascontiguousarray(gp[:, :, j:j + span:stride]) for j in range(k)]  # (B, Cout, L)
+    taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (k, Cin, Cout)
+    dx = np.matmul(taps[0], tap_inputs[0])
+    for j in range(1, k):
+        dx += np.matmul(taps[j], tap_inputs[j])
+    dw = np.empty((Cin, Cout, k), dtype=np.result_type(x, g))
+    for j in range(k):
+        dw[:, :, j] = np.matmul(x, tap_inputs[j].swapaxes(1, 2)).sum(axis=0)
+    return dx, dw
+
+
 def maxpool1d_argmax(x, size):
     """Max pooling through a per-window argmax and gather, size == stride.
 

@@ -31,7 +31,7 @@ from ecgseg.autodiff import (
 )
 from ecgseg.unet import ModelConfig, tiny_config
 from gradcheck import assert_grad_matches
-from oracles import conv1d_naive, convtranspose1d_naive, maxpool1d_argmax
+from oracles import conv1d_naive, convtranspose1d_backward_taps, convtranspose1d_naive, maxpool1d_argmax
 
 
 def rand_tensor(rng, shape, requires_grad=True):
@@ -142,6 +142,45 @@ class TestConvTranspose1d:
         np.testing.assert_allclose(
             y.data, convtranspose1d_naive(x, w, b, k, stride, pad), atol=1e-10
         )
+
+
+class TestConvTransposeBackwardOracle:
+    """The backward's strided correlations give the bits of the tap-by-tap kernel."""
+
+    @pytest.fixture(autouse=True)
+    def split_every_call(self, monkeypatch):
+        monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)
+
+    SHAPES = [  # (Cin, Cout, k, stride, padding, L)
+        (8, 4, 8, 2, 3, 1000),  # tiny-preset up1: Cout*k = 32, inside the im2col bound
+        (32, 16, 8, 2, 3, 1000),  # full-preset up1
+        (3, 2, 2, 3, 0, 4),  # k < stride: output phases that no tap reaches
+        (3, 2, 3, 4, 2, 2),
+    ]
+
+    def test_shapes_cover_both_sides_of_the_im2col_bound(self):
+        assert [cout * k <= _IM2COL_MAX_TAPS for _, cout, k, *_ in self.SHAPES[:2]] == [True, False]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_tap_oracle_bit_for_bit(self, monkeypatch, shape, batch, dtype):
+        cin, cout, k, stride, padding, length = shape
+        rng = np.random.default_rng(sum(shape) + batch)
+        x_data = rng.normal(size=(batch, cin, length)).astype(dtype)
+        w_data = rng.normal(size=(cin, cout, k)).astype(dtype)
+        b = Tensor(rng.normal(size=cout).astype(dtype), requires_grad=True)
+        g = rng.normal(size=(batch, cout, (length - 1) * stride - 2 * padding + k)).astype(dtype)
+        want_dx, want_dw = convtranspose1d_backward_taps(x_data, w_data, g, stride, padding)
+        bits = f"u{np.dtype(dtype).itemsize}"
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+            x = Tensor(x_data, requires_grad=True)
+            w = Tensor(w_data, requires_grad=True)
+            convtranspose1d(x, w, b, stride=stride, padding=padding).backward(g.copy())
+            assert x.grad.dtype == dtype and w.grad.dtype == dtype
+            np.testing.assert_array_equal(x.grad.view(bits), want_dx.view(bits))
+            np.testing.assert_array_equal(w.grad.view(bits), want_dw.view(bits))
 
 
 class TestRelu:

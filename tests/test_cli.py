@@ -7,7 +7,8 @@ from ecgseg.cli import main
 from ecgseg.unet import SegmentationModel, save_weights, tiny_config
 from ecgseg.wfdb import load_json_record, save_json_record
 from synth import make_ecg_record, write_wfdb_fixture
-from test_unet import CORRUPTIONS, corrupt_checkpoint
+from test_unet import (CORRUPTIONS, TRAINER_CORRUPTIONS, corrupt_checkpoint, corrupt_trainer_state,
+                       save_trainer_checkpoint)
 
 
 @pytest.fixture
@@ -100,6 +101,15 @@ class TestResample:
                   "--rate", "0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("rate", ["inf", "-inf", "nan"])
+    def test_non_finite_rate_usage_error(self, json_dir, tmp_path, capsys, rate):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["resample", str(json_dir / "rec0.json"), str(tmp_path / "x.json"),
+                  f"--rate={rate}"])
+        assert excinfo.value.code == 2
+        assert "rate must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestTrain:
     def train_args(self, json_dir, out, extra=()):
@@ -146,6 +156,17 @@ class TestTrain:
             "--resume", str(half_out / "step-000003.ckpt"),
         ]) == 0
         assert (resumed_out / "model.ckpt").read_bytes() == (full_out / "model.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("case", TRAINER_CORRUPTIONS)
+    def test_corrupt_trainer_state_fails_with_one_line(self, json_dir, tmp_path, capsys, case):
+        checkpoint = tmp_path / "trainer.ckpt"
+        save_trainer_checkpoint(checkpoint)
+        corrupt_trainer_state(checkpoint, case)
+        code = main(self.train_args(json_dir, tmp_path / "run", ["--resume", str(checkpoint)]))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {checkpoint}: ") and err.count("\n") == 1
+        assert not (tmp_path / "run" / "model.ckpt").exists()
 
     def test_config_file_driving(self, json_dir, tmp_path):
         ini = tmp_path / "run.ini"
@@ -312,6 +333,27 @@ class TestMalformedDelineation:
         assert code == 1
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert not (tmp_path / "out.svg").exists()
+
+
+class TestNonUtf8Record:
+    COMMANDS = {
+        "resample": lambda bad, tmp, ckpt: ["resample", str(bad), str(tmp / "out.json"), "--rate", "250"],
+        "segment": lambda bad, tmp, ckpt: ["segment", str(bad), "--checkpoint", str(ckpt),
+                                           "--out", str(tmp / "d")],
+        "train": lambda bad, tmp, ckpt: ["train", "--data-root", str(bad.parent), "--out", str(tmp / "run"),
+                                         "--preset", "drill", "--iterations", "1"],
+        "evaluate": lambda bad, tmp, ckpt: ["evaluate", "--ref", str(bad), "--pred", str(tmp)],
+        "render": lambda bad, tmp, ckpt: ["render", str(bad), str(tmp / "out.svg")],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_fails_with_one_line(self, json_dir, untrained_checkpoint, tmp_path, capsys, command):
+        bad = json_dir / "rec0.json"
+        bad.write_text(bad.read_text(), encoding="utf-16")  # starts with the bytes FF FE
+        code = main(self.COMMANDS[command](bad, tmp_path, untrained_checkpoint))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: not valid JSON") and err.count("\n") == 1
 
 
 class TestRender:

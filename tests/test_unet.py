@@ -8,7 +8,8 @@ import pytest
 
 import ecgseg.autodiff
 import ecgseg.unet
-from ecgseg.autodiff import ShapeError, Tensor, softmax_cross_entropy
+from ecgseg.autodiff import Adam, ShapeError, Tensor, softmax_cross_entropy
+from ecgseg.train import load_training_checkpoint, save_training_checkpoint
 from ecgseg.unet import (
     _MAGIC,
     _VERSION,
@@ -455,6 +456,41 @@ CORRUPTIONS = ("header-utf8", "header-json", "header-not-object", "array-name",
                "config", "step_count", "config-unknown-key", "step_count-not-int")
 
 
+def save_trainer_checkpoint(path) -> None:
+    model = SegmentationModel(tiny_config())
+    save_training_checkpoint(path, model, Adam(model.parameters()), np.random.default_rng(0))
+
+
+def corrupt_trainer_state(path, case: str) -> None:
+    """Overwrite a saved trainer checkpoint with its trainer state corrupted the way ``case`` names."""
+    header, arrays = load_container(path)
+    trainer = header["trainer"]
+    if case == "trainer-empty":
+        header["trainer"] = {}
+    elif case == "trainer-not-object":
+        header["trainer"] = [1, 2]
+    elif case == "rng_state-not-object":
+        trainer["rng_state"] = [1, 2]
+    elif case == "rng_state-wrong-generator":
+        trainer["rng_state"] = {**trainer["rng_state"], "bit_generator": "MT19937"}
+    elif case == "adam-slot-missing":
+        del arrays["adam.m.enc1.conv1.weight"]
+    elif case == "adam-slot-shape":
+        arrays["adam.v.enc1.conv1.weight"] = arrays["adam.v.enc1.conv1.weight"][..., :-1]
+    elif case == "adam_t-not-int":
+        trainer["adam_t"] = "abc"
+    elif case == "adam_t-infinite":
+        trainer["adam_t"] = float("inf")
+    else:  # "lr-not-number"
+        trainer["lr"] = "fast"
+    save_container(path, header, arrays)
+
+
+TRAINER_CORRUPTIONS = ("trainer-empty", "trainer-not-object", "rng_state-not-object",
+                       "rng_state-wrong-generator", "adam-slot-missing", "adam-slot-shape",
+                       "adam_t-not-int", "adam_t-infinite", "lr-not-number")
+
+
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize("case", CORRUPTIONS)
     def test_typed_error(self, tmp_path, case):
@@ -473,3 +509,13 @@ class TestCorruptCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
             load_container(path)
+
+
+class TestCorruptTrainerState:
+    @pytest.mark.parametrize("case", TRAINER_CORRUPTIONS)
+    def test_typed_error(self, tmp_path, case):
+        path = tmp_path / "trainer.ckpt"
+        save_trainer_checkpoint(path)
+        corrupt_trainer_state(path, case)
+        with pytest.raises(CheckpointError, match=str(path)):
+            load_training_checkpoint(path)

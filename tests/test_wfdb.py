@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ from ecgseg.wfdb import (
     UnsupportedFormatError,
     WaveAnnotation,
     group_events,
+    load_json_record,
     parse_annotations,
     parse_header,
     read_signal_format16,
@@ -338,6 +340,29 @@ class TestJsonInterchange:
         del doc["leads"][0]["samples_mV"]
         with pytest.raises(JsonFormatError, match="samples_mV"):
             record_from_json(doc)
+
+    def test_non_list_waves_rejected(self):
+        record, waves = make_ecg_record(seed=3, n_leads=1)
+        doc = record_to_json(record, waves)
+        doc["leads"][0]["waves"] = 5
+        with pytest.raises(JsonFormatError, match=r"leads\[0\]: waves must be a list"):
+            record_from_json(doc)
+
+    @pytest.mark.parametrize("key", ["onset", "peak", "offset"])
+    @pytest.mark.parametrize("value", [1.7, 512.0, "512", True, None])
+    def test_non_integer_sample_index_rejected(self, key, value):
+        record, waves = make_ecg_record(seed=3, n_leads=1)
+        doc = record_to_json(record, waves)
+        doc["leads"][0]["waves"][1][key] = value
+        with pytest.raises(JsonFormatError, match=rf"leads\[0\]\.waves\[1\]: {key} must be an integer"):
+            record_from_json(doc)
+
+    def test_non_utf8_file_names_it(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        record, waves = make_ecg_record(seed=3, n_leads=1)
+        path.write_text(json.dumps(record_to_json(record, waves)), encoding="utf-16")  # starts FF FE
+        with pytest.raises(JsonFormatError, match="utf16.json: not valid JSON"):
+            load_json_record(path)
 
 
 class TestWfdbEndToEnd:
