@@ -27,21 +27,27 @@ threads: the usable cores divided by the BLAS threads each matmul may
 take. The calling thread is always one of them, so the pool holds
 LEAD_WORKERS - 1 threads. A correlation splits over the batch, so every
 sample goes through the same matmuls as in one thread, and the results
-are bitwise those of one worker. The threads take chunks in turn, so a
-slow core costs its share, not the whole call. Calls too small to pay for
-the hand-off stay on the calling thread. The same workers score the rows
-of ``SegmentationModel.scores``.
+are bitwise those of one worker. Calls too small to pay for the hand-off
+stay on the calling thread. The same workers score the rows of
+``SegmentationModel.scores``.
+
+Everything handed to the pool is a task on one list, drained one way:
+the pool takes tasks from the front, and the calling thread runs from the
+back those that no pool thread has started, cancelling them on the pool
+rather than waiting for them; then it waits for the rest. An error in a
+task is raised once every task of its list has ended. A split call's
+chunks make one list, so a slow core costs its share, not the whole call.
 
 In backward(), only a convolution's input gradient blocks the next layer.
 So conv1d and convtranspose1d hand their weight gradient to the pool as a
-deferred task, which runs it whole, and go straight on with the input
-gradient, under the same rules as a split: more than one worker, at least
+task, which runs it whole, and go straight on with the input gradient,
+under the same rules as a split: more than one worker, at least
 _SPLIT_MIN_MACS multiply-adds, and inline on a pool thread. backward()
-waits for every task, then adds each weight gradient into its parameter
-in the order the tasks were submitted, which gives the bits of one
-worker. A deferred task reads only arrays that no later step of the
-backward writes. Batch norm, relu, pooling, the loss and Adam run on the
-calling thread.
+drains these tasks, then adds each weight gradient into its parameter in
+the order the tasks were submitted, which gives the bits of one worker. A
+deferred task reads only arrays that no later step of the backward
+writes. Batch norm, relu, pooling, the loss and Adam run on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -119,67 +125,66 @@ def _lead_pool(workers: int):
                               initializer=_mark_pool_thread)
 
 
+class _Task:
+    """``fn()`` run on the pool, or at once when there is no pool; keeps its value or its error."""
+
+    __slots__ = ("fn", "future", "value", "error")
+
+    def __init__(self, fn, pool) -> None:
+        self.fn, self.value, self.error = fn, None, None
+        self.future = None if pool is None else pool.submit(self.run)
+        if pool is None:
+            self.run()
+
+    def run(self) -> None:
+        fn, self.fn = self.fn, None  # what it holds is freed once it has run
+        try:
+            self.value = fn()
+        except Exception as exc:
+            self.error = exc
+
+
+def _drain(tasks: list[_Task]) -> Exception | None:
+    # The calling thread runs, from the last one back, the tasks that no pool
+    # thread has started, while the pool takes them from the front; then it
+    # waits for the rest. Returns the first error in submission order.
+    for task in reversed(tasks):
+        if task.future is not None and task.future.cancel():
+            task.future = None
+            task.run()
+    for task in tasks:
+        if task.future is not None:
+            task.future.result()
+    return next((task.error for task in tasks if task.error is not None), None)
+
+
 def run_chunks(n: int, run) -> None:
     """Call ``run(start, stop)`` on contiguous chunks that cover range(n).
 
     With LEAD_WORKERS > 1 and n >= 2, range(n) is cut into equal chunks,
-    up to _CHUNKS_PER_WORKER per worker, and the calling thread and the
-    pool's workers take the next untaken chunk until none is left. So a
-    thread whose core is slow or busy takes fewer chunks instead of holding
-    up the call, and a worker that has not started by the time the caller
-    runs out of chunks is cancelled, not waited for. ``run`` must touch
-    only its own chunk of any shared output. A call made on a pool thread
-    runs inline, since a worker that waited on its own pool could deadlock
-    it.
+    up to _CHUNKS_PER_WORKER per worker, one task each: the pool takes them
+    from the front and the calling thread from the back, and a chunk no
+    worker has started is cancelled on the pool, not waited for. So a slow
+    or busy core takes fewer chunks instead of holding up the call. An
+    error is raised once every chunk has ended. ``run`` must touch only its
+    own chunk of any shared output. A call made on a pool thread runs
+    inline, since a worker that waited on its own pool could deadlock it.
     """
     workers = min(LEAD_WORKERS, n)
     if workers < 2 or _pool_thread.active:
         run(0, n)
         return
     size = -(-n // (_CHUNKS_PER_WORKER * workers))  # equal chunks but the last
-    starts = iter(range(0, n, size))
-    lock = threading.Lock()
-
-    def take():
-        while True:
-            with lock:
-                start = next(starts, None)
-            if start is None:
-                return
-            run(start, min(start + size, n))
-
     pool = _lead_pool(LEAD_WORKERS)
-    futures = [pool.submit(take) for _ in range(workers - 1)]
-    try:
-        take()
-    finally:
-        for future in futures:
-            if not future.cancel():
-                future.result()
-
-
-class _WeightGrad:
-    """A weight gradient of one backward() call, added to its parameter when the call ends."""
-
-    __slots__ = ("param", "compute", "future", "value", "error")
-
-    def __init__(self, param: "Tensor", compute, pool) -> None:
-        self.param, self.compute = param, compute
-        self.value = self.error = None
-        self.future = None if pool is None else pool.submit(self.run)
-        if pool is None:
-            self.run()
-
-    def run(self) -> None:
-        compute, self.compute = self.compute, None  # what it holds is freed once it has run
-        try:
-            self.value = compute()
-        except Exception as exc:
-            self.error = exc
+    error = _drain([_Task(functools.partial(run, start, min(start + size, n)), pool)
+                    for start in range(0, n, size)])
+    if error is not None:
+        raise error
 
 
 class _Backward(threading.local):
-    weight_grads: list[_WeightGrad] | None = None  # of the backward() running on this thread
+    # the (parameter, weight-gradient task) pairs of the backward() running on this thread
+    weight_grads: list[tuple["Tensor", _Task]] | None = None
 
 
 _backward_call = _Backward()
@@ -200,20 +205,7 @@ def _weight_grad(param: "Tensor", macs: int, compute) -> None:
         param._accumulate(compute(), fresh=True)
         return
     defer = LEAD_WORKERS > 1 and macs >= _SPLIT_MIN_MACS and not _pool_thread.active
-    grads.append(_WeightGrad(param, compute, _lead_pool(LEAD_WORKERS) if defer else None))
-
-
-def _finish_weight_grads(grads: list[_WeightGrad]) -> None:
-    # The calling thread runs, from the last one back, the tasks that no pool
-    # thread has started, while the pool takes them from the front; then it
-    # waits for the rest. Every task has ended when this returns.
-    for grad in reversed(grads):
-        if grad.future is not None and grad.future.cancel():
-            grad.future = None
-            grad.run()
-    for grad in grads:
-        if grad.future is not None:
-            grad.future.result()
+    grads.append((param, _Task(compute, _lead_pool(LEAD_WORKERS) if defer else None)))
 
 
 class ShapeError(ValueError):
@@ -292,7 +284,7 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.asarray(grad))
-        weight_grads: list[_WeightGrad] = []
+        weight_grads: list[tuple[Tensor, _Task]] = []
         outer, _backward_call.weight_grads = _backward_call.weight_grads, weight_grads
         try:
             for node in reversed(order):
@@ -304,12 +296,11 @@ class Tensor:
                     node._backward = _RELEASED
         finally:
             _backward_call.weight_grads = outer
-            _finish_weight_grads(weight_grads)
-        for grad in weight_grads:
-            if grad.error is not None:
-                raise grad.error
-        for grad in weight_grads:
-            grad.param._accumulate(grad.value, fresh=True)
+            error = _drain([task for _, task in weight_grads])
+        if error is not None:
+            raise error
+        for param, task in weight_grads:
+            param._accumulate(task.value, fresh=True)
 
 
 class Parameter(Tensor):

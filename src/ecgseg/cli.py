@@ -46,7 +46,7 @@ from .wfdb import (
     WaveAnnotation,
     WfdbError,
     load_json_record,
-    parse_header,
+    read_header,
     read_wfdb_record,
     save_json_record,
 )
@@ -104,7 +104,7 @@ def cmd_convert(args) -> int:
     failures = []
     for header_path in headers:
         try:
-            header = parse_header(header_path.read_text())
+            header = read_header(header_path)
             ann_files = {}
             for lead in header.lead_names:
                 for candidate in (lead, lead.lower()):

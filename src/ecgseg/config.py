@@ -42,6 +42,8 @@ def read_config_file(path) -> configparser.ConfigParser:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigurationError(f"{path}: cannot read config file ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from None
     try:
         parser.read_string(text, source=str(path))
         for section in parser.sections():
@@ -114,7 +116,11 @@ def read_id_list(values: dict[str, str], key: str) -> list[str]:
         path = Path(values[f"{key}_file"])
         if not path.exists():
             raise ConfigurationError(f"id list file not found: {path}")
-        ids.extend(line.strip() for line in path.read_text().splitlines() if line.strip())
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from None
+        ids.extend(line.strip() for line in text.splitlines() if line.strip())
     if key in values:
         ids.extend(part for part in values[key].replace(",", " ").split() if part)
     return ids

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .signal import EcgRecord, map_sample_indices, resample
-from .wfdb import CLASS_NAMES, MASK_NONE
+from .wfdb import CLASS_NAMES, MASK_NONE, WAVE_TYPES
 
 MODES = ("per-lead", "avg", "lead2")
 AVERAGED_STREAM = "avg"
@@ -75,12 +75,14 @@ class DelineationResult:
                     raise DelineationError(f"waves[{i}]: missing key {key!r}")
             if not isinstance(w["lead"], str):
                 raise DelineationError(f"waves[{i}]: lead must be a string")
-            try:
-                prediction = WavePrediction(w["type"], int(w["onset"]), int(w["offset"]))
-            except (TypeError, ValueError) as exc:
-                if isinstance(exc, DelineationError):
-                    raise
-                raise DelineationError(f"waves[{i}]: {exc}") from None
+            if w["type"] not in WAVE_TYPES:
+                raise DelineationError(
+                    f"waves[{i}]: unknown wave type {w['type']!r} (types: {', '.join(WAVE_TYPES)})"
+                )
+            for key in ("onset", "offset"):
+                if type(w[key]) is not int:  # int() would truncate 1.7 and take true as 1
+                    raise DelineationError(f"waves[{i}]: {key} must be an integer, got {w[key]!r}")
+            prediction = WavePrediction(w["type"], w["onset"], w["offset"])
             streams.setdefault(w["lead"], []).append(prediction)
         for waves in streams.values():
             waves.sort(key=lambda w: w.onset)

@@ -463,6 +463,14 @@ def load_json_record(path) -> tuple[EcgRecord, dict[str, list[WaveAnnotation]]]:
     return record_from_json(doc)
 
 
+def read_header(path) -> HeaderInfo:
+    """parse_header of a header file; one that is not UTF-8 is a HeaderParseError naming it."""
+    try:
+        return parse_header(Path(path).read_text())
+    except UnicodeDecodeError as exc:
+        raise HeaderParseError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def read_wfdb_record(header_path, annotation_files: dict[str, Path | str] | None = None
                      ) -> tuple[EcgRecord, dict[str, list[WaveAnnotation]]]:
     """Read header + .dat + optional per-lead annotation files.
@@ -472,7 +480,7 @@ def read_wfdb_record(header_path, annotation_files: dict[str, Path | str] | None
     empty wave list.
     """
     header_path = Path(header_path)
-    header = parse_header(header_path.read_text())
+    header = read_header(header_path)
     dat_names = {s.file_name for s in header.signals}
     if len(dat_names) != 1:
         raise UnsupportedFormatError(

@@ -717,6 +717,27 @@ class TestSplitKernels:
         with pytest.raises(ValueError, match="chunk failed"):
             run_chunks(4, run)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_chunk_error_is_raised_after_every_other_chunk_ended(self, monkeypatch, workers):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+        lock = threading.Lock()
+        started, ended = [], []
+
+        def run(start, stop):
+            with lock:
+                started.append(start)
+                first = len(started) == 1
+            if first:
+                ended.append("failed")
+                raise ValueError("chunk failed")
+            time.sleep(0.05)
+            ended.append("done")
+
+        with pytest.raises(ValueError, match="chunk failed"):
+            run_chunks(6, run)
+        assert sorted(started) == list(range(6))
+        assert ended == ["failed"] + ["done"] * 5
+
 
 def test_small_kernel_calls_stay_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)

@@ -75,6 +75,41 @@ class TestConvert:
         assert not (out / "100.json").exists() and (out / "101.json").exists()
 
 
+def write_utf16(path, text):
+    path.write_text(text, encoding="utf-16")  # starts with the bytes FF FE
+
+
+class TestNonUtf8TextFiles:
+    def test_convert_lists_the_header_as_failed(self, wfdb_dir, tmp_path, capsys):
+        header = wfdb_dir / "100.hea"
+        write_utf16(header, header.read_text())
+        out = tmp_path / "converted"
+        assert main(["convert", str(wfdb_dir), str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"  FAILED 100.hea: {header}: not UTF-8 text")
+        assert not (out / "100.json").exists() and (out / "101.json").exists()
+
+    def test_config_file_is_a_usage_error(self, json_dir, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        write_utf16(ini, f"[data]\nroot = {json_dir}\n")
+        assert main(["train", "--config", str(ini), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ini}: not UTF-8 text") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["train_ids_file", "test_ids_file"])
+    def test_id_list_file_is_a_usage_error(self, json_dir, tmp_path, capsys, key):
+        ids = tmp_path / "ids.txt"
+        write_utf16(ids, "rec0\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[data]\nroot = {json_dir}\n{key} = {ids}\n")
+        code = main(["train", "--config", str(ini), "--out", str(tmp_path / "run"),
+                     "--preset", "drill", "--iterations", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {ids}: not UTF-8 text") and err.count("\n") == 1
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
 class TestResample:
     def test_same_rate_identity(self, json_dir, tmp_path):
         target = tmp_path / "same.json"
@@ -308,6 +343,12 @@ MALFORMED_DELINEATIONS = [
     ("unhashable lead", '{"record_id": "rec0", "mode": "avg", "sampling_rate": 500, '
                         '"waves": [{"lead": [1], "type": "qrs", "onset": 1, "offset": 2}]}'),
     ("not an object", "[1, 2]"),
+    ("fractional onset", '{"record_id": "rec0", "mode": "avg", "sampling_rate": 500, '
+                         '"waves": [{"lead": "avg", "type": "P", "onset": 1.7, "offset": 2}]}'),
+    ("boolean offset", '{"record_id": "rec0", "mode": "avg", "sampling_rate": 500, '
+                       '"waves": [{"lead": "avg", "type": "P", "onset": 0, "offset": true}]}'),
+    ("unknown wave type", '{"record_id": "rec0", "mode": "avg", "sampling_rate": 500, '
+                          '"waves": [{"lead": "avg", "type": "X", "onset": 1, "offset": 2}]}'),
 ]
 
 

@@ -227,3 +227,18 @@ class TestDelineationResultJson:
             DelineationResult.from_json(
                 {**base, "waves": [{"lead": "ii", "type": "P", "onset": 9, "offset": 2}]}
             )
+
+    @pytest.mark.parametrize("key", ["onset", "offset"])
+    @pytest.mark.parametrize("value", [1.7, 5.0, True, "5", None])
+    def test_non_integer_index_rejected(self, key, value):
+        wave = {"lead": "ii", "type": "P", "onset": 1, "offset": 5, key: value}
+        doc = {"record_id": "x", "mode": "avg", "sampling_rate": 1.0, "waves": [wave]}
+        with pytest.raises(DelineationError, match=f"waves\\[0\\]: {key} must be an integer"):
+            DelineationResult.from_json(doc)
+
+    @pytest.mark.parametrize("wave_type", ["X", "qrs", None, ["P"]])
+    def test_unknown_wave_type_rejected(self, wave_type):
+        wave = {"lead": "ii", "type": wave_type, "onset": 1, "offset": 5}
+        doc = {"record_id": "x", "mode": "avg", "sampling_rate": 1.0, "waves": [wave]}
+        with pytest.raises(DelineationError, match="waves\\[0\\]: unknown wave type"):
+            DelineationResult.from_json(doc)

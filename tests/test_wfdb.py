@@ -366,6 +366,13 @@ class TestJsonInterchange:
 
 
 class TestWfdbEndToEnd:
+    def test_non_utf8_header_names_it(self, tmp_path):
+        record, waves = make_ecg_record(record_id="78", seed=8, n_leads=1)
+        header_path, _, ann_files = write_wfdb_fixture(tmp_path, record, waves)
+        header_path.write_text(header_path.read_text(), encoding="utf-16")  # starts FF FE
+        with pytest.raises(HeaderParseError, match="78.hea: not UTF-8 text"):
+            read_wfdb_record(header_path, ann_files)
+
     def test_fixture_round_trip(self, tmp_path):
         record, waves = make_ecg_record(record_id="77", seed=7, n_leads=4)
         header_path, raw, ann_files = write_wfdb_fixture(tmp_path, record, waves)
