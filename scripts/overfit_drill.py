@@ -14,7 +14,7 @@ at 150 ms tolerance (in practice all six point types reach 100%). The
 verdict is read back from OUT/loss.csv and the TP/FP/FN rows of
 OUT/report.csv; the exit status is 0 when the drill passes.
 
-Usage: python scripts/overfit_drill.py [--out runs/drill] [--iterations 400]
+Usage: python scripts/overfit_drill.py [--out runs/drill] [--iterations N]
 """
 
 import argparse
@@ -23,13 +23,14 @@ import time
 from pathlib import Path
 
 from ecgseg import cli
+from ecgseg.config import DRILL_PRESET
 from ecgseg.evaluate import csv_report_f1
 from ecgseg.synthetic import make_ecg_record
 from ecgseg.wfdb import save_json_record
 
 
 def main(argv=None) -> int:
-    preset = cli.DRILL_PRESET
+    preset = DRILL_PRESET["train"]
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default="runs/drill")

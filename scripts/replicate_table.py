@@ -30,6 +30,7 @@ import numpy as np
 from ecgseg import cli
 from ecgseg.delineate import MODES
 from ecgseg.evaluate import csv_report_f1
+from ecgseg.train import TrainConfig
 
 TARGETS = {
     "QRS-on": 0.990, "QRS-off": 0.990,
@@ -45,8 +46,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="runs/replication")
     parser.add_argument("--train-fraction", type=float, default=0.8)
     parser.add_argument("--iterations", type=int, default=8000)
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--learning-rate", type=float, default=1e-3)
+    parser.add_argument("--batch-size", type=int, help=f"default {TrainConfig.batch_size}")
+    parser.add_argument("--learning-rate", type=float, help=f"default {TrainConfig.learning_rate:g}")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--checkpoint-every", type=int, default=2000)
     args = parser.parse_args(argv)
@@ -74,13 +75,16 @@ def main(argv=None) -> int:
     (out / "test_ids.txt").write_text("\n".join(sorted(test_ids)) + "\n")
     print(f"{len(train_ids)} train records, {len(test_ids)} test records")
 
-    code = cli.main([
+    train = [
         "train", "--data-root", str(json_dir), "--out", str(out),
         "--train-ids", ",".join(train_ids), "--test-ids", ",".join(test_ids),
-        "--iterations", str(args.iterations), "--batch-size", str(args.batch_size),
-        "--learning-rate", str(args.learning_rate), "--seed", str(args.seed),
+        "--iterations", str(args.iterations), "--seed", str(args.seed),
         "--checkpoint-every", str(args.checkpoint_every),
-    ])
+    ]
+    for flag, value in (("--batch-size", args.batch_size), ("--learning-rate", args.learning_rate)):
+        if value is not None:
+            train += [flag, str(value)]
+    code = cli.main(train)
     if code != cli.EXIT_OK:
         return code
 

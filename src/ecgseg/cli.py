@@ -17,8 +17,10 @@ import numpy as np
 
 from .autodiff import Adam
 from .config import (
+    DRILL_PRESET,
     build_model_config,
     build_train_config,
+    merge_layers,
     parse_tolerance,
     read_config_file,
     read_id_list,
@@ -41,7 +43,7 @@ from .train import (
     save_training_checkpoint,
     train,
 )
-from .unet import CheckpointError, SegmentationModel, load_weights, tiny_config
+from .unet import CheckpointError, SegmentationModel, load_weights
 from .wfdb import (
     WaveAnnotation,
     WfdbError,
@@ -52,8 +54,6 @@ from .wfdb import (
 )
 
 EXIT_OK, EXIT_FAILURE, EXIT_USAGE = 0, 1, 2
-
-DRILL_PRESET = {"iterations": 400, "batch_size": 8, "learning_rate": 3e-3}
 
 
 def _positive_rate(text: str) -> float:
@@ -112,7 +112,7 @@ def cmd_convert(args) -> int:
                     if ann_path.exists():
                         ann_files[lead] = ann_path
                         break
-            record, waves = read_wfdb_record(header_path, ann_files)
+            record, waves = read_wfdb_record(header_path, ann_files, header=header)
             save_json_record(out_dir / f"{record.record_id}.json", record, waves)
         except (WfdbError, SignalError, OSError) as exc:
             failures.append((header_path.name, str(exc)))
@@ -142,48 +142,34 @@ def cmd_resample(args) -> int:
     return EXIT_OK
 
 
-def _load_dataset(data_root: Path):
-    records = []
-    for path in sorted(data_root.glob("*.json")):
-        record, waves = load_json_record(path)
-        records.append((record, waves))
-    return records
-
-
 def cmd_train(args) -> int:
-    parser_file = read_config_file(args.config) if args.config else None
-    data_values = dict(parser_file.items("data")) if parser_file and parser_file.has_section("data") else {}
-
-    root = args.data_root or data_values.get("root") or os.environ.get("ECG_DATA_ROOT")
+    values = merge_layers(
+        {"data": {"root": os.environ.get("ECG_DATA_ROOT") or None}},
+        read_config_file(args.config) if args.config else {},
+        DRILL_PRESET if args.preset == "drill" else {},
+        {"data": {"root": args.data_root, "train_ids": args.train_ids, "test_ids": args.test_ids},
+         "model": {"encoder_widths": args.encoder_widths, "bottleneck_width": args.bottleneck_width,
+                   "seed": args.seed},
+         "train": {"iterations": args.iterations, "batch_size": args.batch_size,
+                   "learning_rate": args.learning_rate, "seed": args.seed,
+                   "checkpoint_every": args.checkpoint_every}},
+    )
+    root = values["data"].get("root")
     if not root:
         raise ConfigurationError("no data root: pass --data-root, set [data] root, or ECG_DATA_ROOT")
     data_root = Path(root)
     if not data_root.is_dir():
         raise ConfigurationError(f"data root is not a directory: {data_root}")
 
-    preset = DRILL_PRESET if args.preset == "drill" else {}
-    train_overrides = {
-        "iterations": args.iterations if args.iterations is not None else preset.get("iterations"),
-        "batch_size": args.batch_size if args.batch_size is not None else preset.get("batch_size"),
-        "learning_rate": args.learning_rate if args.learning_rate is not None else preset.get("learning_rate"),
-        "seed": args.seed,
-        "checkpoint_every": args.checkpoint_every,
-    }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_cfg = build_train_config(parser_file, checkpoint_dir=str(out_dir), **train_overrides)
+    train_cfg = build_train_config(values, checkpoint_dir=str(out_dir))
 
-    records = _load_dataset(data_root)
+    records = [load_json_record(path) for path in sorted(data_root.glob("*.json"))]
     if not records:
         raise ConfigurationError(f"no interchange .json records under {data_root}")
-    flag_values = {}
-    if args.train_ids:
-        flag_values["train_ids"] = args.train_ids
-    if args.test_ids:
-        flag_values["test_ids"] = args.test_ids
-    id_values = {**data_values, **flag_values}
-    train_ids = read_id_list(id_values, "train_ids")
-    test_ids = read_id_list(id_values, "test_ids")
+    train_ids = read_id_list(values["data"], "train_ids")
+    test_ids = read_id_list(values["data"], "test_ids")
     if not train_ids:
         train_ids = [record.record_id for record, _ in records if record.record_id not in set(test_ids)]
         print(f"no train ids configured; training on all {len(train_ids)} records")
@@ -193,20 +179,7 @@ def cmd_train(args) -> int:
         model, adam, rng = load_training_checkpoint(args.resume)
         print(f"resuming from {args.resume} at step {model.step_count}")
     else:
-        model_configured = bool(
-            args.encoder_widths or args.bottleneck_width
-            or (parser_file is not None and parser_file.has_section("model"))
-        )
-        if args.preset == "drill" and not model_configured:
-            model_cfg = tiny_config(seed=args.seed if args.seed is not None else 0)
-        else:
-            model_cfg = build_model_config(
-                parser_file,
-                encoder_widths=args.encoder_widths,
-                bottleneck_width=args.bottleneck_width,
-                seed=args.seed,
-            )
-        model = SegmentationModel(model_cfg)
+        model = SegmentationModel(build_model_config(values))
         adam = Adam(
             model.parameters(), lr=train_cfg.learning_rate,
             beta1=train_cfg.beta1, beta2=train_cfg.beta2, eps=train_cfg.adam_eps,
@@ -314,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-root", help="directory of interchange JSON records "
                                        "(default $ECG_DATA_ROOT)")
     p.add_argument("--out", default="runs/latest", help="output directory")
-    p.add_argument("--preset", choices=["drill"], help="drill: tiny model, 400 iterations")
+    drill = ", ".join(f"{k} {v}" for values in DRILL_PRESET.values() for k, v in values.items())
+    p.add_argument("--preset", choices=["drill"], help=f"drill sets {drill}, over --config values")
     p.add_argument("--iterations", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=float)

@@ -42,6 +42,7 @@ from .autodiff import (
 N_CLASSES = 4
 MODEL_DTYPE = np.dtype(np.float32)
 _POOL_FACTOR = 16  # four halvings
+TINY_WIDTHS = {"encoder_widths": (4, 8, 16, 32), "bottleneck_width": 64}  # tiny_config, drill preset
 
 
 class CheckpointError(ValueError):
@@ -73,7 +74,7 @@ class ModelConfig:
 
 def tiny_config(seed: int = 0) -> ModelConfig:
     """Small preset for tests and the desk-scale overfit drill."""
-    return ModelConfig(encoder_widths=(4, 8, 16, 32), bottleneck_width=64, seed=seed)
+    return ModelConfig(**TINY_WIDTHS, seed=seed)
 
 
 def _init_weight(rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

@@ -471,7 +471,8 @@ def read_header(path) -> HeaderInfo:
         raise HeaderParseError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def read_wfdb_record(header_path, annotation_files: dict[str, Path | str] | None = None
+def read_wfdb_record(header_path, annotation_files: dict[str, Path | str] | None = None,
+                     header: HeaderInfo | None = None,
                      ) -> tuple[EcgRecord, dict[str, list[WaveAnnotation]]]:
     """Read header + .dat + optional per-lead annotation files.
 
@@ -480,7 +481,7 @@ def read_wfdb_record(header_path, annotation_files: dict[str, Path | str] | None
     empty wave list.
     """
     header_path = Path(header_path)
-    header = read_header(header_path)
+    header = header or read_header(header_path)
     dat_names = {s.file_name for s in header.signals}
     if len(dat_names) != 1:
         raise UnsupportedFormatError(

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from ecgseg import wfdb
 from ecgseg.cli import main
-from ecgseg.unet import SegmentationModel, save_weights, tiny_config
+from ecgseg.unet import SegmentationModel, load_container, save_weights, tiny_config
 from ecgseg.wfdb import load_json_record, save_json_record
 from synth import make_ecg_record, write_wfdb_fixture
 from test_unet import (CORRUPTIONS, TRAINER_CORRUPTIONS, corrupt_checkpoint, corrupt_trainer_state,
@@ -74,6 +75,17 @@ class TestConvert:
         assert "100.hea" in err[0] and "index 40" in err[0]
         assert not (out / "100.json").exists() and (out / "101.json").exists()
 
+    def test_parses_each_header_once(self, wfdb_dir, tmp_path, monkeypatch):
+        calls, parse_header = [], wfdb.parse_header
+
+        def counting_parse_header(text):
+            calls.append(text)
+            return parse_header(text)
+
+        monkeypatch.setattr(wfdb, "parse_header", counting_parse_header)
+        assert main(["convert", str(wfdb_dir), str(tmp_path / "converted")]) == 0
+        assert len(calls) == 2
+
 
 def write_utf16(path, text):
     path.write_text(text, encoding="utf-16")  # starts with the bytes FF FE
@@ -107,6 +119,19 @@ class TestNonUtf8TextFiles:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {ids}: not UTF-8 text") and err.count("\n") == 1
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("key", ["train_ids_file", "test_ids_file"])
+    def test_id_list_directory_is_a_usage_error(self, json_dir, tmp_path, capsys, key):
+        ids = tmp_path / "idsdir"
+        ids.mkdir()
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[data]\nroot = {json_dir}\n{key} = {ids}\n")
+        code = main(["train", "--config", str(ini), "--out", str(tmp_path / "run"),
+                     "--preset", "drill", "--iterations", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {ids}: cannot read id list file") and err.count("\n") == 1
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
@@ -218,6 +243,41 @@ class TestTrain:
         )
         out = tmp_path / "run-ini"
         assert main(["train", "--config", str(ini), "--out", str(out)]) == 0
+        assert (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("ini,flags,model,steps", [
+        ("[model]\nseed = 3\n", ["--iterations", "1"], ((4, 8, 16, 32), 64, 3), 1),
+        ("", ["--bottleneck-width", "32", "--iterations", "1"], ((4, 8, 16, 32), 32, 0), 1),
+        ("[model]\nencoder_widths = 1,1,1,1\n", ["--iterations", "1"], ((4, 8, 16, 32), 64, 0), 1),
+        ("[train]\niterations = 50\ncrop_seconds = 0.25\n", ["--batch-size", "1"],
+         ((4, 8, 16, 32), 64, 0), 400),
+        ("[train]\niterations = 50\n", ["--iterations", "1"], ((4, 8, 16, 32), 64, 0), 1),
+        ("[model]\nencoder_widths = 1,1,1,1\nbottleneck_width = 1\nseed = 3\n"
+         "[train]\niterations = 2\nbatch_size = 2\n", None, ((1, 1, 1, 1), 1, 3), 2),
+    ], ids=["model-seed", "bottleneck-flag", "model-widths", "train-iterations",
+            "iterations-flag", "no-preset"])
+    def test_precedence_defaults_file_preset_flags(self, json_dir, tmp_path, ini, flags,
+                                                   model, steps):
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        out = tmp_path / "run"
+        preset = [] if flags is None else ["--preset", "drill", *flags]
+        assert main(["train", "--config", str(path), "--data-root", str(json_dir),
+                     "--out", str(out), *preset]) == 0
+        config = load_container(out / "model.ckpt")[0]["config"]
+        assert (tuple(config["encoder_widths"]), config["bottleneck_width"],
+                config["seed"]) == model
+        assert len((out / "loss.csv").read_text().splitlines()) == 1 + steps
+
+    def test_id_flag_replaces_the_file_id_list(self, json_dir, tmp_path):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("rec1\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[data]\ntrain_ids_file = {ids}\n")
+        out = tmp_path / "run"
+        assert main(self.train_args(json_dir, out, ["--config", str(ini), "--iterations", "1",
+                                                    "--train-ids", "rec0",
+                                                    "--test-ids", "rec1"])) == 0
         assert (out / "model.ckpt").exists()
 
 

@@ -4,6 +4,7 @@ from ecgseg.cli import main
 from ecgseg.config import (
     build_model_config,
     build_train_config,
+    merge_layers,
     parse_tolerance,
     read_config_file,
     read_id_list,
@@ -56,7 +57,8 @@ class TestBuildConfigs:
         assert cfg.seed == 3
 
     def test_flag_overrides_file(self, config_file):
-        cfg = build_model_config(read_config_file(config_file), bottleneck_width=128)
+        values = merge_layers(read_config_file(config_file), {"model": {"bottleneck_width": 128}})
+        cfg = build_model_config(values)
         assert cfg.bottleneck_width == 128
 
     def test_train_from_file(self, config_file):
@@ -68,17 +70,33 @@ class TestBuildConfigs:
         assert cfg.crop_seconds == 4.0
 
     def test_defaults_without_file(self):
-        cfg = build_train_config(None)
+        cfg = build_train_config({})
         assert cfg.iterations == 2000
         assert cfg.batch_size == 32
 
     def test_bad_widths(self, config_file):
         with pytest.raises(ConfigurationError):
-            build_model_config(read_config_file(config_file), encoder_widths="a,b")
+            build_model_config(merge_layers(read_config_file(config_file),
+                                            {"model": {"encoder_widths": "a,b"}}))
+
+    def test_later_layer_wins_key_by_key(self, config_file):
+        values = merge_layers(read_config_file(config_file), {"model": {"seed": 7}},
+                              {"model": {"seed": None, "bottleneck_width": 32}})
+        assert values["model"] == {"encoder_widths": "4, 8, 16, 32", "bottleneck_width": 32,
+                                   "seed": 7}
+
+    def test_id_list_replaces_both_forms_below(self):
+        below = {"data": {"train_ids": "a", "train_ids_file": "ids.txt", "test_ids": "b"}}
+        assert merge_layers(below, {"data": {"train_ids_file": "other.txt"}})["data"] == {
+            "train_ids_file": "other.txt", "test_ids": "b"}
+        assert merge_layers(below, {"data": {"train_ids": "c"}})["data"] == {
+            "train_ids": "c", "test_ids": "b"}
+        assert merge_layers(below)["data"] == below["data"]
 
     def test_three_widths_is_configuration_error(self, config_file):
         with pytest.raises(ConfigurationError, match="4 encoder widths"):
-            build_model_config(read_config_file(config_file), encoder_widths="4,8,16")
+            build_model_config(merge_layers(read_config_file(config_file),
+                                            {"model": {"encoder_widths": "4,8,16"}}))
 
 
 class TestRejectMalformedFile:
@@ -107,8 +125,7 @@ class TestRejectMalformedFile:
             read_config_file(path)
 
     def test_known_keys_accepted(self, config_file):
-        parser = read_config_file(config_file)
-        assert parser.sections() == ["data", "model", "train"]
+        assert list(read_config_file(config_file)) == ["data", "model", "train"]
 
     @pytest.mark.parametrize("text", ["[train]\niteratons = 50\n", "[model]\nseed = x\n",
                                       "[evaluate]\ntrim_edges = true\n"])
