@@ -127,15 +127,12 @@ def cmd_resample(args) -> int:
     out = resample(record, args.rate)
     mapped = {}
     for lead, ws in waves.items():
-        mapped[lead] = []
-        for w in ws:
-            idx = map_sample_indices(
-                [w.onset, w.peak, w.offset], record.n_samples, record.sampling_rate,
-                out.n_samples, out.sampling_rate,
-            )
-            mapped[lead].append(
-                WaveAnnotation(w.wave_type, int(idx[0]), int(idx[1]), int(idx[2]), w.lead)
-            )
+        # One call per lead: each index maps on its own, and the call builds the grid once.
+        idx = map_sample_indices(
+            [i for w in ws for i in (w.onset, w.peak, w.offset)], record.n_samples,
+            record.sampling_rate, out.n_samples, out.sampling_rate,
+        ).reshape(-1, 3).tolist()
+        mapped[lead] = [WaveAnnotation(w.wave_type, *row, w.lead) for w, row in zip(ws, idx)]
     save_json_record(args.output, out, mapped)
     print(f"resampled {record.record_id}: {record.n_samples} samples @ {record.sampling_rate:g} Hz "
           f"-> {out.n_samples} @ {out.sampling_rate:g} Hz")
@@ -177,6 +174,17 @@ def cmd_train(args) -> int:
 
     if args.resume:
         model, adam, rng = load_training_checkpoint(args.resume)
+        # The checkpoint fixes the model and Adam; a setting some layer gives must agree.
+        given = build_model_config(values)
+        for section, key, value, saved in (
+            ("model", "encoder_widths", given.encoder_widths, model.config.encoder_widths),
+            ("model", "bottleneck_width", given.bottleneck_width, model.config.bottleneck_width),
+            ("train", "learning_rate", train_cfg.learning_rate, adam.lr),
+        ):
+            if key in values[section] and value != saved:
+                raise ConfigurationError(
+                    f"{args.resume}: {key} is {value} here but {saved} in the checkpoint"
+                )
         print(f"resuming from {args.resume} at step {model.step_count}")
     else:
         model = SegmentationModel(build_model_config(values))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -111,14 +112,22 @@ class ResamplePlan:
     target_times: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.source_rate > 0 or not self.target_rate > 0:
-            raise SignalError("sampling rates must be positive")
+        if not (0 < self.source_rate < math.inf and 0 < self.target_rate < math.inf):
+            raise SignalError(
+                f"sampling rates must be positive and finite, got {self.source_rate!r} "
+                f"and {self.target_rate!r}"
+            )
         if self.n < 1:
             raise SignalError("source sample count must be >= 1")
         duration = self.n / self.source_rate
         self.m = _exact_ceil_product(self.target_rate, self.n, self.source_rate)
         self.source_times = midpoint_grid(self.n, duration)
         self.target_times = midpoint_grid(self.m, duration)
+
+    @cached_property
+    def source_knots(self) -> _Knots:
+        """The source grid's spline system, eliminated once for every lead."""
+        return _Knots(self.source_times)
 
 
 @dataclass
@@ -136,52 +145,66 @@ class CubicSpline:
     d: np.ndarray
 
 
+class _Knots:
+    """Strictly increasing knots with the moment system's forward elimination done.
+
+    The natural spline's interior second derivatives (moments) solve a
+    tridiagonal system (Thomas algorithm) whose matrix depends only on the
+    knot spacing h: row e holds h[e], 2*(h[e] + h[e+1]), h[e+1]. So the
+    pivots ``den`` and the normalised upper diagonal ``cp`` are computed
+    once here, and ``fit`` runs only the two substitutions for each value
+    sequence. The loops run on Python floats, whose ``+ - * /`` round as
+    numpy's float64 scalars do. A 0.0 stands in for the first row's lower
+    term and the last row's upper term: x - 0.0 * 0.0 is x, bit for bit.
+    """
+
+    def __init__(self, t: np.ndarray) -> None:
+        if t.size < 2:
+            raise SignalError(f"need at least 2 points to fit a spline, got {t.size}")
+        h = np.diff(t)
+        if not np.all(h > 0):
+            raise SignalError("times must be strictly increasing with no duplicates")
+        self.t, self.h = t, h
+        self.lower = [0.0] + h[1:-1].tolist()
+        den, cp = [], []
+        c = 0.0
+        for lo, dg, up in zip(self.lower, (2.0 * (h[:-1] + h[1:])).tolist(), h[1:].tolist()):
+            dn = dg - lo * c
+            c = up / dn
+            den.append(dn)
+            cp.append(c)
+        self.den, self.cp_back = den, [0.0] + cp[-2::-1]
+
+    def fit(self, y: np.ndarray) -> CubicSpline:
+        t, h = self.t, self.h
+        slopes = np.diff(y) / h
+        moments = np.zeros(t.size)
+        if t.size > 2:
+            rhs = (6.0 * np.diff(slopes)).tolist()
+            x = 0.0
+            dp = [x := (r - lo * x) / dn for r, lo, dn in zip(rhs, self.lower, self.den)]
+            x = 0.0
+            moments[-2:0:-1] = [x := d - c * x for d, c in zip(reversed(dp), self.cp_back)]
+
+        a = y[:-1].copy()
+        b = slopes - h * (2.0 * moments[:-1] + moments[1:]) / 6.0
+        c = moments[:-1] / 2.0
+        d = np.diff(moments) / (6.0 * h)
+        return CubicSpline(knots=t.copy(), a=a, b=b, c=c, d=d)
+
+
 def fit_spline(times, values) -> CubicSpline:
     """Fit a natural cubic spline (zero second derivative at both ends).
 
     Interpolates every input point; requires >= 2 strictly increasing times.
+    The elimination depends only on the times, so ``resample`` does it once
+    per grid (``ResamplePlan.source_knots``) and reuses it for every lead.
     """
     t = np.asarray(times, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
     if t.ndim != 1 or t.shape != y.shape:
         raise SignalError("times and values must be 1-D arrays of equal length")
-    if t.size < 2:
-        raise SignalError(f"need at least 2 points to fit a spline, got {t.size}")
-    if not np.all(np.diff(t) > 0):
-        raise SignalError("times must be strictly increasing with no duplicates")
-
-    n = t.size
-    h = np.diff(t)
-    slopes = np.diff(y) / h
-
-    # Second derivatives (moments) at the knots; natural ends are zero and
-    # the interior ones solve a tridiagonal system (Thomas algorithm).
-    moments = np.zeros(n)
-    k = n - 2
-    if k > 0:
-        lower = h[:-1]
-        diag = 2.0 * (h[:-1] + h[1:])
-        upper = h[1:]
-        rhs = 6.0 * np.diff(slopes)
-        cp = np.empty(k)
-        dp = np.empty(k)
-        cp[0] = upper[0] / diag[0]
-        dp[0] = rhs[0] / diag[0]
-        for e in range(1, k):
-            denom = diag[e] - lower[e] * cp[e - 1]
-            cp[e] = upper[e] / denom
-            dp[e] = (rhs[e] - lower[e] * dp[e - 1]) / denom
-        sol = np.empty(k)
-        sol[-1] = dp[-1]
-        for e in range(k - 2, -1, -1):
-            sol[e] = dp[e] - cp[e] * sol[e + 1]
-        moments[1:-1] = sol
-
-    a = y[:-1].copy()
-    b = slopes - h * (2.0 * moments[:-1] + moments[1:]) / 6.0
-    c = moments[:-1] / 2.0
-    d = np.diff(moments) / (6.0 * h)
-    return CubicSpline(knots=t.copy(), a=a, b=b, c=c, d=d)
+    return _Knots(t).fit(y)
 
 
 def eval_spline(spline: CubicSpline, query) -> np.ndarray | float:
@@ -205,15 +228,16 @@ def resample(record: EcgRecord, target_rate: float) -> EcgRecord:
     """Resample every lead to target_rate via the midpoint-grid spline path.
 
     Output has exactly ceil(target_rate * duration) samples per lead;
-    lead order is preserved.
+    lead order is preserved. Every lead shares the source grid, so one
+    elimination of the spline system serves them all; each lead is then
+    fitted and evaluated on its own.
     """
     if not target_rate > 0:
         raise SignalError(f"target rate must be positive, got {target_rate}")
     plan = ResamplePlan(record.sampling_rate, target_rate, record.n_samples)
     out = np.empty((len(record.leads), plan.m), dtype=np.float64)
     for row in range(len(record.leads)):
-        spline = fit_spline(plan.source_times, record.signals[row])
-        out[row] = eval_spline(spline, plan.target_times)
+        out[row] = eval_spline(plan.source_knots.fit(record.signals[row]), plan.target_times)
     return EcgRecord(
         record_id=record.record_id,
         leads=list(record.leads),

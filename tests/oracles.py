@@ -43,6 +43,45 @@ def natural_spline_coeffs_dense(t, y):
     return a, b, c, d
 
 
+def fit_spline_scalar(t, y):
+    """Natural cubic spline coefficients, one Thomas solve on numpy scalars.
+
+    The per-lead solve ``signal.fit_spline`` ran before it shared the
+    elimination between leads and moved its loops to Python floats; the
+    library must match it bit for bit. Returns (a, b, c, d) per interval.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = t.size
+    h = np.diff(t)
+    slopes = np.diff(y) / h
+    moments = np.zeros(n)
+    k = n - 2
+    if k > 0:
+        lower = h[:-1]
+        diag = 2.0 * (h[:-1] + h[1:])
+        upper = h[1:]
+        rhs = 6.0 * np.diff(slopes)
+        cp = np.empty(k)
+        dp = np.empty(k)
+        cp[0] = upper[0] / diag[0]
+        dp[0] = rhs[0] / diag[0]
+        for e in range(1, k):
+            denom = diag[e] - lower[e] * cp[e - 1]
+            cp[e] = upper[e] / denom
+            dp[e] = (rhs[e] - lower[e] * dp[e - 1]) / denom
+        sol = np.empty(k)
+        sol[-1] = dp[-1]
+        for e in range(k - 2, -1, -1):
+            sol[e] = dp[e] - cp[e] * sol[e + 1]
+        moments[1:-1] = sol
+    a = y[:-1].copy()
+    b = slopes - h * (2.0 * moments[:-1] + moments[1:]) / 6.0
+    c = moments[:-1] / 2.0
+    d = np.diff(moments) / (6.0 * h)
+    return a, b, c, d
+
+
 def eval_cubic_dense(t, y, queries):
     """Evaluate the dense-solve natural spline piecewise, clamping to end intervals."""
     t = np.asarray(t, dtype=np.float64)

@@ -5,6 +5,7 @@ import pytest
 
 from ecgseg import wfdb
 from ecgseg.cli import main
+from ecgseg.signal import map_sample_indices
 from ecgseg.unet import SegmentationModel, load_container, save_weights, tiny_config
 from ecgseg.wfdb import load_json_record, save_json_record
 from synth import make_ecg_record, write_wfdb_fixture
@@ -155,6 +156,23 @@ class TestResample:
         high_rec, _ = load_json_record(high)
         assert high_rec.n_samples == 5000
 
+    @pytest.mark.parametrize("rate", ["250", "360", "1000"])
+    def test_waves_map_as_one_wave_at_a_time(self, json_dir, tmp_path, rate):
+        target = tmp_path / "out.json"
+        assert main(["resample", str(json_dir / "rec0.json"), str(target), "--rate", rate]) == 0
+        original, waves = load_json_record(json_dir / "rec0.json")
+        resampled, mapped = load_json_record(target)
+        assert mapped.keys() == waves.keys()
+        for lead, ws in waves.items():
+            expected = [
+                (w.wave_type, *map_sample_indices([w.onset, w.peak, w.offset], original.n_samples,
+                                                  original.sampling_rate, resampled.n_samples,
+                                                  resampled.sampling_rate).tolist(), w.lead)
+                for w in ws
+            ]
+            assert [(w.wave_type, w.onset, w.peak, w.offset, w.lead)
+                    for w in mapped[lead]] == expected
+
     def test_zero_rate_usage_error(self, json_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["resample", str(json_dir / "rec0.json"), str(tmp_path / "x.json"),
@@ -201,7 +219,7 @@ class TestTrain:
         args.remove(str(json_dir))
         assert main(args) == 0
 
-    def test_resume_matches_uninterrupted(self, json_dir, tmp_path, capsys):
+    def resume_matches_uninterrupted(self, json_dir, tmp_path, resume_flags):
         full_out = tmp_path / "full"
         assert main(self.train_args(json_dir, full_out, ["--iterations", "6"])) == 0
 
@@ -213,9 +231,48 @@ class TestTrain:
         assert main([
             "train", "--data-root", str(json_dir), "--out", str(resumed_out),
             "--iterations", "6", "--batch-size", "2", "--seed", "5",
-            "--resume", str(half_out / "step-000003.ckpt"),
+            "--resume", str(half_out / "step-000003.ckpt"), *resume_flags,
         ]) == 0
         assert (resumed_out / "model.ckpt").read_bytes() == (full_out / "model.ckpt").read_bytes()
+
+    def test_resume_matches_uninterrupted(self, json_dir, tmp_path, capsys):
+        self.resume_matches_uninterrupted(json_dir, tmp_path, [])
+
+    def test_resume_with_the_checkpoints_values_matches_uninterrupted(self, json_dir, tmp_path):
+        self.resume_matches_uninterrupted(json_dir, tmp_path, [
+            "--encoder-widths", "1,1,1,1", "--bottleneck-width", "1", "--learning-rate", "0.001",
+        ])
+
+    @pytest.mark.parametrize("ini,flags,message", [
+        ("", ["--encoder-widths", "2,2,2,2", "--bottleneck-width", "7", "--learning-rate", "0.5"],
+         "encoder_widths is (2, 2, 2, 2) here but (1, 1, 1, 1) in the checkpoint"),
+        ("", ["--bottleneck-width", "7"], "bottleneck_width is 7 here but 1 in the checkpoint"),
+        ("", ["--learning-rate", "0.5"], "learning_rate is 0.5 here but 0.001 in the checkpoint"),
+        ("[train]\nlearning_rate = 0.5\n", [],
+         "learning_rate is 0.5 here but 0.001 in the checkpoint"),
+        ("[model]\nbottleneck_width = 7\n", [],
+         "bottleneck_width is 7 here but 1 in the checkpoint"),
+        ("", ["--preset", "drill"],
+         "encoder_widths is (4, 8, 16, 32) here but (1, 1, 1, 1) in the checkpoint"),
+    ], ids=["found-case", "bottleneck-flag", "learning-rate-flag", "learning-rate-file",
+            "bottleneck-file", "preset"])
+    def test_resume_rejects_other_model_or_learning_rate(self, json_dir, tmp_path, capsys,
+                                                         ini, flags, message):
+        half_out = tmp_path / "half"
+        assert main(self.train_args(
+            json_dir, half_out, ["--iterations", "1", "--checkpoint-every", "1"],
+        )) == 0
+        checkpoint = half_out / "step-000001.ckpt"
+        config = tmp_path / "run.ini"
+        config.write_text(ini)
+        capsys.readouterr()
+        code = main(["train", "--data-root", str(json_dir), "--out", str(tmp_path / "run"),
+                     "--config", str(config), "--iterations", "2", "--resume", str(checkpoint),
+                     *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {checkpoint}: {message}\n"
+        assert not (tmp_path / "run" / "model.ckpt").exists()
 
     @pytest.mark.parametrize("case", TRAINER_CORRUPTIONS)
     def test_corrupt_trainer_state_fails_with_one_line(self, json_dir, tmp_path, capsys, case):

@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgseg.delineate import delineate
 from ecgseg.signal import (
+    CubicSpline,
     EcgRecord,
     ResamplePlan,
     SignalError,
@@ -13,7 +17,8 @@ from ecgseg.signal import (
     midpoint_grid,
     resample,
 )
-from oracles import eval_cubic_dense, natural_spline_coeffs_dense
+from ecgseg.unet import SegmentationModel, tiny_config
+from oracles import eval_cubic_dense, fit_spline_scalar, natural_spline_coeffs_dense
 
 
 def make_record(signals, rate, leads=None, record_id="rec"):
@@ -108,6 +113,76 @@ class TestFitSpline:
         assert 2 * s.c[-1] + 6 * s.d[-1] * hn == pytest.approx(0.0, abs=1e-9)
 
 
+def _knots(n, kind):
+    if kind == "midpoint":
+        return midpoint_grid(n, n / 360.0)
+    return np.cumsum(np.random.default_rng(n).uniform(1e-3, 1.0, size=n))
+
+
+def _values(t, kind):
+    if kind == "constant":
+        return np.full(t.size, -1.25)
+    if kind == "linear":
+        return 0.7 * t - 3.0
+    return np.random.default_rng(t.size + 1).integers(-2000, 2000, size=t.size) / 1000.0
+
+
+def _resample_scalar(record, target_rate):
+    """``resample`` with each lead's spline from the numpy-scalar oracle."""
+    plan = ResamplePlan(record.sampling_rate, target_rate, record.n_samples)
+    return np.stack([
+        eval_spline(CubicSpline(plan.source_times, *fit_spline_scalar(plan.source_times, row)),
+                    plan.target_times)
+        for row in record.signals
+    ])
+
+
+# (source rate, target rate, seed) -> sha256 of resample(...).signals of a
+# 10 s 12-lead record of integer-millivolt steps, as the per-lead
+# numpy-scalar solve gave them. The inputs avoid sin/exp, so the digests do
+# not depend on a CPU's vector math.
+RESAMPLE_DIGESTS = {
+    (50.0, 500.0, 0): "76582c4fb6254b59f1012158cdea46ed71d5ef037ba41234446f763a04fd7f1d",
+    (250.0, 500.0, 1): "0f3e4a594991e46ec61f33197d2633c0c06481eb4a6e85de084ca1b37bd5d542",
+    (360.0, 500.0, 2): "3a8463b3d5e61276fe0d34c330451cefd110978767b67eff52d4ff392e03b6b2",
+    (1000.0, 500.0, 3): "457ab956798a28dd529b0c268e4032800522ff0fab035cc4bdaa164e7abec646",
+    (500.0, 250.0, 4): "dce667660ca680311422c5d91ccfea9180b0db6a76224a10badb634874ec146a",
+}
+
+
+def _digest_record(source_rate, seed):
+    rng = np.random.default_rng(seed)
+    n = int(source_rate * 10)
+    return make_record(rng.integers(-2000, 2000, size=(12, n)) / 1000.0, source_rate)
+
+
+class TestSplineBits:
+    """The shared elimination gives the per-lead numpy-scalar solve's bits."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 2500, 3600, 10000])
+    @pytest.mark.parametrize("knots", ["midpoint", "non-uniform"])
+    @pytest.mark.parametrize("values", ["constant", "linear", "random"])
+    def test_coefficients_match_scalar_solve(self, n, knots, values):
+        t = _knots(n, knots)
+        y = _values(t, values)
+        s = fit_spline(t, y)
+        for name, got, want in zip("abcd", (s.a, s.b, s.c, s.d), fit_spline_scalar(t, y)):
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("source,target", [
+        (50.0, 500.0), (250.0, 500.0), (360.0, 500.0), (1000.0, 500.0), (500.0, 250.0),
+    ])
+    def test_resample_matches_scalar_solve(self, source, target):
+        record = _digest_record(source, seed=7)
+        assert resample(record, target).signals.tobytes() == \
+            _resample_scalar(record, target).tobytes()
+
+    @pytest.mark.parametrize("source,target,seed", list(RESAMPLE_DIGESTS))
+    def test_resample_digest_is_unchanged(self, source, target, seed):
+        out = resample(_digest_record(source, seed), target).signals
+        assert hashlib.sha256(out.tobytes()).hexdigest() == RESAMPLE_DIGESTS[source, target, seed]
+
+
 class TestEvalSpline:
     def test_interpolates_knots_exactly(self):
         rng = np.random.default_rng(5)
@@ -196,6 +271,21 @@ class TestResamplePlan:
         # 3 * (10/3) crosses 10.0 in floats; the plan must still give m = 10.
         plan = ResamplePlan(3.0, 3.0, 10)
         assert plan.m == 10
+
+    @pytest.mark.parametrize("source,target", [
+        (np.inf, 500.0), (500.0, np.inf), (-np.inf, 500.0), (np.nan, 500.0), (500.0, np.nan),
+    ])
+    def test_rejects_non_finite_rates(self, source, target):
+        with pytest.raises(SignalError, match="positive and finite"):
+            ResamplePlan(source, target, 10)
+
+    def test_infinite_target_rate_is_a_signal_error(self):
+        record = make_record(np.zeros((2, 10)), 10.0)
+        with pytest.raises(SignalError, match="positive and finite"):
+            resample(record, np.inf)
+        model = SegmentationModel(tiny_config())
+        with pytest.raises(SignalError, match="positive and finite"):
+            delineate(record, model, "per-lead", native_rate=np.inf)
 
     def test_grids_inside_open_interval(self):
         plan = ResamplePlan(500.0, 50.0, 5000)
