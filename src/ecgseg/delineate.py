@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal import EcgRecord, map_sample_indices, resample
+from .signal import EcgRecord, is_sampling_rate, map_sample_indices, resample
 from .wfdb import CLASS_NAMES, MASK_NONE, WAVE_TYPES
 
 MODES = ("per-lead", "avg", "lead2")
@@ -64,6 +64,19 @@ class DelineationResult:
         for key in ("record_id", "mode", "sampling_rate", "waves"):
             if key not in doc:
                 raise DelineationError(f"delineation document: missing key {key!r}")
+        if not isinstance(doc["record_id"], str):
+            raise DelineationError(
+                f"delineation document: record_id must be a string, got {doc['record_id']!r}"
+            )
+        if doc["mode"] not in MODES:
+            raise DelineationError(
+                f"delineation document: unknown mode {doc['mode']!r} (modes: {', '.join(MODES)})"
+            )
+        if not is_sampling_rate(doc["sampling_rate"]):
+            raise DelineationError(
+                f"delineation document: sampling_rate must be a positive number, "
+                f"got {doc['sampling_rate']!r}"
+            )
         if not isinstance(doc["waves"], list):
             raise DelineationError("delineation document: waves must be a list")
         streams: dict[str, list[WavePrediction]] = {}
@@ -82,6 +95,8 @@ class DelineationResult:
             for key in ("onset", "offset"):
                 if type(w[key]) is not int:  # int() would truncate 1.7 and take true as 1
                     raise DelineationError(f"waves[{i}]: {key} must be an integer, got {w[key]!r}")
+            if w["onset"] < 0:
+                raise DelineationError(f"waves[{i}]: onset must be >= 0, got {w['onset']}")
             prediction = WavePrediction(w["type"], w["onset"], w["offset"])
             streams.setdefault(w["lead"], []).append(prediction)
         for waves in streams.values():
@@ -109,20 +124,30 @@ def argmax_labels(scores: np.ndarray) -> np.ndarray:
     return scores.argmax(axis=0).astype(np.int8)
 
 
-def extract_segments(mask: np.ndarray) -> list[WavePrediction]:
-    """Maximal runs of identical non-NONE labels, as [onset, offset] waves."""
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of identical non-NONE labels as (onsets, offsets, classes) arrays."""
     mask = np.asarray(mask)
     if mask.size == 0:
-        return []
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
     boundaries = np.flatnonzero(np.diff(mask)) + 1
     starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [mask.size]])
-    waves = []
-    for s, e in zip(starts, ends):
-        cls = int(mask[s])
-        if cls != MASK_NONE:
-            waves.append(WavePrediction(CLASS_NAMES[cls], int(s), int(e - 1)))
-    return waves
+    ends = np.concatenate([boundaries, [mask.size]]) - 1
+    classes = mask[starts]
+    keep = classes != MASK_NONE
+    return starts[keep], ends[keep], classes[keep]
+
+
+def _predictions(onsets, offsets, classes) -> list[WavePrediction]:
+    return [
+        WavePrediction(CLASS_NAMES[c], s, e)
+        for s, e, c in zip(onsets.tolist(), offsets.tolist(), classes.tolist())
+    ]
+
+
+def extract_segments(mask: np.ndarray) -> list[WavePrediction]:
+    """Maximal runs of identical non-NONE labels, as [onset, offset] waves."""
+    return _predictions(*_runs(mask))
 
 
 def average_leads(score_matrices) -> np.ndarray:
@@ -135,14 +160,6 @@ def average_leads(score_matrices) -> np.ndarray:
         if m.shape != shape:
             raise DelineationError(f"score shapes differ: {shape} vs {m.shape}")
     return np.mean(np.stack(matrices), axis=0)
-
-
-def _waves_from_scores(scores: np.ndarray, rate: float, min_duration_ms: float):
-    waves = extract_segments(argmax_labels(scores))
-    if min_duration_ms > 0:
-        min_samples = min_duration_ms * rate / 1000.0
-        waves = [w for w in waves if (w.offset - w.onset + 1) >= min_samples]
-    return waves
 
 
 def delineate(record: EcgRecord, model, mode: str, native_rate: float = 500.0,
@@ -170,23 +187,22 @@ def delineate(record: EcgRecord, model, mode: str, native_rate: float = 500.0,
     model.eval()
     rows = model.scores(work.signals[[work.lead_index(name) for name in lead_names]])
     scores = dict(zip(lead_names, rows))
+    if mode == "avg":
+        scores = {AVERAGED_STREAM: average_leads(list(scores.values()))}
 
     streams: dict[str, list[WavePrediction]] = {}
-    if mode == "avg":
-        combined = average_leads(list(scores.values()))
-        streams[AVERAGED_STREAM] = _waves_from_scores(combined, native_rate, min_duration_ms)
-    else:
-        for name in lead_names:
-            streams[name] = _waves_from_scores(scores[name], native_rate, min_duration_ms)
-
-    if work is not record:
-        for waves in streams.values():
-            for w in waves:
-                mapped = map_sample_indices(
-                    [w.onset, w.offset], work.n_samples, native_rate,
-                    record.n_samples, record.sampling_rate,
-                )
-                w.onset, w.offset = int(mapped[0]), int(mapped[1])
+    for stream, stream_scores in scores.items():
+        onsets, offsets, classes = _runs(argmax_labels(stream_scores))
+        if min_duration_ms > 0:
+            keep = offsets - onsets + 1 >= min_duration_ms * native_rate / 1000.0
+            onsets, offsets, classes = onsets[keep], offsets[keep], classes[keep]
+        if work is not record and onsets.size:
+            # One call per stream: each index maps on its own, and the call builds the grid once.
+            onsets, offsets = map_sample_indices(
+                np.concatenate([onsets, offsets]), work.n_samples, native_rate,
+                record.n_samples, record.sampling_rate,
+            ).reshape(2, -1)
+        streams[stream] = _predictions(onsets, offsets, classes)
     return DelineationResult(
         record_id=record.record_id,
         mode=mode,

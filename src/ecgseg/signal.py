@@ -20,6 +20,16 @@ class SignalError(ValueError):
     """Invalid signal data or resampling arguments."""
 
 
+def is_sampling_rate(value) -> bool:
+    """A finite positive number; a bool is not one (JSON ``true`` is not 1 Hz)."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return bool(np.isfinite(value) and value > 0)
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass
 class EcgRecord:
     """Multi-lead voltage sequences with a common sampling rate.
@@ -52,12 +62,8 @@ class EcgRecord:
                 f"record {self.record_id!r}: lead {self.leads[row]!r} has a non-finite "
                 f"sample ({self.signals[row, col]}) at index {col}"
             )
-        try:
-            rate_ok = np.isfinite(self.sampling_rate) and self.sampling_rate > 0
-        except TypeError:
-            rate_ok = False
-        if not rate_ok:
-            raise SignalError(f"sampling_rate must be positive, got {self.sampling_rate!r}")
+        if not is_sampling_rate(self.sampling_rate):
+            raise SignalError(f"sampling_rate must be a positive number, got {self.sampling_rate!r}")
 
     @property
     def n_samples(self) -> int:

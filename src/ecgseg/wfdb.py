@@ -57,6 +57,10 @@ class JsonFormatError(WfdbError):
     pass
 
 
+class SignalChecksumError(WfdbError):
+    """A signal's samples disagree with its header's initial value or checksum."""
+
+
 class AnnotationWarning(UserWarning):
     """Recoverable oddity in an annotation stream (skipped content)."""
 
@@ -69,6 +73,8 @@ class SignalSpec:
     adc_zero: int
     units: str
     lead_name: str
+    initial_value: int | None = None
+    checksum: int | None = None
 
 
 @dataclass
@@ -169,10 +175,19 @@ def _parse_signal_line(lineno: int, line: str, idx: int) -> SignalSpec:
         raise HeaderParseError(f"line {lineno}: malformed gain field {gain_token!r}") from None
     if not np.isfinite(gain) or gain <= 0:
         raise HeaderParseError(f"line {lineno}: gain must be positive, got {gain}")
-    # Description is everything after the checksums when present, else the
-    # last token; LUDB uses single-token lead names.
+    # A full line has adcres, adczero, initial value, checksum and block size
+    # before the description; a shorter one is read with its description as
+    # the last token. LUDB uses single-token lead names.
+    initial_value = checksum = None
     if len(tokens) >= 9:
         lead_name = " ".join(tokens[8:])
+        try:
+            initial_value, checksum = int(tokens[5]), int(tokens[6])
+        except ValueError:
+            raise HeaderParseError(
+                f"line {lineno}: initial value and checksum must be integers, "
+                f"got {tokens[5]!r} and {tokens[6]!r}"
+            ) from None
     elif len(tokens) >= 4:
         lead_name = tokens[-1]
     else:
@@ -184,6 +199,8 @@ def _parse_signal_line(lineno: int, line: str, idx: int) -> SignalSpec:
         adc_zero=adc_zero,
         units=units or "mV",
         lead_name=lead_name,
+        initial_value=initial_value,
+        checksum=checksum,
     )
 
 
@@ -192,7 +209,9 @@ def read_signal_format16(data: bytes, header: HeaderInfo) -> EcgRecord:
 
     Physical value = (raw - adc_zero) / gain per signal. A raw -32768,
     the format's invalid-sample marker, becomes NaN, which EcgRecord
-    rejects by record, lead and index.
+    rejects by record, lead and index. A signal whose header line carries
+    an initial value and checksum must then match them: the first raw
+    sample, and the 16-bit two's-complement sum of all of them.
     """
     expected = 2 * header.n_signals * header.n_samples
     if len(data) != expected:
@@ -204,12 +223,27 @@ def read_signal_format16(data: bytes, header: HeaderInfo) -> EcgRecord:
     for j, spec in enumerate(header.signals):
         signals[j] = (raw[:, j].astype(np.float64) - spec.adc_zero) / spec.gain
     signals[raw.T == _INVALID_SAMPLE] = np.nan
-    return EcgRecord(
+    record = EcgRecord(
         record_id=header.record_name,
         leads=header.lead_names,
         signals=signals,
         sampling_rate=header.sampling_rate,
     )
+    for j, spec in enumerate(header.signals):
+        if spec.checksum is None:
+            continue
+        where = f"record {header.record_name!r}: signal {j} ({spec.lead_name!r})"
+        first = int(raw[0, j])
+        if first != spec.initial_value:
+            raise SignalChecksumError(
+                f"{where}: header initial value {spec.initial_value}, first sample {first}"
+            )
+        checksum = (int(raw[:, j].sum(dtype=np.int64)) + 32768) % 65536 - 32768
+        if checksum != spec.checksum:
+            raise SignalChecksumError(
+                f"{where}: header checksum {spec.checksum}, samples sum to {checksum}"
+            )
+    return record
 
 
 @dataclass
@@ -404,6 +438,8 @@ def _sample_index(doc, key: str, where: str) -> int:
 
 def record_from_json(doc: dict) -> tuple[EcgRecord, dict[str, list[WaveAnnotation]]]:
     record_id = _require(doc, "record_id", "document")
+    if not isinstance(record_id, str):
+        raise JsonFormatError(f"document: record_id must be a string, got {record_id!r}")
     sampling_rate = _require(doc, "sampling_rate", "document")
     leads_doc = _require(doc, "leads", "document")
     if not isinstance(leads_doc, list) or not leads_doc:

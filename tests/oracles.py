@@ -219,3 +219,53 @@ def finite_difference_grad(scalar_fn, array, h=1e-5):
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def delineate_per_wave(record, model, mode, native_rate=500.0, min_duration_ms=0.0):
+    """``delineate.delineate`` as it ran with one mapping call per wave.
+
+    Each wave is cut from the argmax labels, filtered and built on its
+    own, then mapped back to the record's grid with its own
+    ``map_sample_indices`` call. The library maps a whole stream in one
+    call and must give the same waves. Returns {stream: [(type, onset,
+    offset), ...]}.
+    """
+    from ecgseg.signal import map_sample_indices, resample
+
+    names = {1: "P", 2: "QRS", 3: "T"}
+    if mode == "lead2":
+        lead_names = [record.leads[record.lead_index("ii")]]
+    else:
+        lead_names = list(record.leads)
+    work = record if record.sampling_rate == native_rate else resample(record, native_rate)
+    model.eval()
+    rows = model.scores(work.signals[[work.lead_index(name) for name in lead_names]])
+    scores = dict(zip(lead_names, rows))
+    if mode == "avg":
+        by_stream = {"avg": np.mean(np.stack(list(scores.values())), axis=0)}
+    else:
+        by_stream = {name: scores[name] for name in lead_names}
+
+    streams = {}
+    for stream, stream_scores in by_stream.items():
+        mask = np.asarray(stream_scores).argmax(axis=0)
+        waves = []
+        if mask.size:
+            boundaries = np.flatnonzero(np.diff(mask)) + 1
+            starts = np.concatenate([[0], boundaries])
+            ends = np.concatenate([boundaries, [mask.size]])
+            for s, e in zip(starts, ends):
+                if int(mask[s]) != 0:
+                    waves.append([names[int(mask[s])], int(s), int(e - 1)])
+        if min_duration_ms > 0:
+            min_samples = min_duration_ms * native_rate / 1000.0
+            waves = [w for w in waves if (w[2] - w[1] + 1) >= min_samples]
+        if work is not record:
+            for w in waves:
+                mapped = map_sample_indices(
+                    [w[1], w[2]], work.n_samples, native_rate,
+                    record.n_samples, record.sampling_rate,
+                )
+                w[1], w[2] = int(mapped[0]), int(mapped[1])
+        streams[stream] = [tuple(w) for w in waves]
+    return streams

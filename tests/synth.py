@@ -60,7 +60,8 @@ def waves_to_events(waves):
 def write_wfdb_fixture(directory, record: EcgRecord, waves_by_lead, gain=1000.0):
     """Write header, format-16 .dat, and per-lead annotation files.
 
-    Signals are quantized to int16 at the given gain; returns the header
+    Signals are quantized to int16 at the given gain; each signal line
+    carries the true initial value and 16-bit checksum. Returns the header
     path, the quantized raw matrix, and the annotation-file map.
     """
     directory.mkdir(parents=True, exist_ok=True)
@@ -68,8 +69,9 @@ def write_wfdb_fixture(directory, record: EcgRecord, waves_by_lead, gain=1000.0)
     raw = np.clip(np.round(record.signals * gain), -32767, 32767).astype(np.int16)
     name = record.record_id
     lines = [f"{name} {len(record.leads)} {record.sampling_rate:g} {record.n_samples}"]
-    for lead in record.leads:
-        lines.append(f"{name}.dat 16 {gain:g}(0)/mV 16 0 0 0 0 {lead}")
+    for j, lead in enumerate(record.leads):
+        checksum = (int(raw[j].sum(dtype=np.int64)) + 32768) % 65536 - 32768
+        lines.append(f"{name}.dat 16 {gain:g}(0)/mV 16 0 {raw[j, 0]} {checksum} 0 {lead}")
     header_path = directory / f"{name}.hea"
     header_path.write_text("\n".join(lines) + "\n")
     (directory / f"{name}.dat").write_bytes(

@@ -76,6 +76,18 @@ class TestConvert:
         assert "100.hea" in err[0] and "index 40" in err[0]
         assert not (out / "100.json").exists() and (out / "101.json").exists()
 
+    def test_checksum_mismatch_fails_the_record(self, wfdb_dir, tmp_path, capsys):
+        dat = wfdb_dir / "100.dat"
+        raw = np.frombuffer(dat.read_bytes(), dtype="<i2").copy()
+        raw[3 * 40 + 2] += 1  # sample 40 of the third of three leads
+        dat.write_bytes(raw.tobytes())
+        out = tmp_path / "converted"
+        assert main(["convert", str(wfdb_dir), str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "FAILED 100.hea" in err[0] and "signal 2" in err[0] and "checksum" in err[0]
+        assert not (out / "100.json").exists() and (out / "101.json").exists()
+
     def test_parses_each_header_once(self, wfdb_dir, tmp_path, monkeypatch):
         calls, parse_header = [], wfdb.parse_header
 
@@ -466,6 +478,13 @@ MALFORMED_DELINEATIONS = [
                        '"waves": [{"lead": "avg", "type": "P", "onset": 0, "offset": true}]}'),
     ("unknown wave type", '{"record_id": "rec0", "mode": "avg", "sampling_rate": 500, '
                           '"waves": [{"lead": "avg", "type": "X", "onset": 1, "offset": 2}]}'),
+    ("list record id", '{"record_id": [1], "mode": "avg", "sampling_rate": 500, "waves": []}'),
+    ("unknown mode", '{"record_id": "rec0", "mode": "bogus", "sampling_rate": 500, "waves": []}'),
+    ("boolean rate", '{"record_id": "rec0", "mode": "avg", "sampling_rate": true, "waves": []}'),
+    ("zero rate", '{"record_id": "rec0", "mode": "avg", "sampling_rate": 0, "waves": []}'),
+    ("string rate", '{"record_id": "rec0", "mode": "avg", "sampling_rate": "500", "waves": []}'),
+    ("negative onset", '{"record_id": "rec0", "mode": "avg", "sampling_rate": 500, '
+                       '"waves": [{"lead": "avg", "type": "P", "onset": -5, "offset": 2}]}'),
 ]
 
 
@@ -491,6 +510,20 @@ class TestMalformedDelineation:
         assert code == 1
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert not (tmp_path / "out.svg").exists()
+
+
+class TestBadRecordRate:
+    @pytest.mark.parametrize("command", ["resample", "segment", "evaluate", "render"])
+    def test_boolean_rate_fails_with_one_line(self, json_dir, untrained_checkpoint, tmp_path,
+                                              capsys, command):
+        bad = json_dir / "rec0.json"
+        doc = json.loads(bad.read_text())
+        doc["sampling_rate"] = True  # was read as a 1 Hz record
+        bad.write_text(json.dumps(doc))
+        code = main(TestNonUtf8Record.COMMANDS[command](bad, tmp_path, untrained_checkpoint))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "sampling_rate must be a positive number, got True" in err and err.count("\n") == 1
 
 
 class TestNonUtf8Record:

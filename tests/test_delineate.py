@@ -1,9 +1,14 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgseg import delineate as delineate_module
 from ecgseg.delineate import (
+    MODES,
     DelineationError,
     DelineationResult,
     WavePrediction,
@@ -15,6 +20,7 @@ from ecgseg.delineate import (
 from ecgseg.signal import EcgRecord, resample
 from ecgseg.unet import SegmentationModel, tiny_config
 from ecgseg.wfdb import to_mask
+from oracles import delineate_per_wave
 from synth import make_ecg_record
 
 
@@ -196,6 +202,107 @@ class TestDelineate:
         assert len(filtered.streams["ii"]) == len(unfiltered.streams["ii"]) - n_short
 
 
+class BandModel:
+    """Scores by nearness to one amplitude per class: NONE 0, P 0.15, QRS 1, T 0.35 mV.
+
+    Elementwise float64 arithmetic only, so its labels, and the digests
+    below, depend neither on BLAS nor on a CPU's vector math.
+    """
+
+    LEVELS = np.array([0.0, 0.15, 1.0, 0.35])
+
+    def eval(self):
+        return self
+
+    def scores(self, signals):
+        return -(np.asarray(signals)[:, None, :] - self.LEVELS[:, None]) ** 2
+
+
+BAND_LEADS = ["i", "ii", "v1", "v2"]
+
+
+def band_record(rate, seed, duration=4.0):
+    """Runs of the four class amplitudes, 1 to rate/10 samples long, with
+    integer-microvolt noise; lead v2 is flat, so its stream has no waves."""
+    rng = np.random.default_rng(seed)
+    n = int(rate * duration)
+    rows = []
+    for _ in BAND_LEADS[:-1]:
+        labels = np.repeat(rng.integers(0, 4, size=n), rng.integers(1, int(rate) // 10, size=n))[:n]
+        rows.append(BandModel.LEVELS[labels] + rng.integers(-40, 40, size=n) / 1000.0)
+    rows.append(np.zeros(n))
+    return EcgRecord(f"band-{rate:g}", list(BAND_LEADS), np.array(rows), rate)
+
+
+def _triples(result):
+    return {
+        stream: [(w.wave_type, w.onset, w.offset) for w in waves]
+        for stream, waves in result.streams.items()
+    }
+
+
+# source rate -> sha256 of the delineation JSON texts of band_record(rate,
+# seed=rate) in each mode at min_duration_ms 0 and 20, one per line, as the
+# per-wave mapping gave them.
+DELINEATION_DIGESTS = {
+    250.0: "614f727e09c8d041aee5b303b7a916ee2b4dc75f164b08159daa19f52277ef3c",
+    360.0: "752f2fe1550836c1fa14aab15856cfd79b501ef94a35805fedb6fe11d8a2ca9c",
+    500.0: "9e771660cadd8e60aed02fc5906a808bbc1972fab66176678aacace3f0514f7e",
+    1000.0: "0f7cd90e756901031b62869da9b6b7a76f2e64a4d76bbc248e0fa676f7419437",
+}
+
+
+class TestStreamMapping:
+    """Whole-stream post-processing gives the per-wave loop's waves."""
+
+    @pytest.mark.parametrize("rate", [250.0, 360.0, 1000.0])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("min_duration_ms", [0.0, 20.0])
+    def test_matches_per_wave_oracle(self, rate, mode, min_duration_ms):
+        record = band_record(rate, seed=int(rate))
+        got = _triples(delineate(record, BandModel(), mode, min_duration_ms=min_duration_ms))
+        want = delineate_per_wave(record, BandModel(), mode, min_duration_ms=min_duration_ms)
+        assert got == want
+        if mode == "per-lead":
+            assert got["v2"] == [] and all(got[lead] for lead in BAND_LEADS[:-1])
+        if min_duration_ms:
+            unfiltered = delineate_per_wave(record, BandModel(), mode)
+            assert sum(map(len, want.values())) < sum(map(len, unfiltered.values()))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_trained_shape_model_matches_per_wave_oracle(self, tiny_model, mode):
+        record = resample(make_ecg_record(seed=9, n_leads=3, duration=4.0)[0], 360.0)
+        got = _triples(delineate(record, tiny_model, mode, min_duration_ms=10.0))
+        assert got == delineate_per_wave(record, tiny_model, mode, min_duration_ms=10.0)
+
+    def test_one_mapping_call_per_non_empty_stream(self, monkeypatch):
+        calls = []
+        original = delineate_module.map_sample_indices
+
+        def counting(indices, *grid):
+            calls.append(len(indices))
+            return original(indices, *grid)
+
+        monkeypatch.setattr(delineate_module, "map_sample_indices", counting)
+        result = delineate(band_record(250.0, seed=3), BandModel(), "per-lead")
+        waves = [len(result.streams[lead]) for lead in BAND_LEADS]
+        assert waves[-1] == 0 and min(waves[:-1]) > 0
+        assert calls == [2 * n for n in waves[:-1]]
+        calls.clear()
+        delineate(band_record(500.0, seed=3), BandModel(), "per-lead")
+        assert calls == []
+
+    @pytest.mark.parametrize("rate", [250.0, 360.0, 500.0, 1000.0])
+    def test_delineation_digest_is_unchanged(self, rate):
+        record = band_record(rate, seed=int(rate))
+        texts = [
+            json.dumps(delineate(record, BandModel(), mode, min_duration_ms=ms).to_json())
+            for mode in MODES for ms in (0.0, 20.0)
+        ]
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest == DELINEATION_DIGESTS[rate]
+
+
 class TestDelineationResultJson:
     def test_round_trip(self):
         result = DelineationResult(
@@ -234,6 +341,29 @@ class TestDelineationResultJson:
         wave = {"lead": "ii", "type": "P", "onset": 1, "offset": 5, key: value}
         doc = {"record_id": "x", "mode": "avg", "sampling_rate": 1.0, "waves": [wave]}
         with pytest.raises(DelineationError, match=f"waves\\[0\\]: {key} must be an integer"):
+            DelineationResult.from_json(doc)
+
+    @pytest.mark.parametrize("mode", ["bogus", "AVG", None, 2])
+    def test_unknown_mode_rejected(self, mode):
+        doc = {"record_id": "x", "mode": mode, "sampling_rate": 1.0, "waves": []}
+        with pytest.raises(DelineationError, match="unknown mode"):
+            DelineationResult.from_json(doc)
+
+    @pytest.mark.parametrize("rate", [True, False, 0, -250.0, float("nan"), float("inf"), "500", None, [500]])
+    def test_bad_sampling_rate_rejected(self, rate):
+        doc = {"record_id": "x", "mode": "avg", "sampling_rate": rate, "waves": []}
+        with pytest.raises(DelineationError, match="sampling_rate must be a positive number"):
+            DelineationResult.from_json(doc)
+
+    def test_integer_sampling_rate_accepted(self):
+        doc = {"record_id": "x", "mode": "lead2", "sampling_rate": 500, "waves": []}
+        assert DelineationResult.from_json(doc).sampling_rate == 500
+
+    @pytest.mark.parametrize("onset, offset", [(-5, 2), (-3, -1)])
+    def test_negative_onset_rejected(self, onset, offset):
+        wave = {"lead": "ii", "type": "P", "onset": onset, "offset": offset}
+        doc = {"record_id": "x", "mode": "avg", "sampling_rate": 1.0, "waves": [wave]}
+        with pytest.raises(DelineationError, match=f"waves\\[0\\]: onset must be >= 0, got {onset}"):
             DelineationResult.from_json(doc)
 
     @pytest.mark.parametrize("wave_type", ["X", "qrs", None, ["P"]])

@@ -13,6 +13,7 @@ from ecgseg.wfdb import (
     HeaderParseError,
     InvalidAnnotationError,
     JsonFormatError,
+    SignalChecksumError,
     TruncatedAnnotationError,
     TruncatedFileError,
     UnsupportedFormatError,
@@ -79,9 +80,10 @@ class TestParseHeader:
 
 class TestReadSignal:
     def header(self, nsig=1, nsamp=4, gain=1000.0, zero=0):
+        """Signal lines without initial value and checksum: nothing to check them against."""
         lines = [f"r {nsig} 500 {nsamp}"]
         for j in range(nsig):
-            lines.append(f"r.dat 16 {gain:g}({zero})/mV 16 0 0 0 0 ch{j}")
+            lines.append(f"r.dat 16 {gain:g}({zero})/mV ch{j}")
         return parse_header("\n".join(lines))
 
     def test_zero_raw_is_zero_mv(self):
@@ -115,6 +117,56 @@ class TestReadSignal:
         rec = read_signal_format16(raw.astype("<i2").tobytes(), self.header(nsig=3, nsamp=7))
         back = np.round(rec.signals * 1000.0).astype(np.int16)
         np.testing.assert_array_equal(back, raw.T)
+
+
+class TestSignalChecksums:
+    """A header's initial value and checksum are checked against the samples."""
+
+    def header(self, *fields):
+        lines = [f"r {len(fields)} 500 4"]
+        for j, (initial, checksum) in enumerate(fields):
+            lines.append(f"r.dat 16 1000(0)/mV 16 0 {initial} {checksum} 0 ch{j}")
+        return parse_header("\n".join(lines))
+
+    def test_fields_parsed(self):
+        spec = parse_header("1 1 500 5000\n1.dat 16 1000(0)/mV 16 0 -36 -1253 0 i").signals[0]
+        assert (spec.initial_value, spec.checksum) == (-36, -1253)
+
+    def test_fields_absent_without_a_full_line(self):
+        spec = parse_header("r 1 500 4\nr.dat 16 1000/mV ii").signals[0]
+        assert (spec.initial_value, spec.checksum) == (None, None)
+
+    def test_non_integer_field_rejected(self):
+        with pytest.raises(HeaderParseError, match="line 2: initial value and checksum"):
+            parse_header("r 1 500 4\nr.dat 16 1000/mV 16 0 0 x 0 ii")
+
+    def test_true_values_pass(self):
+        data = struct.pack("<8h", 1000, 7, -1000, 7, 500, 7, 0, 7)
+        rec = read_signal_format16(data, self.header((1000, 500), (7, 28)))
+        np.testing.assert_allclose(rec.signals[0], [1.0, -1.0, 0.5, 0.0])
+
+    def test_sum_wraps_to_sixteen_bits(self):
+        data = struct.pack("<4h", 30000, 30000, 30000, 30000)  # 120000 wraps to -11072
+        read_signal_format16(data, self.header((30000, -11072)))
+        with pytest.raises(SignalChecksumError, match="samples sum to -11072"):
+            read_signal_format16(data, self.header((30000, 120000)))
+
+    def test_checksum_mismatch_names_record_and_signal(self):
+        data = struct.pack("<8h", 1000, 7, -1000, 7, 500, 7, 0, 7)
+        with pytest.raises(SignalChecksumError,
+                           match=r"record 'r': signal 1 \('ch1'\): header checksum 27, samples sum to 28"):
+            read_signal_format16(data, self.header((1000, 500), (7, 27)))
+
+    def test_initial_value_mismatch_names_record_and_signal(self):
+        data = struct.pack("<4h", 1000, -1000, 500, 0)
+        with pytest.raises(SignalChecksumError,
+                           match=r"record 'r': signal 0 \('ch0'\): header initial value 0, first sample 1000"):
+            read_signal_format16(data, self.header((0, 500)))
+
+    def test_invalid_sample_reported_before_checksum(self):
+        data = struct.pack("<4h", 5, -32768, 8, 9)
+        with pytest.raises(SignalError, match="at index 1"):
+            read_signal_format16(data, self.header((5, 0)))
 
 
 class TestParseAnnotations:
@@ -219,6 +271,22 @@ class TestParserRobustness:
             parse_header(text)
         except WfdbError:
             pass
+
+    @pytest.mark.parametrize("record_id", [[1], 1, None])
+    def test_json_reader_rejects_non_string_record_id(self, record_id):
+        doc = {"record_id": record_id, "sampling_rate": 500,
+               "leads": [{"name": "i", "samples_mV": [0.0], "waves": []}]}
+        with pytest.raises(JsonFormatError, match="record_id must be a string"):
+            record_from_json(doc)
+
+    @pytest.mark.parametrize("rate", [True, False, "500", None, [500]])
+    def test_json_reader_rejects_non_numeric_rate(self, rate):
+        from ecgseg.wfdb import record_from_json
+
+        doc = {"record_id": "x", "sampling_rate": rate,
+               "leads": [{"name": "i", "samples_mV": [0.0, 1.0, 2.0], "waves": []}]}
+        with pytest.raises(JsonFormatError, match="sampling_rate must be a positive number"):
+            record_from_json(doc)
 
     def test_json_reader_rejects_wrong_shapes(self):
         from ecgseg.wfdb import record_from_json
