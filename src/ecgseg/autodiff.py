@@ -102,15 +102,20 @@ def _lead_workers() -> int:
 LEAD_WORKERS = _lead_workers()  # threads that share a split kernel or a scores() call
 
 
-class _PoolThread(threading.local):
-    active = False
+class _ThreadState(threading.local):
+    """Per-thread state, read and written by the thread itself only."""
+
+    pool = False  # a pool thread: split work called on it runs inline
+    # the (parameter, weight-gradient task) pairs of the backward() running on it
+    weight_grads: list[tuple[Tensor, _Task]] | None = None
+    recording = True  # ops record graph edges; False inside no_graph()
 
 
-_pool_thread = _PoolThread()
+_thread = _ThreadState()
 
 
 def _mark_pool_thread() -> None:
-    _pool_thread.active = True
+    _thread.pool = True
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,7 +176,7 @@ def run_chunks(n: int, run) -> None:
     inline, since a worker that waited on its own pool could deadlock it.
     """
     workers = min(LEAD_WORKERS, n)
-    if workers < 2 or _pool_thread.active:
+    if workers < 2 or _thread.pool:
         run(0, n)
         return
     size = -(-n // (_CHUNKS_PER_WORKER * workers))  # equal chunks but the last
@@ -180,14 +185,6 @@ def run_chunks(n: int, run) -> None:
                     for start in range(0, n, size)])
     if error is not None:
         raise error
-
-
-class _Backward(threading.local):
-    # the (parameter, weight-gradient task) pairs of the backward() running on this thread
-    weight_grads: list[tuple["Tensor", _Task]] | None = None
-
-
-_backward_call = _Backward()
 
 
 def _weight_grad(param: "Tensor", macs: int, compute) -> None:
@@ -200,11 +197,11 @@ def _weight_grad(param: "Tensor", macs: int, compute) -> None:
     is itself computed needs its whole gradient before its own backward
     runs, so it gets this one at once.
     """
-    grads = _backward_call.weight_grads
+    grads = _thread.weight_grads
     if grads is None or param._parents:
         param._accumulate(compute(), fresh=True)
         return
-    defer = LEAD_WORKERS > 1 and macs >= _SPLIT_MIN_MACS and not _pool_thread.active
+    defer = LEAD_WORKERS > 1 and macs >= _SPLIT_MIN_MACS and not _thread.pool
     grads.append((param, _Task(compute, _lead_pool(LEAD_WORKERS) if defer else None)))
 
 
@@ -285,7 +282,7 @@ class Tensor:
                     stack.append((parent, False))
         self._accumulate(np.asarray(grad))
         weight_grads: list[tuple[Tensor, _Task]] = []
-        outer, _backward_call.weight_grads = _backward_call.weight_grads, weight_grads
+        outer, _thread.weight_grads = _thread.weight_grads, weight_grads
         try:
             for node in reversed(order):
                 if node._backward is not None and node.grad is not None:
@@ -295,7 +292,7 @@ class Tensor:
                     node._parents = ()
                     node._backward = _RELEASED
         finally:
-            _backward_call.weight_grads = outer
+            _thread.weight_grads = outer
             error = _drain([task for _, task in weight_grads])
         if error is not None:
             raise error
@@ -316,13 +313,6 @@ class Parameter(Tensor):
 _RELEASED = object()  # the _backward of a node whose graph has been released
 
 
-class _GraphState(threading.local):
-    recording = True
-
-
-_graph = _GraphState()
-
-
 class no_graph:
     """Scope in which ops record no graph, on the current thread only.
 
@@ -331,15 +321,15 @@ class no_graph:
     """
 
     def __enter__(self) -> None:
-        self._outer = _graph.recording
-        _graph.recording = False
+        self._outer = _thread.recording
+        _thread.recording = False
 
     def __exit__(self, *exc) -> None:
-        _graph.recording = self._outer
+        _thread.recording = self._outer
 
 
 def _track(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if _graph.recording and any(p.requires_grad or p._parents for p in parents):
+    if _thread.recording and any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -643,7 +633,7 @@ def pad_right(x: Tensor, amount: int) -> Tensor:
         raise ShapeError(f"pad_right: negative amount {amount}")
     if amount == 0:
         return x
-    out = Tensor(np.pad(x.data, ((0, 0), (0, 0), (0, amount))))
+    out = Tensor(_pad_length(x.data, 0, amount))
 
     def backward(g):
         x._accumulate(g[:, :, :x.shape[2]])
@@ -670,15 +660,13 @@ def crop_right(x: Tensor, length: int) -> Tensor:
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean per-position cross-entropy of column softmax against integer labels.
 
-    Accepts (C, L) with targets (L,) or batched (B, C, L) with (B, L).
+    Logits are (B, C, L) and targets (B, L).
     """
-    batched = logits.data.ndim == 3
-    z = logits.data if batched else logits.data[None]
+    z = logits.data
     t = np.asarray(targets)
-    t = t if batched else t[None]
-    B, C, L = z.shape
-    if t.shape != (B, L):
+    if z.ndim != 3 or t.shape != (z.shape[0], z.shape[2]):
         raise ShapeError(f"softmax_cross_entropy: targets {t.shape} vs logits {z.shape}")
+    B, C, L = z.shape
     if t.size and (t.min() < 0 or t.max() >= C):
         raise ShapeError(f"softmax_cross_entropy: labels must lie in [0, {C})")
     zmax = z.max(axis=1, keepdims=True)
@@ -692,7 +680,7 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         onehot = np.zeros_like(p)
         np.put_along_axis(onehot, t[:, None, :], 1.0, axis=1)
         d = (p - onehot) * (float(g) / (B * L))
-        logits._accumulate(d if batched else d[0], fresh=True)
+        logits._accumulate(d, fresh=True)
 
     return _track(out, (logits,), backward)
 

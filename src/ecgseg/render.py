@@ -7,7 +7,7 @@ waves (P yellow, QRS red, T green).
 
 from __future__ import annotations
 
-from .delineate import AVERAGED_STREAM, DelineationResult
+from .delineate import AVERAGED_STREAM, DelineationError, DelineationResult
 from .signal import EcgRecord
 
 WAVE_COLORS = {"P": "#f4d35e", "QRS": "#e05c5c", "T": "#66b36b"}
@@ -27,8 +27,16 @@ def render_svg(record: EcgRecord, delineation: DelineationResult | None = None) 
     """Stacked per-lead panels; bands from the matching stream.
 
     Per-lead streams draw on their own panel; the averaged stream draws on
-    every panel.
+    every panel. A delineation of another record, or at another rate,
+    raises DelineationError: its sample indices would be drawn at the
+    wrong times.
     """
+    if delineation is not None and (delineation.record_id != record.record_id
+                                    or delineation.sampling_rate != record.sampling_rate):
+        raise DelineationError(
+            f"delineation of record {delineation.record_id!r} at {delineation.sampling_rate:g} Hz "
+            f"does not belong to record {record.record_id!r} at {record.sampling_rate:g} Hz"
+        )
     n_leads = len(record.leads)
     n = record.n_samples
     width = _MARGIN_LEFT + _PANEL_WIDTH + 10

@@ -30,13 +30,18 @@ def is_sampling_rate(value) -> bool:
         return False
 
 
+def _lead_key(name: str) -> str:
+    return name.strip().lower()
+
+
 @dataclass
 class EcgRecord:
     """Multi-lead voltage sequences with a common sampling rate.
 
     ``signals`` is (n_leads, n_samples) in mV, all finite, row order
-    matching ``leads``. Duration is derived as n_samples / sampling_rate,
-    never stored.
+    matching ``leads``. Lead names are strings, no two of them equal under
+    ``lead_index``'s case-insensitive rule. Duration is derived as
+    n_samples / sampling_rate, never stored.
     """
 
     record_id: str
@@ -54,6 +59,15 @@ class EcgRecord:
             raise SignalError(
                 f"{len(self.leads)} lead names but {self.signals.shape[0]} signal rows"
             )
+        seen: dict[str, str] = {}
+        for name in self.leads:
+            if not isinstance(name, str):
+                raise SignalError(f"record {self.record_id!r}: lead name {name!r} is not a string")
+            key = _lead_key(name)
+            if key in seen:
+                raise SignalError(f"record {self.record_id!r}: leads {seen[key]!r} "
+                                  f"and {name!r} have the same name")
+            seen[key] = name
         if self.signals.shape[1] < 1:
             raise SignalError("records must contain at least one sample")
         if not np.isfinite(self.signals).all():
@@ -76,9 +90,9 @@ class EcgRecord:
 
     def lead_index(self, name: str) -> int:
         """Index of a lead by case-insensitive name."""
-        wanted = name.strip().lower()
+        wanted = _lead_key(name)
         for i, lead in enumerate(self.leads):
-            if lead.strip().lower() == wanted:
+            if _lead_key(lead) == wanted:
                 return i
         raise KeyError(f"record {self.record_id!r} has no lead {name!r} (has {self.leads})")
 

@@ -6,6 +6,18 @@ concat with the mirrored skip, two conv-bn-relu), and a 1x1 head to the
 four class scores. Inputs of any length are right-padded to a multiple of
 16 and the scores cropped back, so the output is always (4, l).
 
+A model's state is two tables keyed by layer path, filled once, in the
+order the weights are drawn. ``params`` maps a name such as
+``enc1.conv1.weight``, ``enc1.conv1.bias``, ``enc1.conv1.bn.gamma`` or
+``up4.weight`` to its Parameter; ``bn`` maps a batch-norm path such as
+``enc1.conv1.bn`` to its BatchNormState. The levels are enc1-enc4,
+bottleneck, then up4, dec4, ... up1, dec1, and head; each enc, dec and
+the bottleneck block has a conv1 and a conv2. The forward pass looks
+its layers up in these tables. Their order is the order of
+``parameters()``, of the Adam slots, and of the checkpoint's arrays: the
+parameters, then each batch-norm path's ``.running_mean`` and
+``.running_var``.
+
 A model is built in MODEL_DTYPE (float32): its parameters, batch-norm
 running statistics and, through them, the Adam slots. Inputs are cast to
 that dtype. ``astype`` recasts a model, e.g. to float64 for
@@ -83,85 +95,48 @@ def _init_weight(rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     return fan_in_uniform(rng, shape, fan_in).astype(MODEL_DTYPE)
 
 
-class _ConvBnRelu:
-    def __init__(self, rng, in_ch: int, out_ch: int, cfg: ModelConfig, name: str):
-        k = cfg.kernel_size
-        self.w = Parameter(_init_weight(rng, (out_ch, in_ch, k), in_ch * k), f"{name}.weight")
-        self.b = Parameter(np.zeros(out_ch), f"{name}.bias")
-        self.bn = BatchNormState.create(out_ch, f"{name}.bn", eps=cfg.bn_eps, momentum=cfg.bn_momentum)
-        self.padding = cfg.padding
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return relu(batchnorm1d(conv1d(x, self.w, self.b, self.padding), self.bn))
-
-    def parameters(self):
-        return [self.w, self.b, self.bn.gamma, self.bn.beta]
-
-
-class _Block:
-    """Two conv-bn-relu layers."""
-
-    def __init__(self, rng, in_ch: int, out_ch: int, cfg: ModelConfig, name: str):
-        self.conv1 = _ConvBnRelu(rng, in_ch, out_ch, cfg, f"{name}.conv1")
-        self.conv2 = _ConvBnRelu(rng, out_ch, out_ch, cfg, f"{name}.conv2")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.conv2(self.conv1(x))
-
-    def parameters(self):
-        return self.conv1.parameters() + self.conv2.parameters()
-
-    def bn_states(self):
-        return [self.conv1.bn, self.conv2.bn]
-
-
-class _Up:
-    def __init__(self, rng, in_ch: int, out_ch: int, cfg: ModelConfig, name: str):
-        k = cfg.up_kernel_size
-        self.w = Parameter(_init_weight(rng, (in_ch, out_ch, k), in_ch * k), f"{name}.weight")
-        self.b = Parameter(np.zeros(out_ch), f"{name}.bias")
-        self.stride = cfg.up_stride
-        self.padding = cfg.up_padding
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return convtranspose1d(x, self.w, self.b, stride=self.stride, padding=self.padding)
-
-    def parameters(self):
-        return [self.w, self.b]
-
-
 class SegmentationModel:
-    """The wired network; owns parameters, batch-norm state, and a step counter."""
+    """The wired network; owns its parameter and batch-norm tables and a step counter."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
+        self.params: dict[str, Parameter] = {}
+        self.bn: dict[str, BatchNormState] = {}
         rng = np.random.default_rng(config.seed)
-        widths = config.encoder_widths
-        self.encoder = []
-        in_ch = 1
-        for i, w in enumerate(widths, start=1):
-            self.encoder.append(_Block(rng, in_ch, w, config, f"enc{i}"))
-            in_ch = w
-        self.bottleneck = _Block(rng, widths[-1], config.bottleneck_width, config, "bottleneck")
-        self.ups = []
-        self.decoder = []
+        k = config.kernel_size
+
+        def add(*params: Parameter) -> None:
+            self.params.update((p.name, p) for p in params)
+
+        def layer(path: str, shape: tuple[int, int, int], fan_in: int, out_ch: int) -> None:
+            add(Parameter(_init_weight(rng, shape, fan_in), f"{path}.weight"),
+                Parameter(np.zeros(out_ch), f"{path}.bias"))
+
+        def block(path: str, in_ch: int, out_ch: int) -> None:
+            for conv, ch in ((f"{path}.conv1", in_ch), (f"{path}.conv2", out_ch)):
+                layer(conv, (out_ch, ch, k), ch * k, out_ch)
+                state = self.bn[f"{conv}.bn"] = BatchNormState.create(
+                    out_ch, f"{conv}.bn", eps=config.bn_eps, momentum=config.bn_momentum)
+                add(state.gamma, state.beta)
+
+        widths = (1,) + config.encoder_widths
+        for i in range(1, 5):
+            block(f"enc{i}", widths[i - 1], widths[i])
+        block("bottleneck", widths[4], config.bottleneck_width)
         prev = config.bottleneck_width
         for i in range(4, 0, -1):
-            w = widths[i - 1]
-            self.ups.append(_Up(rng, prev, w, config, f"up{i}"))
-            self.decoder.append(_Block(rng, 2 * w, w, config, f"dec{i}"))
-            prev = w
-        self.head_w = Parameter(
-            _init_weight(rng, (N_CLASSES, widths[0], 1), widths[0]), "head.weight"
-        )
-        self.head_b = Parameter(np.zeros(N_CLASSES), "head.bias")
+            layer(f"up{i}", (prev, widths[i], config.up_kernel_size),
+                  prev * config.up_kernel_size, widths[i])
+            block(f"dec{i}", 2 * widths[i], widths[i])
+            prev = widths[i]
+        layer("head", (N_CLASSES, widths[1], 1), widths[1], N_CLASSES)
         self.step_count = 0
         self.training = True
         self.astype(MODEL_DTYPE)  # the biases and the batch-norm state
 
     @property
     def dtype(self) -> np.dtype:
-        return self.head_w.data.dtype
+        return self.params["head.weight"].data.dtype
 
     def astype(self, dtype) -> "SegmentationModel":
         """Cast parameters and batch-norm running statistics in place.
@@ -169,41 +144,28 @@ class SegmentationModel:
         Build an optimizer only after the last cast: its slots take the
         parameters' dtype when it is created.
         """
-        for p in self.parameters():
+        for p in self.params.values():
             p.data = p.data.astype(dtype, copy=False)
-        for state in self.bn_states():
+        for state in self.bn.values():
             state.running_mean = state.running_mean.astype(dtype, copy=False)
             state.running_var = state.running_var.astype(dtype, copy=False)
         return self
 
     def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        for block in self.encoder:
-            params += block.parameters()
-        params += self.bottleneck.parameters()
-        for up, block in zip(self.ups, self.decoder):
-            params += up.parameters() + block.parameters()
-        params += [self.head_w, self.head_b]
-        return params
+        return list(self.params.values())
 
     def bn_states(self) -> list[BatchNormState]:
-        states = []
-        for block in self.encoder:
-            states += block.bn_states()
-        states += self.bottleneck.bn_states()
-        for block in self.decoder:
-            states += block.bn_states()
-        return states
+        return list(self.bn.values())
 
     def train(self) -> "SegmentationModel":
         self.training = True
-        for state in self.bn_states():
+        for state in self.bn.values():
             state.training = True
         return self
 
     def eval(self) -> "SegmentationModel":
         self.training = False
-        for state in self.bn_states():
+        for state in self.bn.values():
             state.training = False
         return self
 
@@ -227,15 +189,26 @@ class SegmentationModel:
         padded = -(-length // _POOL_FACTOR) * _POOL_FACTOR
         h = pad_right(x, padded - length)
         skips = []
-        for block in self.encoder:
-            h = block(h)
+        for i in range(1, 5):
+            h = self._block(h, f"enc{i}")
             skips.append(h)
             h, _ = maxpool1d(h)
-        h = self.bottleneck(h)
-        for up, block, skip in zip(self.ups, self.decoder, reversed(skips)):
-            h = block(zero_pad_concat(up(h), skip))
-        h = conv1d(h, self.head_w, self.head_b, padding=0)
+        h = self._block(h, "bottleneck")
+        cfg, p = self.config, self.params
+        for i in range(4, 0, -1):
+            up = convtranspose1d(h, p[f"up{i}.weight"], p[f"up{i}.bias"],
+                                 stride=cfg.up_stride, padding=cfg.up_padding)
+            h = self._block(zero_pad_concat(up, skips[i - 1]), f"dec{i}")
+        h = conv1d(h, p["head.weight"], p["head.bias"], padding=0)
         return crop_right(h, length)
+
+    def _block(self, h: Tensor, path: str) -> Tensor:
+        """Two conv-bn-relu layers, ``path``.conv1 then ``path``.conv2."""
+        for conv in (f"{path}.conv1", f"{path}.conv2"):
+            h = conv1d(h, self.params[f"{conv}.weight"], self.params[f"{conv}.bias"],
+                       self.config.padding)
+            h = relu(batchnorm1d(h, self.bn[f"{conv}.bn"]))
+        return h
 
     def scores(self, signals: np.ndarray) -> np.ndarray:
         """Inference scores: one lead (l,) -> (4, l), or n leads (n, l) -> (n, 4, l).
@@ -348,11 +321,12 @@ def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _model_arrays(model: SegmentationModel) -> dict[str, np.ndarray]:
-    arrays = {p.name: p.data for p in model.parameters()}
-    for state in model.bn_states():
-        prefix = state.gamma.name.rsplit(".", 1)[0]
-        arrays[f"{prefix}.running_mean"] = state.running_mean
-        arrays[f"{prefix}.running_var"] = state.running_var
+    # The checkpoint's array order: the parameter table, then each
+    # batch-norm layer's running mean and variance.
+    arrays = {name: p.data for name, p in model.params.items()}
+    for path, state in model.bn.items():
+        arrays[f"{path}.running_mean"] = state.running_mean
+        arrays[f"{path}.running_var"] = state.running_var
     return arrays
 
 
@@ -377,20 +351,19 @@ def save_weights(model: SegmentationModel, path, extra_header: dict | None = Non
     save_container(path, header, arrays)
 
 
-def load_weights(path, model: SegmentationModel | None = None) -> SegmentationModel:
-    """Rebuild (or populate) a model from a checkpoint.
+def load_weights(path) -> SegmentationModel:
+    """Rebuild a model from a checkpoint.
 
-    With an explicit ``model``, every stored array must match the model's
-    shape for that layer path; the first mismatch is reported by name.
-    Arrays are cast to the model's dtype. A rebuilt model takes the dtype
-    the header records, or float64, the only one before headers held it.
+    The model takes the dtype the header records, or float64, the only
+    one before headers held it. Every array its config calls for must be
+    stored at that layer path's shape; the first mismatch is reported by
+    name.
     """
     header, arrays = load_container(path)
-    return _weights_from_container(path, header, arrays, model)
+    return _weights_from_container(path, header, arrays)
 
 
-def _weights_from_container(path, header: dict, arrays: dict[str, np.ndarray],
-                            model: SegmentationModel | None = None) -> SegmentationModel:
+def _weights_from_container(path, header: dict, arrays: dict[str, np.ndarray]) -> SegmentationModel:
     """``load_weights`` on a container that ``load_container`` has already read."""
     if header.get("kind") != "segmentation-model":
         raise CheckpointError(f"{path}: container holds {header.get('kind')!r}, not a model")
@@ -404,13 +377,11 @@ def _weights_from_container(path, header: dict, arrays: dict[str, np.ndarray],
         })
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header ({exc})") from None
-    if model is None:
-        stored = header.get("dtype", "float64")
-        if stored not in ("float32", "float64"):
-            raise CheckpointError(f"{path}: unsupported model dtype {stored!r}")
-        model = SegmentationModel(config).astype(stored)
-    expected = _model_arrays(model)
-    for name, target in expected.items():
+    stored = header.get("dtype", "float64")
+    if stored not in ("float32", "float64"):
+        raise CheckpointError(f"{path}: unsupported model dtype {stored!r}")
+    model = SegmentationModel(config).astype(stored)
+    for name, target in _model_arrays(model).items():
         if name not in arrays:
             raise CheckpointError(f"{path}: checkpoint is missing array {name!r}")
         if arrays[name].shape != target.shape:
@@ -418,12 +389,10 @@ def _weights_from_container(path, header: dict, arrays: dict[str, np.ndarray],
                 f"{path}: shape mismatch at {name!r}: "
                 f"checkpoint {arrays[name].shape} vs model {target.shape}"
             )
-    dtype = model.dtype
-    for p in model.parameters():
-        p.data = arrays[p.name].astype(dtype)
-    for state in model.bn_states():
-        prefix = state.gamma.name.rsplit(".", 1)[0]
-        state.running_mean = arrays[f"{prefix}.running_mean"].astype(dtype)
-        state.running_var = arrays[f"{prefix}.running_var"].astype(dtype)
+    for name, p in model.params.items():
+        p.data = arrays[name].astype(stored)
+    for layer, state in model.bn.items():
+        state.running_mean = arrays[f"{layer}.running_mean"].astype(stored)
+        state.running_var = arrays[f"{layer}.running_var"].astype(stored)
     model.step_count = step_count
     return model

@@ -446,7 +446,7 @@ def record_from_json(doc: dict) -> tuple[EcgRecord, dict[str, list[WaveAnnotatio
         raise JsonFormatError("document: 'leads' must be a non-empty list")
     names = []
     rows = []
-    waves_by_lead: dict[str, list[WaveAnnotation]] = {}
+    wave_lists = []
     for li, lead_doc in enumerate(leads_doc):
         where = f"leads[{li}]"
         name = _require(lead_doc, "name", where)
@@ -471,7 +471,7 @@ def record_from_json(doc: dict) -> tuple[EcgRecord, dict[str, list[WaveAnnotatio
                 waves.append(WaveAnnotation(wave_type, onset, peak, offset, lead=li))
             except InvalidAnnotationError as exc:
                 raise JsonFormatError(f"{wwhere}: {exc}") from None
-        waves_by_lead[name] = waves
+        wave_lists.append(waves)
     lengths = {r.size for r in rows}
     if len(lengths) != 1:
         raise JsonFormatError(f"leads have unequal sample counts: {sorted(lengths)}")
@@ -484,7 +484,7 @@ def record_from_json(doc: dict) -> tuple[EcgRecord, dict[str, list[WaveAnnotatio
         )
     except (TypeError, ValueError) as exc:
         raise JsonFormatError(f"document: {exc}") from None
-    return record, waves_by_lead
+    return record, dict(zip(names, wave_lists))
 
 
 def save_json_record(path, record: EcgRecord, waves_by_lead=None) -> None:

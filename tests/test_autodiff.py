@@ -363,19 +363,23 @@ class TestZeroPadConcat:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log4(self):
-        loss = softmax_cross_entropy(Tensor(np.zeros((4, 10))), np.zeros(10, dtype=int))
+        loss = softmax_cross_entropy(Tensor(np.zeros((1, 4, 10))), np.zeros((1, 10), dtype=int))
         assert float(loss.data) == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_confident_correct_logits_near_zero(self):
-        logits = np.full((4, 6), -50.0)
-        targets = np.array([0, 1, 2, 3, 0, 2])
-        logits[targets, np.arange(6)] = 50.0
+        logits = np.full((1, 4, 6), -50.0)
+        targets = np.array([[0, 1, 2, 3, 0, 2]])
+        logits[0, targets[0], np.arange(6)] = 50.0
         loss = softmax_cross_entropy(Tensor(logits), targets)
         assert float(loss.data) < 1e-12
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ShapeError):
-            softmax_cross_entropy(Tensor(np.zeros((4, 3))), np.array([0, 4, 1]))
+            softmax_cross_entropy(Tensor(np.zeros((1, 4, 3))), np.array([[0, 4, 1]]))
+
+    def test_rejects_unbatched_logits(self):
+        with pytest.raises(ShapeError):
+            softmax_cross_entropy(Tensor(np.zeros((4, 3))), np.array([0, 1, 1]))
 
     def test_gradients(self):
         rng = np.random.default_rng(16)

@@ -568,6 +568,59 @@ class TestRender:
         assert target.read_bytes() == first
 
 
+    @pytest.mark.parametrize("record_id, rate, names", [
+        ("other", 250, "record 'other' at 250 Hz does not belong to record 'rec0' at 500 Hz"),
+        ("other", 500, "record 'other' at 500 Hz does not belong to record 'rec0' at 500 Hz"),
+        ("rec0", 250, "record 'rec0' at 250 Hz does not belong to record 'rec0' at 500 Hz"),
+    ])
+    def test_delineation_of_another_record_fails_with_one_line(self, json_dir, tmp_path, capsys,
+                                                               record_id, rate, names):
+        delin = tmp_path / "d.json"
+        delin.write_text(json.dumps({"record_id": record_id, "mode": "avg", "sampling_rate": rate,
+                                     "waves": []}))
+        target = tmp_path / "out.svg"
+        code = main(["render", str(json_dir / "rec0.json"), str(target), "--delineation", str(delin)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: delineation of {names}\n"
+        assert not target.exists()
+
+
+class TestBadLeadNames:
+    @pytest.mark.parametrize("name, message", [
+        (5, "lead name 5 is not a string"),
+        ("II", "leads 'II' and 'ii' have the same name"),
+    ])
+    @pytest.mark.parametrize("command", ["segment", "evaluate"])
+    def test_fails_with_one_line(self, json_dir, untrained_checkpoint, tmp_path, capsys,
+                                 name, message, command):
+        bad = json_dir / "rec0.json"
+        doc = json.loads(bad.read_text())
+        doc["leads"][0]["name"] = name  # the leads were 'i' and 'ii'
+        bad.write_text(json.dumps(doc))
+        args = {
+            "segment": ["segment", str(bad), "--checkpoint", str(untrained_checkpoint),
+                        "--mode", "lead2", "--out", str(tmp_path / "d")],
+            "evaluate": ["evaluate", "--ref", str(bad), "--pred", str(tmp_path)],
+        }[command]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err and err.count("\n") == 1
+
+    def test_convert_lists_duplicate_wfdb_leads_as_failed(self, wfdb_dir, tmp_path, capsys):
+        header = wfdb_dir / "100.hea"
+        lines = header.read_text().splitlines()
+        lines[3] = lines[3].rsplit(" ", 1)[0] + " I"  # the third lead, 'iii', renamed
+        header.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "converted"
+        assert main(["convert", str(wfdb_dir), str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "FAILED 100.hea" in err[0] and "leads 'i' and 'I' have the same name" in err[0]
+        assert not (out / "100.json").exists() and (out / "101.json").exists()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:

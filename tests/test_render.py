@@ -1,8 +1,9 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from ecgseg.delineate import DelineationResult, WavePrediction
+from ecgseg.delineate import DelineationError, DelineationResult, WavePrediction
 from ecgseg.render import render_svg
 from ecgseg.signal import EcgRecord
 from synth import make_ecg_record
@@ -36,6 +37,17 @@ def test_golden_svg():
 def test_deterministic_output():
     record, delin = golden_inputs()
     assert render_svg(record, delin) == render_svg(record, delin)
+
+
+@pytest.mark.parametrize("record_id, rate, message", [
+    ("other", 24.0, "record 'other' at 24 Hz does not belong to record 'golden' at 24 Hz"),
+    ("golden", 12.0, "record 'golden' at 12 Hz does not belong to record 'golden' at 24 Hz"),
+])
+def test_delineation_of_another_record_rejected(record_id, rate, message):
+    record, delin = golden_inputs()
+    other = DelineationResult(record_id, delin.mode, rate, delin.streams)
+    with pytest.raises(DelineationError, match=message):
+        render_svg(record, other)
 
 
 def test_empty_delineation_plain_trace():

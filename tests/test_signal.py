@@ -315,6 +315,16 @@ class TestEcgRecord:
         with pytest.raises(SignalError, match=r"lead 'b'.*at index 6"):
             EcgRecord("x", ["a", "b", "c"], signals, 10.0)
 
+    @pytest.mark.parametrize("leads", [[5, "ii"], ["i", None], ["i", ["ii"]]])
+    def test_rejects_non_string_lead_name(self, leads):
+        with pytest.raises(SignalError, match=r"lead name .* is not a string"):
+            EcgRecord("x", leads, np.zeros((2, 4)), 10.0)
+
+    @pytest.mark.parametrize("leads", [["ii", "ii"], ["II", " ii "], ["i", "aVR", "avr"]])
+    def test_rejects_lead_names_equal_under_lookup(self, leads):
+        with pytest.raises(SignalError, match="have the same name"):
+            EcgRecord("x", leads, np.zeros((len(leads), 4)), 10.0)
+
     def test_lead_lookup_case_insensitive(self):
         rec = make_record(np.arange(8.0).reshape(2, 4), 4.0, leads=["II", "aVR"])
         np.testing.assert_array_equal(rec.lead("ii"), [0.0, 1.0, 2.0, 3.0])

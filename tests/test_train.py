@@ -238,7 +238,7 @@ class TestTrain:
 
     def test_nonfinite_loss_aborts_with_provenance(self):
         model, split, config = tiny_train_setup(iterations=2)
-        model.head_w.data[:] = np.nan
+        model.params["head.weight"].data[:] = np.nan
         with pytest.raises(RuntimeError, match="iteration 1.*rec"):
             train(model, split, config)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from ecgseg.unet import (
     CheckpointError,
     ModelConfig,
     SegmentationModel,
+    _model_arrays,
     load_container,
     load_weights,
     save_container,
@@ -79,6 +81,47 @@ class TestBuild:
     def test_rejects_wrong_level_count(self):
         with pytest.raises(ShapeError):
             ModelConfig(encoder_widths=(4, 8, 16))
+
+
+def arrays_sha256(model) -> str:
+    """Digest of the checkpoint arrays: names, shapes and bytes, in order."""
+    digest = hashlib.sha256()
+    for name, arr in _model_arrays(model).items():
+        digest.update(name.encode())
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+class TestStateTables:
+    # Pinned digests: the draw order, the table order and the layer paths
+    # fix the checkpoint's bytes and the Adam slots' order.
+    @pytest.mark.parametrize("config, expected", [
+        (ModelConfig(seed=3), "7bbc31571612854eefd52995bfe0d0b95f289abc2df6555b656f4e27bfb42d3e"),
+        (tiny_config(seed=1), "94ccdb8cc1c9886b01f3b51641275fd88d9d07327dd84abc5e7f806ed892121b"),
+    ])
+    def test_checkpoint_arrays_are_pinned(self, config, expected):
+        assert arrays_sha256(SegmentationModel(config)) == expected
+
+    def test_adam_slot_names_are_pinned(self, tmp_path):
+        model = SegmentationModel(tiny_config())
+        path = tmp_path / "trainer.ckpt"
+        save_training_checkpoint(path, model, Adam(model.parameters()), np.random.default_rng(0))
+        names = [name for name in load_container(path)[1] if name.startswith("adam.")]
+        assert len(names) == 2 * len(model.params) == 164
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == (
+            "2c863c08cc79001ca53cf64fb9993587aa7742b20e920dd2c65fe5e8c9d19dab")
+
+    def test_tables_are_keyed_by_layer_path(self):
+        model = SegmentationModel(tiny_config())
+        assert all(name == p.name for name, p in model.params.items())
+        assert model.parameters() == list(model.params.values())
+        assert model.bn_states() == list(model.bn.values())
+        assert list(model.bn)[:3] == ["enc1.conv1.bn", "enc1.conv2.bn", "enc2.conv1.bn"]
+        assert len(model.bn) == 18
+        for path, state in model.bn.items():
+            assert model.params[f"{path}.gamma"] is state.gamma
+            assert model.params[f"{path}.beta"] is state.beta
 
 
 class TestForwardShapes:
@@ -319,13 +362,6 @@ class TestCheckpoint:
         for p, q in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(p.data, q.data)
 
-    def test_blobs_cast_to_given_model_dtype(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_weights(SegmentationModel(tiny_config(seed=6)), path)
-        target = SegmentationModel(tiny_config()).astype(np.float64)
-        load_weights(path, model=target)
-        assert all(p.data.dtype == np.float64 for p in target.parameters())
-
     def test_unknown_dtype_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_weights(SegmentationModel(tiny_config()), path, extra_header={"dtype": "int8"})
@@ -343,12 +379,14 @@ class TestCheckpoint:
             load_weights(path)
 
     def test_width_mismatch_rejected_by_name(self, tmp_path):
-        small = SegmentationModel(ModelConfig(encoder_widths=(4, 8, 16, 32), bottleneck_width=64))
-        path = tmp_path / "small.ckpt"
-        save_weights(small, path)
-        big = SegmentationModel(ModelConfig(encoder_widths=(8, 16, 32, 64), bottleneck_width=128))
+        # a header whose config disagrees with the arrays stored beside it
+        path = tmp_path / "model.ckpt"
+        save_weights(SegmentationModel(tiny_config()), path)
+        header, arrays = load_container(path)
+        header["config"]["encoder_widths"] = [8, 16, 32, 64]
+        save_container(path, header, arrays)
         with pytest.raises(CheckpointError, match="enc1"):
-            load_weights(path, model=big)
+            load_weights(path)
 
     def test_container_round_trip(self, tmp_path):
         header = {"kind": "anything", "note": 3}
@@ -380,8 +418,8 @@ class TestCheckpoint:
         save_weights(SegmentationModel(tiny_config(seed=2)), path)
         assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
         loaded = load_weights(path)
-        np.testing.assert_array_equal(loaded.head_w.data,
-                                      SegmentationModel(tiny_config(seed=2)).head_w.data)
+        np.testing.assert_array_equal(loaded.params["head.weight"].data,
+                                      SegmentationModel(tiny_config(seed=2)).params["head.weight"].data)
 
     def test_write_failing_partway_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"

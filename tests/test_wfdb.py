@@ -425,6 +425,19 @@ class TestJsonInterchange:
         with pytest.raises(JsonFormatError, match=rf"leads\[0\]\.waves\[1\]: {key} must be an integer"):
             record_from_json(doc)
 
+    @pytest.mark.parametrize("second, message", [
+        (5, "lead name 5 is not a string"),
+        (["ii"], r"lead name \['ii'\] is not a string"),
+        (" I ", "leads 'i' and ' I ' have the same name"),
+    ])
+    def test_bad_lead_name_rejected(self, second, message):
+        record, waves = make_ecg_record(seed=3, n_leads=2)
+        doc = record_to_json(record, waves)
+        assert doc["leads"][0]["name"] == "i"
+        doc["leads"][1]["name"] = second
+        with pytest.raises(JsonFormatError, match=message):
+            record_from_json(doc)
+
     def test_non_utf8_file_names_it(self, tmp_path):
         path = tmp_path / "utf16.json"
         record, waves = make_ecg_record(seed=3, n_leads=1)
@@ -440,6 +453,15 @@ class TestWfdbEndToEnd:
         header_path.write_text(header_path.read_text(), encoding="utf-16")  # starts FF FE
         with pytest.raises(HeaderParseError, match="78.hea: not UTF-8 text"):
             read_wfdb_record(header_path, ann_files)
+
+    def test_duplicate_lead_names_rejected(self, tmp_path):
+        record, waves = make_ecg_record(record_id="79", seed=8, n_leads=2)
+        header_path, _, _ = write_wfdb_fixture(tmp_path, record, waves)
+        lines = header_path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(" ", 1)[0] + " I"  # the second lead, 'ii', renamed
+        header_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SignalError, match="leads 'i' and 'I' have the same name"):
+            read_wfdb_record(header_path)
 
     def test_fixture_round_trip(self, tmp_path):
         record, waves = make_ecg_record(record_id="77", seed=7, n_leads=4)
