@@ -25,7 +25,7 @@ from .config import (
     read_config_file,
     read_id_list,
 )
-from .delineate import MODES, DelineationError, DelineationResult, delineate, read_delineation
+from .delineate import MODES, DelineationError, delineate, read_delineation
 from .evaluate import (
     EvaluationError,
     EvaluatorConfig,
@@ -86,11 +86,12 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _json_paths(spec: str) -> list[Path]:
-    path = Path(spec)
-    if path.is_dir():
-        return sorted(path.glob("*.json"))
-    return [path]
+def _json_files(specs) -> list[Path]:
+    """Each argument as a file, or a directory's ``*.json`` files in sorted order."""
+    paths = []
+    for path in map(Path, specs):
+        paths.extend(sorted(path.glob("*.json")) if path.is_dir() else [path])
+    return paths
 
 
 def cmd_convert(args) -> int:
@@ -210,9 +211,7 @@ def cmd_train(args) -> int:
 
 def cmd_segment(args) -> int:
     model = load_weights(args.checkpoint)
-    inputs = []
-    for spec in args.records:
-        inputs.extend(_json_paths(spec))
+    inputs = _json_files(args.records)
     if not inputs:
         print("no input records", file=sys.stderr)
         return EXIT_FAILURE
@@ -230,27 +229,11 @@ def cmd_segment(args) -> int:
     return EXIT_OK
 
 
-def _load_references(specs) -> list[ReferenceRecord]:
-    refs = []
-    for spec in specs:
-        for path in _json_paths(spec):
-            record, waves = load_json_record(path)
-            refs.append(ReferenceRecord(record.record_id, record.sampling_rate, waves))
-    return refs
-
-
-def _load_predictions(specs) -> list[DelineationResult]:
-    preds = []
-    for spec in specs:
-        for path in _json_paths(spec):
-            preds.append(read_delineation(path))
-    return preds
-
-
 def cmd_evaluate(args) -> int:
     config = EvaluatorConfig(tolerance_ms=args.tolerance, trim_edges=not args.no_trim)
-    refs = _load_references(args.ref)
-    preds = _load_predictions(args.pred)
+    refs = [ReferenceRecord(r.record_id, r.sampling_rate, waves)
+            for r, waves in map(load_json_record, _json_files(args.ref))]
+    preds = [read_delineation(path) for path in _json_files(args.pred)]
     report = evaluate_dataset(refs, preds, config)
     text = render_report(report, "text")
     print(text, end="")

@@ -6,14 +6,12 @@ across all leads, one stream), ``lead2`` (lead II only, one forward pass).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .signal import EcgRecord, is_sampling_rate, map_sample_indices, resample
-from .wfdb import CLASS_NAMES, MASK_NONE, WAVE_TYPES
+from .wfdb import CLASS_NAMES, MASK_NONE, WAVE_TYPES, read_json, require_key, sample_index
 
 MODES = ("per-lead", "avg", "lead2")
 AVERAGED_STREAM = "avg"
@@ -59,61 +57,42 @@ class DelineationResult:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DelineationResult":
-        if not isinstance(doc, dict):
-            raise DelineationError("delineation document must be an object")
-        for key in ("record_id", "mode", "sampling_rate", "waves"):
-            if key not in doc:
-                raise DelineationError(f"delineation document: missing key {key!r}")
-        if not isinstance(doc["record_id"], str):
+        record_id, mode, sampling_rate, waves = (
+            require_key(doc, key, "document", DelineationError)
+            for key in ("record_id", "mode", "sampling_rate", "waves")
+        )
+        if not isinstance(record_id, str):
+            raise DelineationError(f"document: record_id must be a string, got {record_id!r}")
+        if mode not in MODES:
+            raise DelineationError(f"document: unknown mode {mode!r} (modes: {', '.join(MODES)})")
+        if not is_sampling_rate(sampling_rate):
             raise DelineationError(
-                f"delineation document: record_id must be a string, got {doc['record_id']!r}"
+                f"document: sampling_rate must be a positive number, got {sampling_rate!r}"
             )
-        if doc["mode"] not in MODES:
-            raise DelineationError(
-                f"delineation document: unknown mode {doc['mode']!r} (modes: {', '.join(MODES)})"
-            )
-        if not is_sampling_rate(doc["sampling_rate"]):
-            raise DelineationError(
-                f"delineation document: sampling_rate must be a positive number, "
-                f"got {doc['sampling_rate']!r}"
-            )
-        if not isinstance(doc["waves"], list):
-            raise DelineationError("delineation document: waves must be a list")
+        if not isinstance(waves, list):
+            raise DelineationError("document: waves must be a list")
         streams: dict[str, list[WavePrediction]] = {}
-        for i, w in enumerate(doc["waves"]):
-            if not isinstance(w, dict):
-                raise DelineationError(f"waves[{i}]: expected an object")
-            for key in ("lead", "type", "onset", "offset"):
-                if key not in w:
-                    raise DelineationError(f"waves[{i}]: missing key {key!r}")
-            if not isinstance(w["lead"], str):
-                raise DelineationError(f"waves[{i}]: lead must be a string")
-            if w["type"] not in WAVE_TYPES:
+        for i, w in enumerate(waves):
+            where = f"waves[{i}]"
+            lead, wave_type = (require_key(w, key, where, DelineationError) for key in ("lead", "type"))
+            onset, offset = (sample_index(w, key, where, DelineationError) for key in ("onset", "offset"))
+            if not isinstance(lead, str):
+                raise DelineationError(f"{where}: lead must be a string")
+            if wave_type not in WAVE_TYPES:
                 raise DelineationError(
-                    f"waves[{i}]: unknown wave type {w['type']!r} (types: {', '.join(WAVE_TYPES)})"
+                    f"{where}: unknown wave type {wave_type!r} (types: {', '.join(WAVE_TYPES)})"
                 )
-            for key in ("onset", "offset"):
-                if type(w[key]) is not int:  # int() would truncate 1.7 and take true as 1
-                    raise DelineationError(f"waves[{i}]: {key} must be an integer, got {w[key]!r}")
-            if w["onset"] < 0:
-                raise DelineationError(f"waves[{i}]: onset must be >= 0, got {w['onset']}")
-            prediction = WavePrediction(w["type"], w["onset"], w["offset"])
-            streams.setdefault(w["lead"], []).append(prediction)
-        for waves in streams.values():
-            waves.sort(key=lambda w: w.onset)
-        return cls(doc["record_id"], doc["mode"], doc["sampling_rate"], streams)
+            if onset < 0:
+                raise DelineationError(f"{where}: onset must be >= 0, got {onset}")
+            streams.setdefault(lead, []).append(WavePrediction(wave_type, onset, offset))
+        for predictions in streams.values():
+            predictions.sort(key=lambda w: w.onset)
+        return cls(record_id, mode, sampling_rate, streams)
 
 
 def read_delineation(path) -> DelineationResult:
     """Read a delineation JSON file; a malformed one raises DelineationError naming it."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DelineationError(f"{path}: not valid JSON ({exc})") from None
-    try:
-        return DelineationResult.from_json(doc)
-    except DelineationError as exc:
-        raise DelineationError(f"{path}: {exc}") from None
+    return read_json(path, DelineationResult.from_json, DelineationError)
 
 
 def argmax_labels(scores: np.ndarray) -> np.ndarray:
@@ -151,15 +130,14 @@ def extract_segments(mask: np.ndarray) -> list[WavePrediction]:
 
 
 def average_leads(score_matrices) -> np.ndarray:
-    """Elementwise arithmetic mean of per-lead score matrices."""
-    matrices = [np.asarray(m) for m in score_matrices]
-    if not matrices:
+    """Elementwise arithmetic mean of per-lead score matrices: a list, or an (n, 4, l) array."""
+    try:
+        stacked = np.asarray(score_matrices)
+    except ValueError:
+        raise DelineationError("score matrices differ in shape") from None
+    if len(stacked) == 0:
         raise DelineationError("average_leads needs at least one score matrix")
-    shape = matrices[0].shape
-    for m in matrices[1:]:
-        if m.shape != shape:
-            raise DelineationError(f"score shapes differ: {shape} vs {m.shape}")
-    return np.mean(np.stack(matrices), axis=0)
+    return np.mean(stacked, axis=0)
 
 
 def delineate(record: EcgRecord, model, mode: str, native_rate: float = 500.0,
@@ -186,9 +164,7 @@ def delineate(record: EcgRecord, model, mode: str, native_rate: float = 500.0,
     work = record if record.sampling_rate == native_rate else resample(record, native_rate)
     model.eval()
     rows = model.scores(work.signals[[work.lead_index(name) for name in lead_names]])
-    scores = dict(zip(lead_names, rows))
-    if mode == "avg":
-        scores = {AVERAGED_STREAM: average_leads(list(scores.values()))}
+    scores = {AVERAGED_STREAM: average_leads(rows)} if mode == "avg" else dict(zip(lead_names, rows))
 
     streams: dict[str, list[WavePrediction]] = {}
     for stream, stream_scores in scores.items():

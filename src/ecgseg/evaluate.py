@@ -273,35 +273,22 @@ def render_report(report: MetricsReport, fmt: str = "text") -> str:
     """Render the per-point-type table as aligned text or CSV."""
     if fmt not in ("text", "csv"):
         raise EvaluationError(f"unknown report format {fmt!r}")
-    cols = POINT_TYPES
+    points = [report.per_point[c] for c in POINT_TYPES]
+    unit = "(%)" if fmt == "csv" else " (%)"
+    rows = [["metric", *POINT_TYPES]] + [
+        [name + unit, *(_pct(getattr(m, name.lower())) for m in points)] for name in ("Se", "PPV", "F1")
+    ]
     if fmt == "csv":
-        rows = [["metric", *cols]]
-        rows.append(["Se(%)", *[_pct(report.per_point[c].se) for c in cols]])
-        rows.append(["PPV(%)", *[_pct(report.per_point[c].ppv) for c in cols]])
-        rows.append(["F1(%)", *[_pct(report.per_point[c].f1) for c in cols]])
-        rows.append(["m(ms)", *[_ms(report.per_point[c].mean_ms) for c in cols]])
-        rows.append(["sigma(ms)", *[_ms(report.per_point[c].sigma_ms) for c in cols]])
-        rows.append(["TP", *[str(report.per_point[c].tp) for c in cols]])
-        rows.append(["FP", *[str(report.per_point[c].fp) for c in cols]])
-        rows.append(["FN", *[str(report.per_point[c].fn) for c in cols]])
+        rows.append(["m(ms)", *(_ms(m.mean_ms) for m in points)])
+        rows.append(["sigma(ms)", *(_ms(m.sigma_ms) for m in points)])
+        rows += [[name, *(str(getattr(m, name.lower())) for m in points)] for name in ("TP", "FP", "FN")]
         return "\n".join(",".join(row) for row in rows) + "\n"
 
-    header = f"tolerance: {report.tolerance_ms:g} ms; sigma: population"
-    rows = [["metric", *cols]]
-    rows.append(["Se (%)", *[_pct(report.per_point[c].se) for c in cols]])
-    rows.append(["PPV (%)", *[_pct(report.per_point[c].ppv) for c in cols]])
-    rows.append(["F1 (%)", *[_pct(report.per_point[c].f1) for c in cols]])
-    rows.append([
-        "m±σ (ms)",
-        *[
-            ABSENT
-            if report.per_point[c].mean_ms is None
-            else f"{report.per_point[c].mean_ms:.1f}±{report.per_point[c].sigma_ms:.1f}"
-            for c in cols
-        ],
-    ])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(cols) + 1)]
-    lines = [header]
+    rows.append(["m±σ (ms)", *(
+        ABSENT if m.mean_ms is None else f"{m.mean_ms:.1f}±{m.sigma_ms:.1f}" for m in points
+    )])
+    widths = [max(len(row[i]) for row in rows) for i in range(len(POINT_TYPES) + 1)]
+    lines = [f"tolerance: {report.tolerance_ms:g} ms; sigma: population"]
     for row in rows:
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines) + "\n"

@@ -380,15 +380,27 @@ def _weights_from_container(path, header: dict, arrays: dict[str, np.ndarray]) -
     stored = header.get("dtype", "float64")
     if stored not in ("float32", "float64"):
         raise CheckpointError(f"{path}: unsupported model dtype {stored!r}")
+
+    def check_shapes(shapes: dict[str, tuple], source: str) -> None:
+        for name, shape in shapes.items():
+            if name not in arrays:
+                raise CheckpointError(f"{path}: checkpoint is missing array {name!r}")
+            if arrays[name].shape != shape:
+                raise CheckpointError(
+                    f"{path}: shape mismatch at {name!r}: "
+                    f"checkpoint {arrays[name].shape} vs {source} {shape}"
+                )
+
+    # The arrays that carry each width and kernel size must agree with the
+    # header before the model is drawn to it: a header width of 10**9 would
+    # otherwise ask numpy for terabytes before any shape is compared.
+    widths, b, k = config.encoder_widths, config.bottleneck_width, config.kernel_size
+    carriers = {f"enc{i}.conv2.weight": (w, w, k) for i, w in enumerate(widths, 1)}
+    carriers["bottleneck.conv2.weight"] = (b, b, k)
+    carriers["up4.weight"] = (b, widths[3], config.up_kernel_size)
+    check_shapes(carriers, "header")
     model = SegmentationModel(config).astype(stored)
-    for name, target in _model_arrays(model).items():
-        if name not in arrays:
-            raise CheckpointError(f"{path}: checkpoint is missing array {name!r}")
-        if arrays[name].shape != target.shape:
-            raise CheckpointError(
-                f"{path}: shape mismatch at {name!r}: "
-                f"checkpoint {arrays[name].shape} vs model {target.shape}"
-            )
+    check_shapes({name: target.shape for name, target in _model_arrays(model).items()}, "model")
     for name, p in model.params.items():
         p.data = arrays[name].astype(stored)
     for layer, state in model.bn.items():

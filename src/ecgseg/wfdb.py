@@ -421,27 +421,45 @@ def record_to_json(record: EcgRecord, waves_by_lead: dict[str, list[WaveAnnotati
     }
 
 
-def _require(doc, key: str, where: str):
+def require_key(doc, key: str, where: str, error: type[Exception]):
+    """``doc[key]``; ``error`` naming ``where`` if doc is not an object or lacks the key."""
     if not isinstance(doc, dict):
-        raise JsonFormatError(f"{where}: expected an object, got {type(doc).__name__}")
+        raise error(f"{where}: expected an object, got {type(doc).__name__}")
     if key not in doc:
-        raise JsonFormatError(f"{where}: missing required key {key!r}")
+        raise error(f"{where}: missing required key {key!r}")
     return doc[key]
 
 
-def _sample_index(doc, key: str, where: str) -> int:
-    value = _require(doc, key, where)
+def sample_index(doc, key: str, where: str, error: type[Exception]) -> int:
+    """``require_key`` of a value that must be a JSON integer."""
+    value = require_key(doc, key, where, error)
     if type(value) is not int:  # int() would truncate 1.7 and take true as 1
-        raise JsonFormatError(f"{where}: {key} must be an integer, got {value!r}")
+        raise error(f"{where}: {key} must be an integer, got {value!r}")
     return value
 
 
+def read_json(path, parse, error: type[Exception]):
+    """``parse`` of the JSON document in a UTF-8 file.
+
+    Bad JSON, and any ``error`` that ``parse`` raises, is raised as
+    ``error`` with the path in front.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from None
+    try:
+        return parse(doc)
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def record_from_json(doc: dict) -> tuple[EcgRecord, dict[str, list[WaveAnnotation]]]:
-    record_id = _require(doc, "record_id", "document")
+    record_id = require_key(doc, "record_id", "document", JsonFormatError)
     if not isinstance(record_id, str):
         raise JsonFormatError(f"document: record_id must be a string, got {record_id!r}")
-    sampling_rate = _require(doc, "sampling_rate", "document")
-    leads_doc = _require(doc, "leads", "document")
+    sampling_rate = require_key(doc, "sampling_rate", "document", JsonFormatError)
+    leads_doc = require_key(doc, "leads", "document", JsonFormatError)
     if not isinstance(leads_doc, list) or not leads_doc:
         raise JsonFormatError("document: 'leads' must be a non-empty list")
     names = []
@@ -449,15 +467,15 @@ def record_from_json(doc: dict) -> tuple[EcgRecord, dict[str, list[WaveAnnotatio
     wave_lists = []
     for li, lead_doc in enumerate(leads_doc):
         where = f"leads[{li}]"
-        name = _require(lead_doc, "name", where)
-        samples = _require(lead_doc, "samples_mV", where)
-        waves_doc = _require(lead_doc, "waves", where)
+        name = require_key(lead_doc, "name", where, JsonFormatError)
+        samples = require_key(lead_doc, "samples_mV", where, JsonFormatError)
+        waves_doc = require_key(lead_doc, "waves", where, JsonFormatError)
         if not isinstance(waves_doc, list):
             raise JsonFormatError(f"{where}: waves must be a list")
         names.append(name)
         try:
             row = np.asarray(samples, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise JsonFormatError(f"{where}: samples_mV must be a list of numbers") from None
         if row.ndim != 1:
             raise JsonFormatError(f"{where}: samples_mV must be a flat list")
@@ -465,12 +483,17 @@ def record_from_json(doc: dict) -> tuple[EcgRecord, dict[str, list[WaveAnnotatio
         waves = []
         for wi, w in enumerate(waves_doc):
             wwhere = f"{where}.waves[{wi}]"
-            wave_type = _require(w, "type", wwhere)
-            onset, peak, offset = (_sample_index(w, key, wwhere) for key in ("onset", "peak", "offset"))
+            wave_type = require_key(w, "type", wwhere, JsonFormatError)
+            onset, peak, offset = (sample_index(w, key, wwhere, JsonFormatError)
+                                   for key in ("onset", "peak", "offset"))
             try:
                 waves.append(WaveAnnotation(wave_type, onset, peak, offset, lead=li))
             except InvalidAnnotationError as exc:
                 raise JsonFormatError(f"{wwhere}: {exc}") from None
+            if onset < 0 or offset >= row.size:
+                raise JsonFormatError(
+                    f"{wwhere}: {wave_type} wave ({onset}, {offset}) outside [0, {row.size})"
+                )
         wave_lists.append(waves)
     lengths = {r.size for r in rows}
     if len(lengths) != 1:
@@ -492,11 +515,7 @@ def save_json_record(path, record: EcgRecord, waves_by_lead=None) -> None:
 
 
 def load_json_record(path) -> tuple[EcgRecord, dict[str, list[WaveAnnotation]]]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise JsonFormatError(f"{path}: not valid JSON ({exc})") from None
-    return record_from_json(doc)
+    return read_json(path, record_from_json, JsonFormatError)
 
 
 def read_header(path) -> HeaderInfo:

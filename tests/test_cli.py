@@ -523,7 +523,8 @@ class TestBadRecordRate:
         code = main(TestNonUtf8Record.COMMANDS[command](bad, tmp_path, untrained_checkpoint))
         err = capsys.readouterr().err
         assert code == 1
-        assert "sampling_rate must be a positive number, got True" in err and err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert "sampling_rate must be a positive number, got True" in err
 
 
 class TestNonUtf8Record:
@@ -545,6 +546,23 @@ class TestNonUtf8Record:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {bad}: not valid JSON") and err.count("\n") == 1
+
+
+class TestWaveOutsideRecord:
+    @pytest.mark.parametrize("command", TestNonUtf8Record.COMMANDS)
+    def test_fails_with_one_line(self, json_dir, untrained_checkpoint, tmp_path, capsys, command):
+        bad = json_dir / "rec0.json"
+        doc = json.loads(bad.read_text())
+        assert len(doc["leads"][0]["samples_mV"]) == 5000
+        waves = doc["leads"][0]["waves"]
+        waves.append({"type": "T", "onset": 4990, "peak": 6000, "offset": 7000})
+        doc["leads"][1]["waves"].append({"type": "P", "onset": -50, "peak": -40, "offset": -30})
+        bad.write_text(json.dumps(doc))
+        code = main(TestNonUtf8Record.COMMANDS[command](bad, tmp_path, untrained_checkpoint))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {bad}: leads[0].waves[{len(waves) - 1}]: "
+                       f"T wave (4990, 7000) outside [0, 5000)\n")
 
 
 class TestRender:
@@ -606,7 +624,8 @@ class TestBadLeadNames:
         code = main(args)
         err = capsys.readouterr().err
         assert code == 1
-        assert message in err and err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert message in err
 
     def test_convert_lists_duplicate_wfdb_leads_as_failed(self, wfdb_dir, tmp_path, capsys):
         header = wfdb_dir / "100.hea"

@@ -117,6 +117,10 @@ class TestAverageLeads:
         base = average_leads(mats)
         np.testing.assert_allclose(average_leads(mats[::-1]), base, atol=1e-12)
 
+    def test_rows_array_averages_as_the_stacked_list(self):
+        rows = np.random.default_rng(3).normal(size=(12, 4, 50)).astype(np.float32)
+        np.testing.assert_array_equal(average_leads(rows), np.mean(np.stack(list(rows)), axis=0))
+
     def test_shape_mismatch(self):
         with pytest.raises(DelineationError):
             average_leads([np.zeros((4, 5)), np.zeros((4, 6))])

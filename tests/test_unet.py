@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -388,6 +389,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="enc1"):
             load_weights(path)
 
+    # Sizes far beyond any memory, so a model built before the check fails at once.
+    @pytest.mark.parametrize("key, value, carrier", [
+        ("encoder_widths", [4, 8, 16, 10**9], "enc4.conv2.weight"),
+        ("bottleneck_width", 10**9, "bottleneck.conv2.weight"),
+        ("kernel_size", 10**12, "enc1.conv2.weight"),
+        ("up_kernel_size", 10**12, "up4.weight"),
+    ])
+    def test_header_sizes_checked_against_their_arrays_first(self, tmp_path, key, value, carrier):
+        path = tmp_path / "model.ckpt"
+        save_weights(SegmentationModel(tiny_config()), path)
+        header, arrays = load_container(path)
+        header["config"][key] = value
+        save_container(path, header, arrays)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: shape mismatch at {carrier!r}")):
+            load_weights(path)
+
     def test_container_round_trip(self, tmp_path):
         header = {"kind": "anything", "note": 3}
         arrays = {
@@ -485,13 +502,15 @@ def corrupt_checkpoint(path, case: str) -> None:
             header["config"]["bogus"] = 1
         elif case == "step_count-not-int":
             header["step_count"] = "abc"
+        elif case == "bottleneck_width-huge":
+            header["config"]["bottleneck_width"] = 10**9  # far beyond memory: numpy would refuse at once
         else:  # a header key to drop
             del header[case]
         save_container(path, header, arrays)
 
 
 CORRUPTIONS = ("header-utf8", "header-json", "header-not-object", "array-name",
-               "config", "step_count", "config-unknown-key", "step_count-not-int")
+               "config", "step_count", "config-unknown-key", "step_count-not-int", "bottleneck_width-huge")
 
 
 def save_trainer_checkpoint(path) -> None:

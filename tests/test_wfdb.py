@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -437,6 +438,44 @@ class TestJsonInterchange:
         doc["leads"][1]["name"] = second
         with pytest.raises(JsonFormatError, match=message):
             record_from_json(doc)
+
+    @pytest.mark.parametrize("lead, wave, bounds", [
+        (0, ("T", 4990, 6000, 7000), "T wave (4990, 7000) outside [0, 5000)"),
+        (1, ("P", -50, -40, -30), "P wave (-50, -30) outside [0, 5000)"),
+        (1, ("QRS", 4990, 4995, 5000), "QRS wave (4990, 5000) outside [0, 5000)"),
+    ])
+    def test_wave_outside_the_record_rejected(self, lead, wave, bounds):
+        record, waves = make_ecg_record(seed=3, n_leads=2)
+        doc = record_to_json(record, waves)
+        assert record.n_samples == 5000
+        wave_docs = doc["leads"][lead]["waves"]
+        wave_docs.append(dict(zip(("type", "onset", "peak", "offset"), wave)))
+        where = f"leads[{lead}].waves[{len(wave_docs) - 1}]"
+        with pytest.raises(JsonFormatError, match=re.escape(f"{where}: {bounds}")):
+            record_from_json(doc)
+
+    def test_wave_on_the_last_sample_accepted(self):
+        record, waves = make_ecg_record(seed=3, n_leads=1)
+        doc = record_to_json(record, waves)
+        doc["leads"][0]["waves"] = [{"type": "T", "onset": 4990, "peak": 4995, "offset": 4999}]
+        _, back = record_from_json(doc)
+        assert [(w.onset, w.offset) for w in back[record.leads[0]]] == [(4990, 4999)]
+
+    def test_integer_beyond_float_range_rejected(self):
+        doc = {"record_id": "x", "sampling_rate": 500,
+               "leads": [{"name": "i", "samples_mV": [0.0, 10**400], "waves": []}]}
+        with pytest.raises(JsonFormatError, match=r"leads\[0\]: samples_mV must be a list of numbers"):
+            record_from_json(doc)
+
+    def test_content_error_names_the_file(self, tmp_path):
+        record, waves = make_ecg_record(seed=3, n_leads=2)
+        doc = record_to_json(record, waves)
+        doc["leads"][1]["name"] = 5
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(JsonFormatError) as info:
+            load_json_record(path)
+        assert str(info.value) == f"{path}: document: record {record.record_id!r}: lead name 5 is not a string"
 
     def test_non_utf8_file_names_it(self, tmp_path):
         path = tmp_path / "utf16.json"
