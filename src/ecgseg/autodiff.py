@@ -1,9 +1,9 @@
 """Reverse-mode autodiff over (batch, channels, length) arrays.
 
 Covers exactly the layer set the segmentation network needs: stride-1
-cross-correlation, ReLU, batch norm, 2x max pooling, stride-2 transposed
-convolution, zero-pad channel concatenation, softmax cross-entropy, and
-Adam. Every op computes in the dtype of its operands, which should share
+cross-correlation, ReLU, batch norm alone or fused with ReLU, 2x max
+pooling, stride-2 transposed convolution, zero-pad channel concatenation,
+softmax cross-entropy, and Adam. Every op computes in the dtype of its operands, which should share
 one: float32 and float64 pass through, and any other input becomes
 float64. The segmentation model runs in float32; the finite-difference
 gradient checks run these same ops in float64. Forward passes are
@@ -46,8 +46,21 @@ _SPLIT_MIN_MACS multiply-adds, and inline on a pool thread. backward()
 drains these tasks, then adds each weight gradient into its parameter in
 the order the tasks were submitted, which gives the bits of one worker. A
 deferred task reads only arrays that no later step of the backward
-writes. Batch norm, relu, pooling, the loss and Adam run on the calling
-thread.
+writes: conv1d's pads its input's ``.data`` again, and convtranspose1d's
+reads its input's ``.data``. So no backward step writes an activation: a
+step writes only its own gradient and fresh arrays, and no op rebinds an
+input's ``.data``. Batch norm, relu, pooling, the loss and Adam run on the
+calling thread.
+
+What each node keeps for its backward beyond its parents, whose
+``.data`` it may read: conv1d and convtranspose1d nothing (conv1d pads
+its input again rather than keep a padded copy); batchnorm1d per-channel
+vectors; batchnorm_relu those and its own output, whose positive entries
+are relu's mask; relu nothing, as it masks by its input; maxpool1d the
+winning phase of each window; softmax_cross_entropy its exponentials and
+the targets. A conv-bn-relu layer built on batchnorm_relu thus keeps two
+full-size arrays: the conv's output, which batch norm's backward reads,
+and the layer's output, which the next layer takes as its input.
 """
 
 from __future__ import annotations
@@ -414,14 +427,15 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
         raise ShapeError(f"conv1d: input has {Cin} channels, kernel expects {Cin_w}")
     if L + 2 * padding - k + 1 < 1:
         raise ShapeError(f"conv1d: length {L} too short for kernel {k} with padding {padding}")
-    xp = _pad_length(x.data, padding, padding)
-    y = _correlate(xp, w.data)
+    y = _correlate(_pad_length(x.data, padding, padding), w.data)
     y += b.data[:, None]
     out = Tensor(y)
 
     def backward(g):
         b._accumulate(g.sum(axis=(0, 2)), fresh=True)
-        _weight_grad(w, B * Cout * Cin * k * g.shape[2], lambda: _correlate_weight_grad(xp, g, k))
+        # The graph keeps x; the padded copy is made again, on the pool.
+        _weight_grad(w, B * Cout * Cin * k * g.shape[2],
+                     lambda: _correlate_weight_grad(_pad_length(x.data, padding, padding), g, k))
         if x.requires_grad:  # the network's input needs no gradient
             wf = w.data[:, :, ::-1].transpose(1, 0, 2)
             dxp = _correlate(_pad_length(g, k - 1, k - 1), wf)
@@ -563,6 +577,21 @@ class BatchNormState:
 
 
 def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
+    """Per-channel batch normalization with ``state``'s affine parameters."""
+    return _batchnorm(x, state, fuse_relu=False)
+
+
+def batchnorm_relu(x: Tensor, state: BatchNormState) -> Tensor:
+    """``relu(batchnorm1d(x, state))`` as one node, bit for bit.
+
+    The ReLU runs in place on the normalized array, and the backward masks
+    its gradient by this node's own output: fmax(v, 0) > 0 exactly where
+    v > 0, NaN and +-0 included. So no normalized array is kept.
+    """
+    return _batchnorm(x, state, fuse_relu=True)
+
+
+def _batchnorm(x: Tensor, state: BatchNormState, fuse_relu: bool) -> Tensor:
     B, C, L = x.shape
     if C != state.gamma.data.size:
         raise ShapeError(f"batchnorm1d: {C} channels vs state of {state.gamma.data.size}")
@@ -587,9 +616,13 @@ def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
     shift = beta.data - scale * mean
     y = x.data * scale[:, None]
     y += shift[:, None]
+    if fuse_relu:
+        np.fmax(y, 0, out=y)  # relu's where(y > 0, y, 0), NaN -> 0 included
     out = Tensor(y)
 
     def backward(g):
+        if fuse_relu:  # g is this node's own gradient, dropped once this returns
+            np.multiply(g, y > 0, out=g)
         # One pass over g and x: sum(g*xhat) = inv*(sum(g*x) - mean*sum(g)).
         sum_g = g.sum(axis=(0, 2))
         sum_gxhat = inv * ((g * x.data).sum(axis=(0, 2)) - mean * sum_g)

@@ -84,6 +84,8 @@ class DelineationResult:
                 )
             if onset < 0:
                 raise DelineationError(f"{where}: onset must be >= 0, got {onset}")
+            if onset > offset:
+                raise DelineationError(f"{where}: onset {onset} after offset {offset}")
             streams.setdefault(lead, []).append(WavePrediction(wave_type, onset, offset))
         for predictions in streams.values():
             predictions.sort(key=lambda w: w.onset)

@@ -38,7 +38,7 @@ from .autodiff import (
     Parameter,
     ShapeError,
     Tensor,
-    batchnorm1d,
+    batchnorm_relu,
     conv1d,
     convtranspose1d,
     crop_right,
@@ -46,7 +46,6 @@ from .autodiff import (
     maxpool1d,
     no_graph,
     pad_right,
-    relu,
     run_chunks,
     zero_pad_concat,
 )
@@ -80,6 +79,14 @@ class ModelConfig:
         object.__setattr__(self, "encoder_widths", tuple(self.encoder_widths))
         if len(self.encoder_widths) != 4:
             raise ShapeError(f"exactly 4 encoder widths required, got {self.encoder_widths}")
+        # A float or bool size would pass the checks below and fail, or
+        # mean 1, only once the model is drawn.
+        for key in ("encoder_widths", "bottleneck_width", "kernel_size", "padding",
+                    "up_kernel_size", "up_stride", "up_padding"):
+            value = getattr(self, key)
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       for v in (value if key == "encoder_widths" else (value,))):
+                raise ShapeError(f"{key} must hold integers, got {value!r}")
         if any(w < 1 for w in self.encoder_widths) or self.bottleneck_width < 1:
             raise ShapeError("channel widths must be >= 1")
 
@@ -207,7 +214,7 @@ class SegmentationModel:
         for conv in (f"{path}.conv1", f"{path}.conv2"):
             h = conv1d(h, self.params[f"{conv}.weight"], self.params[f"{conv}.bias"],
                        self.config.padding)
-            h = relu(batchnorm1d(h, self.bn[f"{conv}.bn"]))
+            h = batchnorm_relu(h, self.bn[f"{conv}.bn"])
         return h
 
     def scores(self, signals: np.ndarray) -> np.ndarray:

@@ -157,6 +157,50 @@ def convtranspose1d_backward_taps(x, w, g, stride, padding):
     return dx, dw
 
 
+def conv1d_keeping_padded_copy(x, w, b, padding):
+    """``autodiff.conv1d`` as it ran when its backward kept the padded input.
+
+    The weight-gradient task read the copy padded for the forward; the
+    library's pads ``x.data`` again instead. The bits must not differ.
+    """
+    from ecgseg.autodiff import Tensor, _correlate, _correlate_weight_grad, _pad_length, _track, _weight_grad
+
+    B, Cin, L = x.shape
+    Cout, _, k = w.shape
+    xp = _pad_length(x.data, padding, padding)
+    y = _correlate(xp, w.data)
+    y += b.data[:, None]
+
+    def backward(g):
+        b._accumulate(g.sum(axis=(0, 2)), fresh=True)
+        _weight_grad(w, B * Cout * Cin * k * g.shape[2], lambda: _correlate_weight_grad(xp, g, k))
+        if x.requires_grad:
+            wf = w.data[:, :, ::-1].transpose(1, 0, 2)
+            dxp = _correlate(_pad_length(g, k - 1, k - 1), wf)
+            x._accumulate(dxp[:, :, padding:padding + L], fresh=True)
+
+    return _track(Tensor(y), (x, w, b), backward)
+
+
+def conv_bn_relu_block(model, h, path):
+    """``SegmentationModel._block`` as it ran before batch norm and ReLU were one node.
+
+    Each layer keeps four arrays for its backward: the conv's padded
+    input, its output, the normalized array for relu's mask, and relu's
+    output. The model's block must give the same bits in the forward, the
+    gradients and the running statistics. Bind it with
+    ``functools.partial(conv_bn_relu_block, model)`` as the model's
+    ``_block``.
+    """
+    from ecgseg.autodiff import batchnorm1d, relu
+
+    for conv in (f"{path}.conv1", f"{path}.conv2"):
+        h = conv1d_keeping_padded_copy(h, model.params[f"{conv}.weight"],
+                                       model.params[f"{conv}.bias"], model.config.padding)
+        h = relu(batchnorm1d(h, model.bn[f"{conv}.bn"]))
+    return h
+
+
 def maxpool1d_argmax(x, size):
     """Max pooling through a per-window argmax and gather, size == stride.
 

@@ -14,6 +14,7 @@ from ecgseg.autodiff import (
     BatchNormState,
     Tensor,
     batchnorm1d,
+    batchnorm_relu,
     conv1d,
     convtranspose1d,
     maxpool1d,
@@ -70,6 +71,16 @@ def test_criterion_1_gradient_suite_all_layers():
         x = rt(rng, (B, C, L))
         assert_grad_matches(lambda: batchnorm1d(x, state), [x, state.gamma, state.beta], rng)
 
+    for _ in range(5):  # batchnorm_relu, training mode, normalized values away from the kink
+        B, C, L = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 10))
+        state = BatchNormState.create(C, "bn")
+        state.gamma.data[:] = rng.normal(size=C)
+        state.beta.data[:] = rng.normal(size=C)
+        x = rt(rng, (B, C, L))
+        while np.abs(batchnorm1d(x, state).data).min() < 0.05:
+            x.data[:] = rng.normal(size=x.shape)
+        assert_grad_matches(lambda: batchnorm_relu(x, state), [x, state.gamma, state.beta], rng)
+
     for _ in range(5):  # relu, keeping data away from the kink
         shape = (int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(2, 12)))
         data = rng.normal(size=shape)
@@ -113,7 +124,7 @@ def test_criterion_1_gradient_suite_all_layers():
 
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s, budget is 120s"
-    print(f"criterion 1 PASS: 35 gradient checks in {elapsed:.1f}s")
+    print(f"criterion 1 PASS: 40 gradient checks in {elapsed:.1f}s")
 
 
 @pytest.mark.parametrize("length", [1, 15, 16, 17, 496, 2000, 4000, 5000, 5001])

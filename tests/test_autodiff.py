@@ -17,6 +17,7 @@ from ecgseg.autodiff import (
     ShapeError,
     Tensor,
     batchnorm1d,
+    batchnorm_relu,
     conv1d,
     convtranspose1d,
     crop_right,
@@ -96,6 +97,14 @@ class TestConv1d:
             w, b = rand_tensor(rng, (3, cin, 9)), rand_tensor(rng, (3,))
             assert_grad_matches(lambda: conv1d(x, w, b, padding=4), [w, b], rng)
             assert x.grad is None
+
+    def test_backward_keeps_the_input_not_a_padded_copy(self):
+        rng = np.random.default_rng(31)
+        x = rand_tensor(rng, (2, 3, 13))
+        data = x.data
+        out = conv1d(x, rand_tensor(rng, (4, 3, 9)), rand_tensor(rng, (4,)), padding=4)
+        assert x.data is data  # an op never rebinds its input's data
+        assert not any(isinstance(c.cell_contents, np.ndarray) for c in out._backward.__closure__)
 
 
 class TestConvTranspose1d:
@@ -335,6 +344,39 @@ class TestBatchNorm:
         )
 
 
+class TestBatchNormRelu:
+    """batchnorm_relu gives relu(batchnorm1d)'s bits: outputs, gradients and statistics."""
+
+    @staticmethod
+    def _run(op, x, training, g):
+        # x (B, 3, L); channel 2's beta is -0.0, so a -0.0 input stays -0.0 in eval mode
+        dtype = x.dtype.type
+        state = BatchNormState.create(3, "bn")
+        state.gamma.data = np.array([1.5, -0.5, 1.0], dtype=dtype)
+        state.beta.data = np.array([0.25, 0.0, -0.0], dtype=dtype)
+        state.running_mean = np.zeros(3, dtype=dtype)
+        state.running_var = np.ones(3, dtype=dtype)
+        state.training = training
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = op(xt, state)
+        out.backward(g.copy())
+        return [a.tobytes() for a in (out.data, xt.grad, state.gamma.grad, state.beta.grad,
+                                      state.running_mean, state.running_var)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_nan_and_signed_zeros_give_the_two_nodes_bits(self, dtype, training):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(2, 3, 12)).astype(dtype)
+        x[:, 1:, ::3] = 0.0
+        x[:, 1:, 1::3] = -0.0
+        x[1, 2, 5] = np.nan  # in training mode channel 2's statistics, so its outputs, are NaN
+        x[0, 0, 4] = np.nan
+        g = rng.normal(size=x.shape).astype(dtype)
+        want = self._run(lambda t, state: relu(batchnorm1d(t, state)), x, training, g)
+        assert self._run(batchnorm_relu, x, training, g) == want
+
+
 class TestZeroPadConcat:
     def test_equal_lengths_plain_concat(self):
         rng = np.random.default_rng(14)
@@ -469,7 +511,8 @@ class TestGraphRelease:
 
 
 OPS = ("conv1d_per_tap", "conv1d_im2col", "convtranspose1d", "relu", "maxpool1d", "batchnorm1d_train",
-       "batchnorm1d_eval", "zero_pad_concat", "pad_right", "crop_right", "softmax_cross_entropy")
+       "batchnorm1d_eval", "batchnorm_relu_train", "batchnorm_relu_eval", "zero_pad_concat", "pad_right",
+       "crop_right", "softmax_cross_entropy")
 
 
 def _op_cases(dtype):
@@ -504,6 +547,8 @@ def _op_cases(dtype):
         ("maxpool1d", lambda: maxpool1d(x)[0], [x]),
         ("batchnorm1d_train", lambda: batchnorm1d(x, bn_train), [x, bn_train.gamma, bn_train.beta]),
         ("batchnorm1d_eval", lambda: batchnorm1d(x, bn_eval), [x, bn_eval.gamma, bn_eval.beta]),
+        ("batchnorm_relu_train", lambda: batchnorm_relu(x, bn_train), [x, bn_train.gamma, bn_train.beta]),
+        ("batchnorm_relu_eval", lambda: batchnorm_relu(x, bn_eval), [x, bn_eval.gamma, bn_eval.beta]),
         ("zero_pad_concat", lambda: zero_pad_concat(up, skip), [up, skip]),
         ("pad_right", lambda: pad_right(x, 3), [x]),
         ("crop_right", lambda: crop_right(x, 4), [x]),

@@ -6,7 +6,7 @@ import pytest
 from ecgseg import wfdb
 from ecgseg.cli import main
 from ecgseg.signal import map_sample_indices
-from ecgseg.unet import SegmentationModel, load_container, save_weights, tiny_config
+from ecgseg.unet import SegmentationModel, load_container, save_container, save_weights, tiny_config
 from ecgseg.wfdb import load_json_record, save_json_record
 from synth import make_ecg_record, write_wfdb_fixture
 from test_unet import (CORRUPTIONS, TRAINER_CORRUPTIONS, corrupt_checkpoint, corrupt_trainer_state,
@@ -401,6 +401,20 @@ class TestSegment:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_float_width_checkpoint_fails_with_one_line(self, json_dir, untrained_checkpoint,
+                                                         tmp_path, capsys):
+        header, arrays = load_container(untrained_checkpoint)
+        header["config"]["encoder_widths"] = [4.0, 8, 16, 32]
+        save_container(untrained_checkpoint, header, arrays)
+        code = main([
+            "segment", str(json_dir / "rec0.json"),
+            "--checkpoint", str(untrained_checkpoint), "--out", str(tmp_path / "d"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {untrained_checkpoint}: bad checkpoint header "
+                       f"(encoder_widths must hold integers, got (4.0, 8, 16, 32))\n")
 
     def test_non_finite_sample_fails(self, json_dir, untrained_checkpoint, tmp_path, capsys):
         path = json_dir / "rec0.json"

@@ -105,3 +105,13 @@ def test_delineation_reader_gives_a_delineation_or_an_error_naming_the_file(doc_
         assert isinstance(stream, str)
         for w in predictions:
             assert w.wave_type in WAVE_TYPES and 0 <= w.onset <= w.offset
+
+
+def test_delineation_wave_with_onset_after_offset_is_named(tmp_path):
+    doc = json.loads(json.dumps(DELINEATION))
+    doc["waves"][1].update(onset=9, offset=2)
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DelineationError) as info:
+        read_delineation(path)
+    assert str(info.value) == f"{path}: waves[1]: onset 9 after offset 2"

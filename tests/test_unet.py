@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ecgseg.unet import (
     _MAGIC,
     _VERSION,
     MODEL_DTYPE,
+    TINY_WIDTHS,
     CheckpointError,
     ModelConfig,
     SegmentationModel,
@@ -26,6 +29,7 @@ from ecgseg.unet import (
     save_weights,
     tiny_config,
 )
+from oracles import conv_bn_relu_block
 
 
 def expected_param_count(widths, bottleneck, k=9, ku=8, n_classes=4):
@@ -82,6 +86,15 @@ class TestBuild:
     def test_rejects_wrong_level_count(self):
         with pytest.raises(ShapeError):
             ModelConfig(encoder_widths=(4, 8, 16))
+
+    @pytest.mark.parametrize("key, value", [
+        ("encoder_widths", (True, 8, 16, 32)), ("encoder_widths", (4.0, 8, 16, 32)),
+        ("bottleneck_width", 64.0), ("kernel_size", True), ("padding", 4.0),
+        ("up_kernel_size", 8.0), ("up_stride", True), ("up_padding", 3.5),
+    ])
+    def test_rejects_non_integer_sizes(self, key, value):
+        with pytest.raises(ShapeError, match=f"{key} must hold integers"):
+            ModelConfig(**{**TINY_WIDTHS, key: value})
 
 
 def arrays_sha256(model) -> str:
@@ -282,6 +295,67 @@ class TestDtype:
             model.forward(Tensor(np.zeros((1, 1, 32)), requires_grad=True))
 
 
+def two_node_model(config):
+    """A model whose blocks run the oracle's conv, batchnorm1d and relu nodes."""
+    model = SegmentationModel(config)
+    model._block = functools.partial(conv_bn_relu_block, model)
+    return model
+
+
+def training_bits(model, steps, batch, length=2000):
+    """Losses, then each parameter's last gradient and the running statistics, as bytes."""
+    adam = Adam(model.parameters(), lr=1e-3)
+    rng = np.random.default_rng(23)
+    bits = []
+    for _ in range(steps):
+        x = rng.normal(size=(batch, 1, length)).astype(np.float32)
+        loss = softmax_cross_entropy(model.forward(Tensor(x)), rng.integers(0, 4, size=(batch, length)))
+        adam.zero_grad()
+        loss.backward()
+        adam.step()
+        bits.append(("loss", loss.data.tobytes()))
+    bits += [(name, p.grad.tobytes()) for name, p in model.params.items()]
+    for path, state in model.bn.items():
+        bits += [(f"{path}.running_mean", state.running_mean.tobytes()),
+                 (f"{path}.running_var", state.running_var.tobytes())]
+    return bits
+
+
+class TestFusedBlock:
+    """The block's fused batch norm and ReLU against the two-node oracle block."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_tiny_training_bitwise(self, monkeypatch, workers):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+        monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)  # defer every weight gradient
+        want = training_bits(two_node_model(tiny_config()), steps=3, batch=8)
+        assert training_bits(SegmentationModel(tiny_config()), steps=3, batch=8) == want
+
+    def test_full_preset_step_bitwise(self, monkeypatch):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
+        want = training_bits(two_node_model(ModelConfig()), steps=1, batch=4)
+        assert training_bits(SegmentationModel(ModelConfig()), steps=1, batch=4) == want
+
+    def test_training_forward_keeps_at_most_70_percent(self):
+        # numpy bytes the graph of a tiny-preset training forward holds for its backward
+        x = np.random.default_rng(24).normal(size=(8, 1, 2000)).astype(np.float32)
+        domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+        def retained(model):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.take_snapshot().filter_traces([domain])
+                out = model.forward(Tensor(x))
+                after = tracemalloc.take_snapshot().filter_traces([domain])
+            finally:
+                tracemalloc.stop()
+            assert out.requires_grad
+            return sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+
+        fused, oracle = retained(SegmentationModel(tiny_config())), retained(two_node_model(tiny_config()))
+        assert fused <= 0.7 * oracle, (fused, oracle)
+
+
 class TestEndToEndGradients:
     def test_spot_check_twenty_parameters(self):
         # Central differences at h = 1e-5 need float64; the model's own dtype is float32.
@@ -403,6 +477,16 @@ class TestCheckpoint:
         header["config"][key] = value
         save_container(path, header, arrays)
         with pytest.raises(CheckpointError, match=re.escape(f"{path}: shape mismatch at {carrier!r}")):
+            load_weights(path)
+
+    @pytest.mark.parametrize("widths", [[4.0, 8, 16, 32], [True, 8, 16, 32]])
+    def test_header_width_that_is_no_integer_rejected(self, tmp_path, widths):
+        path = tmp_path / "model.ckpt"
+        save_weights(SegmentationModel(tiny_config()), path)
+        header, arrays = load_container(path)
+        header["config"]["encoder_widths"] = widths
+        save_container(path, header, arrays)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: bad checkpoint header")):
             load_weights(path)
 
     def test_container_round_trip(self, tmp_path):
