@@ -2,12 +2,13 @@
 
 Covers exactly the layer set the segmentation network needs: stride-1
 cross-correlation, ReLU, batch norm alone or fused with ReLU, 2x max
-pooling, stride-2 transposed convolution, zero-pad channel concatenation,
-softmax cross-entropy, and Adam. Every op computes in the dtype of its operands, which should share
-one: float32 and float64 pass through, and any other input becomes
-float64. The segmentation model runs in float32; the finite-difference
-gradient checks run these same ops in float64. Forward passes are
-deterministic.
+pooling, stride-2 transposed convolution, zero-pad channel concatenation
+alone or fused with the transposed convolution before it, softmax
+cross-entropy, and Adam. Every op computes in the dtype of its operands,
+which should share one: float32 and float64 pass through, and any other
+input becomes float64. The segmentation model runs in float32; the
+finite-difference gradient checks run these same ops in float64. Forward
+passes are deterministic.
 
 An op records a graph edge (its parents and a backward closure) when any
 input requires a gradient, which every model parameter does. Inside a
@@ -39,10 +40,10 @@ task is raised once every task of its list has ended. A split call's
 chunks make one list, so a slow core costs its share, not the whole call.
 
 In backward(), only a convolution's input gradient blocks the next layer.
-So conv1d and convtranspose1d hand their weight gradient to the pool as a
-task, which runs it whole, and go straight on with the input gradient,
-under the same rules as a split: more than one worker, at least
-_SPLIT_MIN_MACS multiply-adds, and inline on a pool thread. backward()
+So conv1d and the transposed convs hand their weight gradient to the
+pool as a task, which runs it whole, and go straight on with the input
+gradient, under the same rules as a split: more than one worker, at
+least _SPLIT_MIN_MACS multiply-adds, and inline on a pool thread. backward()
 drains these tasks, then adds each weight gradient into its parameter in
 the order the tasks were submitted, which gives the bits of one worker. A
 deferred task reads only arrays that no later step of the backward
@@ -53,14 +54,20 @@ input's ``.data``. Batch norm, relu, pooling, the loss and Adam run on the
 calling thread.
 
 What each node keeps for its backward beyond its parents, whose
-``.data`` it may read: conv1d and convtranspose1d nothing (conv1d pads
-its input again rather than keep a padded copy); batchnorm1d per-channel
-vectors; batchnorm_relu those and its own output, whose positive entries
-are relu's mask; relu nothing, as it masks by its input; maxpool1d the
-winning phase of each window; softmax_cross_entropy its exponentials and
-the targets. A conv-bn-relu layer built on batchnorm_relu thus keeps two
-full-size arrays: the conv's output, which batch norm's backward reads,
-and the layer's output, which the next layer takes as its input.
+``.data`` it may read: conv1d, convtranspose1d and convtranspose_concat
+nothing (conv1d pads its input again rather than keep a padded copy);
+zero_pad_concat nothing; batchnorm1d per-channel vectors; batchnorm_relu
+those and its own output, whose positive entries are relu's mask; relu
+nothing, as it masks by its input; maxpool1d the winning phase of each
+window; softmax_cross_entropy its exponentials and the targets. A
+conv-bn-relu layer built on batchnorm_relu thus keeps two full-size
+arrays: the conv's output, which batch norm's backward reads, and the
+layer's output, which the next layer takes as its input. A decoder level
+built on convtranspose_concat keeps no upsampled array: the transposed
+conv writes into its channels of the concatenation. backward() drops
+each node once it has walked it, so an activation is freed as soon as
+the last node that reads it has been walked and the last deferred task
+that reads it has run.
 """
 
 from __future__ import annotations
@@ -266,9 +273,11 @@ class Tensor:
 
         The graph is released as it is walked: every node with parents
         drops its gradient, its parents and its backward closure once it
-        has propagated, so the activations it saved can be freed. Leaves
-        keep their gradients. Calling backward() again through a released
-        node raises GraphReleasedError. The weight gradients deferred to the
+        has propagated, and the walk drops the node itself. So an
+        activation lives only while a node not yet walked, or a deferred
+        weight-gradient task not yet run, still reads it. Leaves keep
+        their gradients. Calling backward() again through a released node
+        raises GraphReleasedError. The weight gradients deferred to the
         pool have all ended when backward() returns or raises; an error in
         one of them is raised after the others have ended.
         """
@@ -297,13 +306,15 @@ class Tensor:
         weight_grads: list[tuple[Tensor, _Task]] = []
         outer, _thread.weight_grads = _thread.weight_grads, weight_grads
         try:
-            for node in reversed(order):
+            while order:
+                node = order.pop()  # the walk list no longer holds it
                 if node._backward is not None and node.grad is not None:
                     node._backward(node.grad)
                 if node._parents:
                     node.grad = None
                     node._parents = ()
                     node._backward = _RELEASED
+                node = None
         finally:
             _thread.weight_grads = outer
             error = _drain([task for _, task in weight_grads])
@@ -454,6 +465,23 @@ def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: i
     output m = stride*n + phi only ever meets the taps j = r (mod stride),
     r = (phi + padding) % stride, so no zero-stuffed input is built.
     """
+    return _convtranspose(x, w, b, stride, padding, skip=None)
+
+
+def convtranspose_concat(x: Tensor, w: Tensor, b: Tensor, skip: Tensor,
+                         stride: int = 2, padding: int = 3) -> Tensor:
+    """``zero_pad_concat(convtranspose1d(x, w, b, stride, padding), skip)`` as one node, bit for bit.
+
+    The transposed conv's phases and bias are written straight into their
+    channels of the concatenation, so no upsampled array is built. The
+    backward hands the transposed conv's backward a contiguous copy of its
+    channels of the gradient, as ``up._accumulate`` made one for it.
+    """
+    return _convtranspose(x, w, b, stride, padding, skip)
+
+
+def _convtranspose(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int,
+                   skip: Tensor | None) -> Tensor:
     B, Cin, L = x.shape
     Cin_w, Cout, k = w.shape
     if Cin != Cin_w:
@@ -463,6 +491,19 @@ def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: i
     Lout = (L - 1) * stride - 2 * padding + k
     if Lout < 1:
         raise ShapeError("convtranspose1d: empty output")
+    dtype = np.result_type(x.data, w.data, b.data)
+    if skip is None:
+        Cs = 0
+        out = y = np.zeros((B, Cout, Lout), dtype=dtype)
+    else:
+        Bs, Cs, Ls = skip.shape
+        if B != Bs:
+            raise ShapeError(f"zero_pad_concat: batch {B} vs {Bs}")
+        if Lout > Ls:
+            raise ShapeError(f"zero_pad_concat: up length {Lout} exceeds skip length {Ls}")
+        out = np.zeros((B, Cs + Cout, Ls), dtype=np.result_type(skip.data, dtype))
+        out[:, :Cs] = skip.data
+        y = out[:, Cs:, :Lout]
     # Phase phi: y[stride*n + phi] = sum_u x[n + c - u] * w[r + stride*u],
     # c = (phi + padding) // stride. With its k_r taps flipped this is a
     # correlation over x from index c - (k_r - 1) on; x is zero outside.
@@ -476,13 +517,14 @@ def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: i
     left = max([0] + [-start for _, _, start, _ in phases])
     right = max([0] + [start + span - L for _, _, start, span in phases])
     xp = _pad_length(x.data, left, right)
-    y = np.zeros((B, Cout, Lout), dtype=np.result_type(x.data, w.data, b.data))
     for phi, taps, start, span in phases:
         y[:, :, phi::stride] = _correlate(xp[:, :, left + start:left + start + span], taps)
     y += b.data[:, None]
-    out = Tensor(y)
 
     def backward(g):
+        if skip is not None:
+            skip._accumulate(g[:, :Cs])
+            g = np.ascontiguousarray(g[:, Cs:, :Lout])
         b._accumulate(g.sum(axis=(0, 2)), fresh=True)
         # The transposed conv's backward is a strided correlation of the
         # padded g, (L - 1)*stride + k long, with w read as (Cin, Cout, k).
@@ -490,7 +532,8 @@ def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: i
         _weight_grad(w, B * Cin * Cout * k * L, lambda: _correlate_weight_grad(gp, x.data, k, stride))
         x._accumulate(_correlate(gp, w.data, stride), fresh=True)
 
-    return _track(out, (x, w, b), backward)
+    # With skip last, backward() walks the graph in the two nodes' order.
+    return _track(Tensor(out), (x, w, b) if skip is None else (x, w, b, skip), backward)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -76,15 +76,21 @@ def _check_section(path, section: str, values: dict[str, str]) -> None:
             f"{path}: unknown section [{section}] (sections: {', '.join(_SECTIONS)})"
         )
     casts = _SECTIONS[section]
+    parsed = {}
     for key, value in values.items():
         if key not in casts:
             raise ConfigurationError(
                 f"{path}: [{section}] unknown key {key!r} (keys: {', '.join(casts)})"
             )
         try:
-            casts[key](value)
+            parsed[key] = casts[key](value)
         except ValueError:
             raise ConfigurationError(f"{path}: [{section}] {key}: bad value {value!r}") from None
+    if section == "model":  # each key's own range, as the model checks it
+        try:
+            ModelConfig(**parsed)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: [model] {exc}") from None
 
 
 def merge_layers(*layers) -> dict[str, dict]:

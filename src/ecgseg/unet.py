@@ -1,10 +1,11 @@
 """UNet-like 1-D segmentation network and its checkpoint format.
 
 Four encoder blocks (two conv-bn-relu each) joined by 2x max pooling, a
-bottleneck block, four decoder levels (stride-2 transposed conv, zero-pad
-concat with the mirrored skip, two conv-bn-relu), and a 1x1 head to the
-four class scores. Inputs of any length are right-padded to a multiple of
-16 and the scores cropped back, so the output is always (4, l).
+bottleneck block, four decoder levels (stride-2 transposed conv written
+straight into its zero-padded concat with the mirrored skip, two
+conv-bn-relu), and a 1x1 head to the four class scores. Inputs of any
+length are right-padded to a multiple of 16 and the scores cropped back,
+so the output is always (4, l).
 
 A model's state is two tables keyed by layer path, filled once, in the
 order the weights are drawn. ``params`` maps a name such as
@@ -27,6 +28,7 @@ finite-difference gradient checks.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -40,14 +42,13 @@ from .autodiff import (
     Tensor,
     batchnorm_relu,
     conv1d,
-    convtranspose1d,
+    convtranspose_concat,
     crop_right,
     fan_in_uniform,
     maxpool1d,
     no_graph,
     pad_right,
     run_chunks,
-    zero_pad_concat,
 )
 
 N_CLASSES = 4
@@ -89,6 +90,23 @@ class ModelConfig:
                 raise ShapeError(f"{key} must hold integers, got {value!r}")
         if any(w < 1 for w in self.encoder_widths) or self.bottleneck_width < 1:
             raise ShapeError("channel widths must be >= 1")
+        # Each conv keeps the length and each transposed conv doubles it,
+        # undoing one pooling; otherwise the skips and the scores do not line up.
+        if self.padding < 0 or self.kernel_size != 2 * self.padding + 1:
+            raise ShapeError(f"kernel_size {self.kernel_size} with padding {self.padding} changes "
+                             f"the length: kernel_size must be 2*padding + 1, padding >= 0")
+        if self.up_stride != 2 or self.up_padding < 0 or self.up_kernel_size != 2 * self.up_padding + 2:
+            raise ShapeError(f"up_stride {self.up_stride}, up_kernel_size {self.up_kernel_size} and "
+                             f"up_padding {self.up_padding} do not double the length: up_stride must "
+                             f"be 2 and up_kernel_size 2*up_padding + 2, up_padding >= 0")
+        # eps keeps batch norm's 1/sqrt(var + eps) finite; momentum blends
+        # the running statistics.
+        for key, valid, rule in (("bn_eps", lambda v: 0 < v < math.inf, "finite and > 0"),
+                                 ("bn_momentum", lambda v: 0 <= v <= 1, "in [0, 1]")):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+                    or not valid(value)):
+                raise ValueError(f"{key} must be a number {rule}, got {value!r}")
 
 
 def tiny_config(seed: int = 0) -> ModelConfig:
@@ -96,35 +114,49 @@ def tiny_config(seed: int = 0) -> ModelConfig:
     return ModelConfig(**TINY_WIDTHS, seed=seed)
 
 
-def _init_weight(rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    # Cast as each weight is drawn: the float64 draw is freed at once and its
-    # memory reused. Casting the built model instead cost a cold build 7 ms.
-    return fan_in_uniform(rng, shape, fan_in).astype(MODEL_DTYPE)
-
-
 class SegmentationModel:
     """The wired network; owns its parameter and batch-norm tables and a step counter."""
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, stored=None):
+        """Draw the weights from ``config.seed``, or take every array from ``stored``.
+
+        ``stored(name, shape)`` returns the array at layer path ``name``,
+        which must have ``shape``, in the model's dtype. The checkpoint
+        reader builds a model through it and draws nothing.
+        """
         self.config = config
         self.params: dict[str, Parameter] = {}
         self.bn: dict[str, BatchNormState] = {}
         rng = np.random.default_rng(config.seed)
         k = config.kernel_size
 
-        def add(*params: Parameter) -> None:
-            self.params.update((p.name, p) for p in params)
+        def array(name: str, shape: tuple[int, ...], fan_in: int | None = None,
+                  fill: float = 0.0) -> np.ndarray:
+            if stored is not None:
+                return stored(name, shape)
+            if fan_in is None:
+                return np.full(shape, fill, dtype=MODEL_DTYPE)
+            # Cast as each weight is drawn: the float64 draw is freed at once and
+            # its memory reused. Casting the built model instead cost a cold build 7 ms.
+            return fan_in_uniform(rng, shape, fan_in).astype(MODEL_DTYPE)
+
+        def param(name: str, shape: tuple[int, ...], fan_in: int | None = None,
+                  fill: float = 0.0) -> Parameter:
+            p = self.params[name] = Parameter(array(name, shape, fan_in, fill), name)
+            return p
 
         def layer(path: str, shape: tuple[int, int, int], fan_in: int, out_ch: int) -> None:
-            add(Parameter(_init_weight(rng, shape, fan_in), f"{path}.weight"),
-                Parameter(np.zeros(out_ch), f"{path}.bias"))
+            param(f"{path}.weight", shape, fan_in)
+            param(f"{path}.bias", (out_ch,))
 
         def block(path: str, in_ch: int, out_ch: int) -> None:
             for conv, ch in ((f"{path}.conv1", in_ch), (f"{path}.conv2", out_ch)):
                 layer(conv, (out_ch, ch, k), ch * k, out_ch)
-                state = self.bn[f"{conv}.bn"] = BatchNormState.create(
-                    out_ch, f"{conv}.bn", eps=config.bn_eps, momentum=config.bn_momentum)
-                add(state.gamma, state.beta)
+                bn = f"{conv}.bn"
+                self.bn[bn] = BatchNormState(
+                    param(f"{bn}.gamma", (out_ch,), fill=1.0), param(f"{bn}.beta", (out_ch,)),
+                    array(f"{bn}.running_mean", (out_ch,)), array(f"{bn}.running_var", (out_ch,), fill=1.0),
+                    eps=config.bn_eps, momentum=config.bn_momentum)
 
         widths = (1,) + config.encoder_widths
         for i in range(1, 5):
@@ -139,7 +171,6 @@ class SegmentationModel:
         layer("head", (N_CLASSES, widths[1], 1), widths[1], N_CLASSES)
         self.step_count = 0
         self.training = True
-        self.astype(MODEL_DTYPE)  # the biases and the batch-norm state
 
     @property
     def dtype(self) -> np.dtype:
@@ -203,9 +234,9 @@ class SegmentationModel:
         h = self._block(h, "bottleneck")
         cfg, p = self.config, self.params
         for i in range(4, 0, -1):
-            up = convtranspose1d(h, p[f"up{i}.weight"], p[f"up{i}.bias"],
-                                 stride=cfg.up_stride, padding=cfg.up_padding)
-            h = self._block(zero_pad_concat(up, skips[i - 1]), f"dec{i}")
+            h = convtranspose_concat(h, p[f"up{i}.weight"], p[f"up{i}.bias"], skips[i - 1],
+                                     stride=cfg.up_stride, padding=cfg.up_padding)
+            h = self._block(h, f"dec{i}")
         h = conv1d(h, p["head.weight"], p["head.bias"], padding=0)
         return crop_right(h, length)
 
@@ -259,26 +290,22 @@ _VERSION = 1
 
 
 def save_container(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    chunks = [_MAGIC, struct.pack("<I", _VERSION)]
-    header_bytes = json.dumps(header).encode("utf-8")
-    chunks.append(struct.pack("<Q", len(header_bytes)))
-    chunks.append(header_bytes)
-    chunks.append(struct.pack("<Q", len(arrays)))
-    for name, arr in arrays.items():
-        name_bytes = name.encode("utf-8")
-        arr = np.asarray(arr, dtype=np.float64)
-        chunks.append(struct.pack("<Q", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<Q", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-        chunks.append(arr.astype("<f8").tobytes())
     # Write beside the target, then rename over it: a write that fails
-    # partway leaves the previous file as it was.
+    # partway leaves the previous file as it was. Each blob is written as it
+    # is converted, so no more than one converted array is held at a time.
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    header_bytes = json.dumps(header).encode("utf-8")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(b"".join(chunks))
+            fh.write(_MAGIC + struct.pack("<IQ", _VERSION, len(header_bytes)) + header_bytes
+                     + struct.pack("<Q", len(arrays)))
+            for name, arr in arrays.items():
+                name_bytes = name.encode("utf-8")
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                fh.write(struct.pack("<Q", len(name_bytes)) + name_bytes
+                         + struct.pack(f"<Q{arr.ndim}Q", arr.ndim, *arr.shape))
+                fh.write(arr.data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -287,43 +314,46 @@ def save_container(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the named arrays, each read from the file into its own float64 array."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    view = memoryview(data)
-    pos = 0
+        left = os.fstat(fh.fileno()).st_size
 
-    def take(n):
-        nonlocal pos
-        if pos + n > len(view):
-            raise CheckpointError(f"{path}: truncated checkpoint")
-        chunk = view[pos:pos + n]
-        pos += n
-        return chunk
+        def claim(n: int) -> int:
+            # n is a Python int, so a shape whose size overflows int64 is caught too
+            nonlocal left
+            if n > left:
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            left -= n
+            return n
 
-    if bytes(take(len(_MAGIC))) != _MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic bytes)")
-    (version,) = struct.unpack("<I", take(4))
-    if version != _VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack("<Q", take(8))
-    try:
-        header = json.loads(bytes(take(header_len)).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt checkpoint header ({exc})") from None
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: corrupt checkpoint header (not a JSON object)")
-    (n_arrays,) = struct.unpack("<Q", take(8))
-    arrays = {}
-    for _ in range(n_arrays):
-        (name_len,) = struct.unpack("<Q", take(8))
+        def read(n: int) -> bytes:
+            return fh.read(claim(n))
+
+        if read(len(_MAGIC)) != _MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint (bad magic bytes)")
+        (version,) = struct.unpack("<I", read(4))
+        if version != _VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        (header_len,) = struct.unpack("<Q", read(8))
         try:
-            name = bytes(take(name_len)).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: corrupt array name ({exc})") from None
-        (ndim,) = struct.unpack("<Q", take(8))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
-        count = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
+            header = json.loads(read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt checkpoint header ({exc})") from None
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: corrupt checkpoint header (not a JSON object)")
+        (n_arrays,) = struct.unpack("<Q", read(8))
+        arrays = {}
+        for _ in range(n_arrays):
+            (name_len,) = struct.unpack("<Q", read(8))
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: corrupt array name ({exc})") from None
+            (ndim,) = struct.unpack("<Q", read(8))
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
+            claim(8 * math.prod(shape))
+            arrays[name] = np.empty(shape, dtype="<f8")
+            fh.readinto(arrays[name])
     return header, arrays
 
 
@@ -384,34 +414,19 @@ def _weights_from_container(path, header: dict, arrays: dict[str, np.ndarray]) -
         })
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header ({exc})") from None
-    stored = header.get("dtype", "float64")
-    if stored not in ("float32", "float64"):
-        raise CheckpointError(f"{path}: unsupported model dtype {stored!r}")
+    dtype = header.get("dtype", "float64")
+    if dtype not in ("float32", "float64"):
+        raise CheckpointError(f"{path}: unsupported model dtype {dtype!r}")
 
-    def check_shapes(shapes: dict[str, tuple], source: str) -> None:
-        for name, shape in shapes.items():
-            if name not in arrays:
-                raise CheckpointError(f"{path}: checkpoint is missing array {name!r}")
-            if arrays[name].shape != shape:
-                raise CheckpointError(
-                    f"{path}: shape mismatch at {name!r}: "
-                    f"checkpoint {arrays[name].shape} vs {source} {shape}"
-                )
+    def stored(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        # Only shapes are compared, so a header width of 10**9 costs no memory.
+        if name not in arrays:
+            raise CheckpointError(f"{path}: checkpoint is missing array {name!r}")
+        if arrays[name].shape != shape:
+            raise CheckpointError(
+                f"{path}: shape mismatch at {name!r}: checkpoint {arrays[name].shape} vs model {shape}")
+        return arrays[name].astype(dtype, copy=False)
 
-    # The arrays that carry each width and kernel size must agree with the
-    # header before the model is drawn to it: a header width of 10**9 would
-    # otherwise ask numpy for terabytes before any shape is compared.
-    widths, b, k = config.encoder_widths, config.bottleneck_width, config.kernel_size
-    carriers = {f"enc{i}.conv2.weight": (w, w, k) for i, w in enumerate(widths, 1)}
-    carriers["bottleneck.conv2.weight"] = (b, b, k)
-    carriers["up4.weight"] = (b, widths[3], config.up_kernel_size)
-    check_shapes(carriers, "header")
-    model = SegmentationModel(config).astype(stored)
-    check_shapes({name: target.shape for name, target in _model_arrays(model).items()}, "model")
-    for name, p in model.params.items():
-        p.data = arrays[name].astype(stored)
-    for layer, state in model.bn.items():
-        state.running_mean = arrays[f"{layer}.running_mean"].astype(stored)
-        state.running_var = arrays[f"{layer}.running_var"].astype(stored)
+    model = SegmentationModel(config, stored)
     model.step_count = step_count
     return model

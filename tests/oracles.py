@@ -201,6 +201,20 @@ def conv_bn_relu_block(model, h, path):
     return h
 
 
+def upsample_concat_two_nodes(x, w, b, skip, stride=2, padding=3):
+    """``autodiff.convtranspose_concat`` as two nodes, as the decoder ran before they were one.
+
+    The transposed conv's output is an array of its own, which the concat
+    node copies into its channels; the concat's backward hands its channels
+    of the gradient to the transposed conv through ``_accumulate``. The
+    fused node must give the same bits. Patch it over
+    ``ecgseg.unet.convtranspose_concat`` to run the model's decoder this way.
+    """
+    from ecgseg.autodiff import convtranspose1d, zero_pad_concat
+
+    return zero_pad_concat(convtranspose1d(x, w, b, stride=stride, padding=padding), skip)
+
+
 def maxpool1d_argmax(x, size):
     """Max pooling through a per-window argmax and gather, size == stride.
 

@@ -17,6 +17,7 @@ from ecgseg.autodiff import (
     batchnorm_relu,
     conv1d,
     convtranspose1d,
+    convtranspose_concat,
     maxpool1d,
     relu,
     softmax_cross_entropy,
@@ -116,6 +117,23 @@ def test_criterion_1_gradient_suite_all_layers():
         up, skip = rt(rng, (B, Cu, Lu)), rt(rng, (B, Cs, Ls))
         assert_grad_matches(lambda: zero_pad_concat(up, skip), [up, skip], rng)
 
+    count = 0  # convtranspose_concat, the skip as long as the output or longer
+    while count < 5:
+        B, Cin, Cout, Cs = (int(v) for v in rng.integers(1, 4, size=4))
+        k = int(rng.integers(2, 9))
+        stride = int(rng.integers(1, 4))
+        pad = int(rng.integers(0, k))
+        L = int(rng.integers(2, 8))
+        Lout = (L - 1) * stride - 2 * pad + k
+        if Lout < 1:
+            continue
+        x, w, b = rt(rng, (B, Cin, L)), rt(rng, (Cin, Cout, k)), rt(rng, (Cout,))
+        skip = rt(rng, (B, Cs, Lout + int(rng.integers(0, 3))))
+        assert_grad_matches(
+            lambda: convtranspose_concat(x, w, b, skip, stride=stride, padding=pad), [x, w, b, skip], rng
+        )
+        count += 1
+
     for _ in range(5):  # softmax cross-entropy loss
         B, L = int(rng.integers(1, 3)), int(rng.integers(2, 12))
         logits = rt(rng, (B, 4, L))
@@ -124,7 +142,7 @@ def test_criterion_1_gradient_suite_all_layers():
 
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s, budget is 120s"
-    print(f"criterion 1 PASS: 40 gradient checks in {elapsed:.1f}s")
+    print(f"criterion 1 PASS: 45 gradient checks in {elapsed:.1f}s")
 
 
 @pytest.mark.parametrize("length", [1, 15, 16, 17, 496, 2000, 4000, 5000, 5001])

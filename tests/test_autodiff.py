@@ -20,6 +20,7 @@ from ecgseg.autodiff import (
     batchnorm_relu,
     conv1d,
     convtranspose1d,
+    convtranspose_concat,
     crop_right,
     fan_in_uniform,
     maxpool1d,
@@ -32,7 +33,8 @@ from ecgseg.autodiff import (
 )
 from ecgseg.unet import ModelConfig, tiny_config
 from gradcheck import assert_grad_matches
-from oracles import conv1d_naive, convtranspose1d_backward_taps, convtranspose1d_naive, maxpool1d_argmax
+from oracles import (conv1d_naive, convtranspose1d_backward_taps, convtranspose1d_naive, maxpool1d_argmax,
+                     upsample_concat_two_nodes)
 
 
 def rand_tensor(rng, shape, requires_grad=True):
@@ -403,6 +405,55 @@ class TestZeroPadConcat:
         assert_grad_matches(lambda: zero_pad_concat(up, skip), [up, skip], rng)
 
 
+class TestConvTransposeConcat:
+    """convtranspose_concat gives the two nodes' bits: output and every gradient."""
+
+    @staticmethod
+    def _run(op, dtype, up_short):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(3, 6, 13)).astype(dtype), requires_grad=True)
+        w = Parameter(rng.normal(size=(6, 4, 8)).astype(dtype), "w")
+        b = Parameter(rng.normal(size=4).astype(dtype), "b")
+        skip = Tensor(rng.normal(size=(3, 5, 26 + up_short)).astype(dtype), requires_grad=True)
+        out = op(x, w, b, skip)
+        # skip feeds a second node too, as an encoder output feeds its pooling
+        pooled, _ = maxpool1d(skip)
+        g = rng.normal(size=out.shape).astype(dtype)
+        out.backward(g)
+        pooled.backward(rng.normal(size=pooled.shape).astype(dtype))
+        return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad, skip.grad)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("up_short", [0, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_the_two_nodes_bit_for_bit(self, monkeypatch, dtype, up_short, workers):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+        monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)  # defer every weight gradient
+        want = self._run(upsample_concat_two_nodes, dtype, up_short)
+        assert self._run(convtranspose_concat, dtype, up_short) == want
+
+    def test_skip_is_the_last_parent(self):
+        # so backward() walks the graph in the order the two nodes gave it
+        rng = np.random.default_rng(23)
+        x, w, b = _convtranspose_case(rng, 2)
+        skip = Tensor(rng.normal(size=(2, 5, 26)).astype(np.float32))
+        assert convtranspose_concat(x, w, b, skip)._parents == (x, w, b, skip)
+
+    def test_rejects_what_zero_pad_concat_rejects(self):
+        rng = np.random.default_rng(24)
+        x, w, b = _convtranspose_case(rng, 2)
+        with pytest.raises(ShapeError, match="batch 2 vs 3"):
+            convtranspose_concat(x, w, b, Tensor(np.zeros((3, 1, 26), dtype=np.float32)))
+        with pytest.raises(ShapeError, match="up length 26 exceeds skip length 25"):
+            convtranspose_concat(x, w, b, Tensor(np.zeros((2, 1, 25), dtype=np.float32)))
+
+    def test_gradients(self):
+        rng = np.random.default_rng(25)
+        x, w, b = rand_tensor(rng, (2, 3, 5)), rand_tensor(rng, (3, 2, 8)), rand_tensor(rng, (2,))
+        skip = rand_tensor(rng, (2, 2, 12))
+        assert_grad_matches(lambda: convtranspose_concat(x, w, b, skip), [x, w, b, skip], rng)
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log4(self):
         loss = softmax_cross_entropy(Tensor(np.zeros((1, 4, 10))), np.zeros((1, 10), dtype=int))
@@ -511,8 +562,8 @@ class TestGraphRelease:
 
 
 OPS = ("conv1d_per_tap", "conv1d_im2col", "convtranspose1d", "relu", "maxpool1d", "batchnorm1d_train",
-       "batchnorm1d_eval", "batchnorm_relu_train", "batchnorm_relu_eval", "zero_pad_concat", "pad_right",
-       "crop_right", "softmax_cross_entropy")
+       "batchnorm1d_eval", "batchnorm_relu_train", "batchnorm_relu_eval", "zero_pad_concat",
+       "convtranspose_concat", "pad_right", "crop_right", "softmax_cross_entropy")
 
 
 def _op_cases(dtype):
@@ -536,7 +587,7 @@ def _op_cases(dtype):
 
     x, x1, x5, w1, w5, wt, b, bt = (t(2, 3, 10), t(2, 1, 10), t(2, 5, 10), p(4, 1, 9), p(4, 5, 9),
                                     p(3, 2, 8), p(4), p(2))
-    up, skip, logits = t(2, 2, 7), t(2, 3, 10), t(2, 4, 10)
+    up, skip, logits, long_skip = t(2, 2, 7), t(2, 3, 10), t(2, 4, 10), t(2, 3, 21)
     bn_train, bn_eval = bn(True), bn(False)
     targets = rng.integers(0, 4, size=(2, 10))
     cases = [
@@ -550,6 +601,7 @@ def _op_cases(dtype):
         ("batchnorm_relu_train", lambda: batchnorm_relu(x, bn_train), [x, bn_train.gamma, bn_train.beta]),
         ("batchnorm_relu_eval", lambda: batchnorm_relu(x, bn_eval), [x, bn_eval.gamma, bn_eval.beta]),
         ("zero_pad_concat", lambda: zero_pad_concat(up, skip), [up, skip]),
+        ("convtranspose_concat", lambda: convtranspose_concat(x, wt, bt, long_skip), [x, wt, bt, long_skip]),
         ("pad_right", lambda: pad_right(x, 3), [x]),
         ("crop_right", lambda: crop_right(x, 4), [x]),
         ("softmax_cross_entropy", lambda: softmax_cross_entropy(logits, targets), [logits]),

@@ -400,7 +400,8 @@ class TestSegment:
         ])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {untrained_checkpoint}: ") and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
 
     def test_float_width_checkpoint_fails_with_one_line(self, json_dir, untrained_checkpoint,
                                                          tmp_path, capsys):

@@ -111,6 +111,10 @@ class TestRejectMalformedFile:
         ("[train]\nlearning_rate = fast\n", r"\[train\] learning_rate: bad value"),
         ("[model]\nseed = x\n", r"\[model\] seed: bad value 'x'"),
         ("[model]\nencoder_widths = a, b\n", r"\[model\] encoder_widths: bad value"),
+        ("[model]\nbn_eps = -1\n", r"\[model\] bn_eps must be a number finite and > 0, got -1.0"),
+        ("[model]\nbn_eps = nan\n", r"\[model\] bn_eps must be a number finite and > 0, got nan"),
+        ("[model]\nbn_momentum = 2\n", r"\[model\] bn_momentum must be a number in \[0, 1\], got 2.0"),
+        ("[model]\nbottleneck_width = 0\n", r"\[model\] channel widths must be >= 1"),
     ])
     def test_names_file_section_and_key(self, tmp_path, text, match):
         path = tmp_path / "bad.ini"
@@ -128,7 +132,7 @@ class TestRejectMalformedFile:
         assert list(read_config_file(config_file)) == ["data", "model", "train"]
 
     @pytest.mark.parametrize("text", ["[train]\niteratons = 50\n", "[model]\nseed = x\n",
-                                      "[evaluate]\ntrim_edges = true\n"])
+                                      "[evaluate]\ntrim_edges = true\n", "[model]\nbn_eps = -1\n"])
     def test_cli_train_exits_2_with_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.ini"
         path.write_text(text)

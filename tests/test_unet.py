@@ -29,7 +29,7 @@ from ecgseg.unet import (
     save_weights,
     tiny_config,
 )
-from oracles import conv_bn_relu_block
+from oracles import conv_bn_relu_block, upsample_concat_two_nodes
 
 
 def expected_param_count(widths, bottleneck, k=9, ku=8, n_classes=4):
@@ -94,6 +94,35 @@ class TestBuild:
     ])
     def test_rejects_non_integer_sizes(self, key, value):
         with pytest.raises(ShapeError, match=f"{key} must hold integers"):
+            ModelConfig(**{**TINY_WIDTHS, key: value})
+
+    @pytest.mark.parametrize("sizes", [
+        {"padding": -1}, {"padding": 50}, {"kernel_size": 8}, {"kernel_size": 7, "padding": 4},
+        {"kernel_size": -1, "padding": -1},
+    ])
+    def test_rejects_a_conv_that_changes_the_length(self, sizes):
+        with pytest.raises(ShapeError, match="kernel_size must be 2\\*padding \\+ 1"):
+            ModelConfig(**{**TINY_WIDTHS, **sizes})
+
+    @pytest.mark.parametrize("sizes", [
+        {"up_stride": 0}, {"up_stride": 1}, {"up_stride": 3}, {"up_padding": -2}, {"up_padding": 4},
+        {"up_kernel_size": 7}, {"up_kernel_size": 0, "up_padding": -1},
+    ])
+    def test_rejects_an_up_conv_that_does_not_double_the_length(self, sizes):
+        with pytest.raises(ShapeError, match="do not double the length"):
+            ModelConfig(**{**TINY_WIDTHS, **sizes})
+
+    def test_accepts_other_length_keeping_sizes(self):
+        config = ModelConfig(**TINY_WIDTHS, kernel_size=5, padding=2, up_kernel_size=4, up_padding=1)
+        assert SegmentationModel(config).eval().scores(np.zeros(37)).shape == (4, 37)
+
+    @pytest.mark.parametrize("key, value", [
+        ("bn_eps", -1.0), ("bn_eps", 0.0), ("bn_eps", float("nan")), ("bn_eps", float("inf")),
+        ("bn_eps", True), ("bn_eps", "1e-5"), ("bn_momentum", -0.1), ("bn_momentum", 1.5),
+        ("bn_momentum", float("nan")), ("bn_momentum", None),
+    ])
+    def test_rejects_batch_norm_settings_that_cannot_run(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
             ModelConfig(**{**TINY_WIDTHS, key: value})
 
 
@@ -336,6 +365,16 @@ class TestFusedBlock:
         want = training_bits(two_node_model(ModelConfig()), steps=1, batch=4)
         assert training_bits(SegmentationModel(ModelConfig()), steps=1, batch=4) == want
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_decoder_training_bitwise(self, monkeypatch, workers):
+        # the decoder's fused transposed conv and concat against the two nodes
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+        monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)  # defer every weight gradient
+        with monkeypatch.context() as patch:
+            patch.setattr(ecgseg.unet, "convtranspose_concat", upsample_concat_two_nodes)
+            want = training_bits(SegmentationModel(tiny_config()), steps=3, batch=8)
+        assert training_bits(SegmentationModel(tiny_config()), steps=3, batch=8) == want
+
     def test_training_forward_keeps_at_most_70_percent(self):
         # numpy bytes the graph of a tiny-preset training forward holds for its backward
         x = np.random.default_rng(24).normal(size=(8, 1, 2000)).astype(np.float32)
@@ -354,6 +393,36 @@ class TestFusedBlock:
 
         fused, oracle = retained(SegmentationModel(tiny_config())), retained(two_node_model(tiny_config()))
         assert fused <= 0.7 * oracle, (fused, oracle)
+
+
+class TestBackwardMemory:
+    # The rise at 1 worker is 2.4 arrays. At 2 it is 2.9-4.7, and 17.0 when
+    # no deferred task runs before the walk ends, as on a busy core. A walk
+    # that held every node to the end rose by 23-30.
+    @pytest.mark.parametrize("workers, bound", [(1, 6), (2, 20)])
+    def test_backward_peak_stays_near_the_forwards_memory(self, monkeypatch, workers, bound):
+        # numpy bytes traced during a training backward above those the forward
+        # left held, in full-size arrays (batch x enc1 width x length): the walk
+        # frees each activation once no node left to walk, and no pending
+        # weight-gradient task, reads it.
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+        monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)  # defer every weight gradient
+        model = SegmentationModel(ModelConfig(encoder_widths=(8, 16, 32, 64), bottleneck_width=128))
+        rng = np.random.default_rng(25)
+        batch, length = 4, 1000
+        x = rng.normal(size=(batch, 1, length)).astype(np.float32)
+        targets = rng.integers(0, 4, size=(batch, length))
+        full_size = batch * 8 * length * 4
+        tracemalloc.start()
+        try:
+            loss = softmax_cross_entropy(model.forward(Tensor(x)), targets)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / full_size <= bound, (peak - held) / full_size
 
 
 class TestEndToEndGradients:
@@ -463,18 +532,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="enc1"):
             load_weights(path)
 
-    # Sizes far beyond any memory, so a model built before the check fails at once.
-    @pytest.mark.parametrize("key, value, carrier", [
-        ("encoder_widths", [4, 8, 16, 10**9], "enc4.conv2.weight"),
-        ("bottleneck_width", 10**9, "bottleneck.conv2.weight"),
-        ("kernel_size", 10**12, "enc1.conv2.weight"),
-        ("up_kernel_size", 10**12, "up4.weight"),
+    # Sizes far beyond any memory, so a model that allocated before the
+    # check would fail at once; the first array that carries one is named.
+    @pytest.mark.parametrize("sizes, carrier", [
+        ({"encoder_widths": [4, 8, 16, 10**9]}, "enc4.conv1.weight"),
+        ({"bottleneck_width": 10**9}, "bottleneck.conv1.weight"),
+        ({"kernel_size": 2 * 10**12 + 1, "padding": 10**12}, "enc1.conv1.weight"),
+        ({"up_kernel_size": 2 * 10**12 + 2, "up_padding": 10**12}, "up4.weight"),
     ])
-    def test_header_sizes_checked_against_their_arrays_first(self, tmp_path, key, value, carrier):
+    def test_header_sizes_checked_against_their_arrays_first(self, tmp_path, sizes, carrier):
         path = tmp_path / "model.ckpt"
         save_weights(SegmentationModel(tiny_config()), path)
         header, arrays = load_container(path)
-        header["config"][key] = value
+        header["config"].update(sizes)
         save_container(path, header, arrays)
         with pytest.raises(CheckpointError, match=re.escape(f"{path}: shape mismatch at {carrier!r}")):
             load_weights(path)
@@ -580,6 +650,11 @@ def corrupt_checkpoint(path, case: str) -> None:
     elif case == "array-name":
         at = blob.index(b"enc1.conv1.weight")
         path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    elif case == "shape-size-overflows":
+        # (2**32, 2**32, 1) in place of the first array's shape: its size wraps to 0 in int64
+        at = blob.index(b"enc1.conv1.weight") + len(b"enc1.conv1.weight") + 8
+        dims = b"".join(d.to_bytes(8, "little") for d in (2**32, 2**32, 1))
+        path.write_bytes(blob[:at] + dims + blob[at + len(dims):])
     else:
         header, arrays = load_container(path)
         if case == "config-unknown-key":
@@ -588,13 +663,21 @@ def corrupt_checkpoint(path, case: str) -> None:
             header["step_count"] = "abc"
         elif case == "bottleneck_width-huge":
             header["config"]["bottleneck_width"] = 10**9  # far beyond memory: numpy would refuse at once
+        elif case in BAD_CONFIGS:
+            header["config"].update(BAD_CONFIGS[case])
         else:  # a header key to drop
             del header[case]
         save_container(path, header, arrays)
 
 
-CORRUPTIONS = ("header-utf8", "header-json", "header-not-object", "array-name",
-               "config", "step_count", "config-unknown-key", "step_count-not-int", "bottleneck_width-huge")
+# Header configs a network cannot run, or not as the one that was trained.
+BAD_CONFIGS = {"up_stride-0": {"up_stride": 0}, "bn_eps-negative": {"bn_eps": -1.0},
+               "padding-negative": {"padding": -1}, "padding-50": {"padding": 50},
+               "up_padding-negative": {"up_padding": -2}, "bn_momentum-above-1": {"bn_momentum": 1.5}}
+
+CORRUPTIONS = ("header-utf8", "header-json", "header-not-object", "array-name", "shape-size-overflows",
+               "config", "step_count", "config-unknown-key", "step_count-not-int", "bottleneck_width-huge",
+               *BAD_CONFIGS)
 
 
 def save_trainer_checkpoint(path) -> None:
