@@ -2,9 +2,10 @@
 """Desk-scale overfit drill: tiny model, 2 synthetic records, ~30 s on a laptop.
 
 Writes two generated 12-lead records into OUT, then runs exactly these
-three CLI commands on them (S is --seed):
+three CLI commands on them, FLAGS being every other flag given to the
+drill, passed on to ``ecgseg train`` (``--iterations 20``, say):
 
-    ecgseg train --preset drill --data-root OUT --out OUT --seed S
+    ecgseg train FLAGS --preset drill --data-root OUT --out OUT
     ecgseg segment OUT/drill0.json OUT/drill1.json --checkpoint OUT/model.ckpt \\
            --mode avg --out OUT/pred
     ecgseg evaluate --ref OUT/drill0.json OUT/drill1.json --pred OUT/pred --out OUT/report
@@ -14,7 +15,7 @@ at 150 ms tolerance (in practice all six point types reach 100%). The
 verdict is read back from OUT/loss.csv and the TP/FP/FN rows of
 OUT/report.csv; the exit status is 0 when the drill passes.
 
-Usage: python scripts/overfit_drill.py [--out runs/drill] [--iterations N]
+Usage: python scripts/overfit_drill.py [--out runs/drill] [any `ecgseg train` flag]
 """
 
 import argparse
@@ -23,23 +24,17 @@ import time
 from pathlib import Path
 
 from ecgseg import cli
-from ecgseg.config import DRILL_PRESET
 from ecgseg.evaluate import csv_report_f1
 from ecgseg.synthetic import make_ecg_record
 from ecgseg.wfdb import save_json_record
 
 
 def main(argv=None) -> int:
-    preset = DRILL_PRESET["train"]
-    parser = argparse.ArgumentParser(description=__doc__,
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default="runs/drill")
-    parser.add_argument("--iterations", type=int, help=f"default {preset['iterations']}")
-    parser.add_argument("--batch-size", type=int, help=f"default {preset['batch_size']}")
-    parser.add_argument("--learning-rate", type=float,
-                        help=f"default {preset['learning_rate']:g}")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+    args, train_flags = parser.parse_known_args(argv)
+    cli.check_train_flags(parser, train_flags, ("--preset", "--data-root", "--out"))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -49,16 +44,10 @@ def main(argv=None) -> int:
         paths.append(str(out / f"{record.record_id}.json"))
         save_json_record(paths[-1], record, waves)
 
-    train = ["train", "--preset", "drill", "--data-root", str(out), "--out", str(out),
-             "--seed", str(args.seed)]
-    for flag, value in (("--iterations", args.iterations), ("--batch-size", args.batch_size),
-                        ("--learning-rate", args.learning_rate)):
-        if value is not None:
-            train += [flag, str(value)]
     pred = str(out / "pred")
     start = time.monotonic()
     for command in (
-        train,
+        ["train", *train_flags, "--preset", "drill", "--data-root", str(out), "--out", str(out)],
         ["segment", *paths, "--checkpoint", str(out / "model.ckpt"), "--mode", "avg",
          "--out", pred],
         ["evaluate", "--ref", *paths, "--pred", pred, "--out", str(out / "report")],

@@ -15,11 +15,15 @@ shuffle written to OUT/train_ids.txt and OUT/test_ids.txt, ``ecgseg train``
 on those ids, then per mode ``ecgseg segment`` of the test records into
 OUT/pred-<mode> and ``ecgseg evaluate`` into OUT/report-<mode>.{txt,csv}.
 
-Expect hours of CPU time at the default 8000 iterations (roughly 10 h
-on one core; BLAS threading on a multi-core box cuts that down).
+Flags the script does not take go to ``ecgseg train``, after its defaults
+``--iterations 8000 --checkpoint-every 2000`` (flags, so they win over
+--config and --preset).
+Expect hours of CPU time at 8000 iterations (roughly 10 h on one core;
+BLAS threading on a multi-core box cuts that down).
 
 Usage:
     python scripts/replicate_table.py --wfdb-dir /data/ludb [--out runs/replication]
+        [--train-fraction 0.8] [--seed 0] [any `ecgseg train` flag]
 """
 
 import argparse
@@ -30,7 +34,6 @@ import numpy as np
 from ecgseg import cli
 from ecgseg.delineate import MODES
 from ecgseg.evaluate import csv_report_f1
-from ecgseg.train import TrainConfig
 
 TARGETS = {
     "QRS-on": 0.990, "QRS-off": 0.990,
@@ -40,17 +43,15 @@ TARGETS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--wfdb-dir", required=True, help="directory of LUDB WFDB files")
     parser.add_argument("--out", default="runs/replication")
     parser.add_argument("--train-fraction", type=float, default=0.8)
-    parser.add_argument("--iterations", type=int, default=8000)
-    parser.add_argument("--batch-size", type=int, help=f"default {TrainConfig.batch_size}")
-    parser.add_argument("--learning-rate", type=float, help=f"default {TrainConfig.learning_rate:g}")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--checkpoint-every", type=int, default=2000)
-    args = parser.parse_args(argv)
+    parser.add_argument("--seed", type=int, default=0, help="split shuffle and ecgseg train seed")
+    args, train_flags = parser.parse_known_args(argv)
+    cli.check_train_flags(parser, train_flags,
+                          ("--data-root", "--out", "--train-ids", "--test-ids", "--seed"))
 
     out = Path(args.out)
     json_dir = out / "records"
@@ -75,16 +76,11 @@ def main(argv=None) -> int:
     (out / "test_ids.txt").write_text("\n".join(sorted(test_ids)) + "\n")
     print(f"{len(train_ids)} train records, {len(test_ids)} test records")
 
-    train = [
-        "train", "--data-root", str(json_dir), "--out", str(out),
+    code = cli.main([
+        "train", "--iterations", "8000", "--checkpoint-every", "2000", *train_flags,
+        "--data-root", str(json_dir), "--out", str(out), "--seed", str(args.seed),
         "--train-ids", ",".join(train_ids), "--test-ids", ",".join(test_ids),
-        "--iterations", str(args.iterations), "--seed", str(args.seed),
-        "--checkpoint-every", str(args.checkpoint_every),
-    ]
-    for flag, value in (("--batch-size", args.batch_size), ("--learning-rate", args.learning_rate)):
-        if value is not None:
-            train += [flag, str(value)]
-    code = cli.main(train)
+    ])
     if code != cli.EXIT_OK:
         return code
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +22,6 @@ from .config import (
     build_model_config,
     build_train_config,
     merge_layers,
-    parse_tolerance,
     read_config_file,
     read_id_list,
 )
@@ -45,6 +45,7 @@ from .train import (
 )
 from .unet import CheckpointError, SegmentationModel, load_weights
 from .wfdb import (
+    JsonFormatError,
     WaveAnnotation,
     WfdbError,
     load_json_record,
@@ -56,34 +57,25 @@ from .wfdb import (
 EXIT_OK, EXIT_FAILURE, EXIT_USAGE = 0, 1, 2
 
 
-def _positive_rate(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0 < value < float("inf"):  # NaN fails both
-        raise argparse.ArgumentTypeError(f"rate must be positive and finite, got {text!r}")
-    return value
+def _ms(text: str) -> float:
+    """Milliseconds from a bare number (ms) or one with an ms or s suffix."""
+    raw = text.strip().lower()
+    if raw.endswith("ms"):
+        return float(raw[:-2])
+    return float(raw[:-1]) * 1000.0 if raw.endswith("s") else float(raw)
 
 
-def _non_negative_ms(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"duration must be >= 0 ms, got {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = parse_tolerance(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
-    return value
+def _number(rule: str, holds, read=float):
+    """An argparse type: a finite number from ``read`` that ``holds``; else an error of ``rule``."""
+    def parse(text: str) -> float:
+        try:
+            value = read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not (math.isfinite(value) and holds(value)):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return parse
 
 
 def _json_files(specs) -> list[Path]:
@@ -160,7 +152,6 @@ def cmd_train(args) -> int:
         raise ConfigurationError(f"data root is not a directory: {data_root}")
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_cfg = build_train_config(values, checkpoint_dir=str(out_dir))
 
     records = [load_json_record(path) for path in sorted(data_root.glob("*.json"))]
@@ -186,6 +177,9 @@ def cmd_train(args) -> int:
                 raise ConfigurationError(
                     f"{args.resume}: {key} is {value} here but {saved} in the checkpoint"
                 )
+        if model.step_count >= train_cfg.iterations:
+            raise ConfigurationError(f"{args.resume}: the checkpoint is at step {model.step_count},"
+                                     f" so iterations {train_cfg.iterations} has nothing to train")
         print(f"resuming from {args.resume} at step {model.step_count}")
     else:
         model = SegmentationModel(build_model_config(values))
@@ -196,12 +190,13 @@ def cmd_train(args) -> int:
         rng = np.random.default_rng(train_cfg.seed)
 
     start_step = model.step_count
-    every = max(1, (train_cfg.iterations - start_step) // 20) if train_cfg.iterations > start_step else 1
+    every = max(1, (train_cfg.iterations - start_step) // 20)
 
     def progress(step, value):
         if step % every == 0 or step == train_cfg.iterations:
             print(f"iteration {step}/{train_cfg.iterations}  loss {value:.4f}")
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     history = train(model, split, train_cfg, adam=adam, rng=rng, progress=progress)
     save_training_checkpoint(out_dir / "model.ckpt", model, adam, rng)
     save_loss_history(out_dir / "loss.csv", history, start_step=start_step + 1)
@@ -221,6 +216,8 @@ def cmd_segment(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     for path in inputs:
         record, _ = load_json_record(path)
+        if Path(record.record_id).name != record.record_id:  # it can name the output file
+            raise JsonFormatError(f"{path}: record_id {record.record_id!r} is not a file name")
         result = delineate(record, model, args.mode, min_duration_ms=args.min_duration_ms)
         target = out if single_file else out / f"{record.record_id}.delineation.json"
         target.write_text(json.dumps(result.to_json()))
@@ -270,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resample", help="resample an interchange JSON record")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--rate", type=_positive_rate, required=True, help="target rate in Hz")
+    p.add_argument("--rate", required=True, help="target rate in Hz",
+                   type=_number("rate must be positive and finite", lambda v: v > 0))
     p.set_defaults(func=cmd_resample)
 
     p = sub.add_parser("train", help="train the segmentation network")
@@ -297,14 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mode", choices=MODES, default="avg")
     p.add_argument("--out", default="delineations", help="output dir (or .json for one input)")
-    p.add_argument("--min-duration-ms", type=_non_negative_ms, default=0.0,
+    p.add_argument("--min-duration-ms", default=0.0,
+                   type=_number("duration must be finite and >= 0 ms", lambda v: v >= 0),
                    help="drop waves shorter than this (keep 0 for evaluation runs)")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("evaluate", help="score predictions against reference annotations")
     p.add_argument("--ref", nargs="+", required=True, help="interchange JSON files/dirs")
     p.add_argument("--pred", nargs="+", required=True, help="delineation JSON files/dirs")
-    p.add_argument("--tolerance", type=_tolerance, default=150.0,
+    p.add_argument("--tolerance", default=150.0,
+                   type=_number("tolerance must be positive and finite", lambda v: v > 0, _ms),
                    help="matching tolerance; bare number = ms, suffixes ms/s accepted")
     p.add_argument("--no-trim", action="store_true", help="skip edge-cycle exclusion")
     p.add_argument("--out", help="report path prefix (writes .txt and .csv)")
@@ -316,6 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delineation")
     p.set_defaults(func=cmd_render)
     return parser
+
+
+def check_train_flags(parser: argparse.ArgumentParser, flags, owned) -> None:
+    """Exit 2 unless ``flags`` parse as ``ecgseg train``'s and set none of ``owned``. One set to
+    its default goes unnoticed, so a script passes its ``owned`` flags after ``flags``."""
+    given = build_parser().parse_args(["train", *flags])
+    defaults = build_parser().parse_args(["train"])
+    for flag in owned:
+        dest = flag.removeprefix("--").replace("-", "_")
+        if getattr(given, dest) != getattr(defaults, dest):
+            parser.error(f"ecgseg train {flag} is set by this script")
 
 
 def main(argv=None) -> int:

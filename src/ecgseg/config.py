@@ -86,11 +86,13 @@ def _check_section(path, section: str, values: dict[str, str]) -> None:
             parsed[key] = casts[key](value)
         except ValueError:
             raise ConfigurationError(f"{path}: [{section}] {key}: bad value {value!r}") from None
-    if section == "model":  # each key's own range, as the model checks it
+    if section != "data":  # each key's own range, as the config class checks it
+        # checkpoint_every needs a directory, which the CLI gives only with --out.
+        fixed = {"checkpoint_dir": "--out"} if section == "train" else {}
         try:
-            ModelConfig(**parsed)
+            (ModelConfig if section == "model" else TrainConfig)(**parsed, **fixed)
         except ValueError as exc:
-            raise ConfigurationError(f"{path}: [model] {exc}") from None
+            raise ConfigurationError(f"{path}: [{section}] {exc}") from None
 
 
 def merge_layers(*layers) -> dict[str, dict]:
@@ -123,18 +125,6 @@ def build_model_config(values) -> ModelConfig:
 
 def build_train_config(values, checkpoint_dir: str | None = None) -> TrainConfig:
     return _build(TrainConfig, values, "train", checkpoint_dir=checkpoint_dir)
-
-
-def parse_tolerance(text: str) -> float:
-    """Tolerance in ms; accepts a bare number (ms) or an ms/s suffix."""
-    raw = text.strip().lower()
-    if raw.endswith("ms"):
-        value = float(raw[:-2])
-    elif raw.endswith("s"):
-        value = float(raw[:-1]) * 1000.0
-    else:
-        value = float(raw)
-    return value
 
 
 def read_id_list(values: dict[str, str], key: str) -> list[str]:

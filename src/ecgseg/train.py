@@ -9,6 +9,7 @@ resumed run is bitwise identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,6 +61,14 @@ class TrainConfig:
             raise ConfigurationError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.checkpoint_every > 0 and not self.checkpoint_dir:
             raise ConfigurationError("checkpoint_every needs a checkpoint_dir")
+        # Outside these ranges Adam trains on into a useless model, or fails later blaming a batch.
+        for key, valid, rule in (("learning_rate", lambda v: 0 <= v < math.inf, "finite and >= 0"),
+                                 ("beta1", lambda v: 0 <= v < 1, "in [0, 1)"),
+                                 ("beta2", lambda v: 0 <= v < 1, "in [0, 1)"),
+                                 ("adam_eps", lambda v: 0 < v < math.inf, "finite and > 0")):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not valid(value):
+                raise ConfigurationError(f"{key} must be a number {rule}, got {value!r}")
 
 
 @dataclass
@@ -251,7 +260,11 @@ def load_training_checkpoint(path) -> tuple[SegmentationModel, Adam, np.random.G
     try:
         adam = Adam(model.parameters(), lr=float(info["lr"]), beta1=float(info["beta1"]),
                     beta2=float(info["beta2"]), eps=float(info["eps"]))
-        adam.t = int(info["adam_t"])
+        # A new run's rules for these settings.
+        TrainConfig(learning_rate=adam.lr, beta1=adam.beta1, beta2=adam.beta2, adam_eps=adam.eps)
+        if type(info["adam_t"]) is not int or info["adam_t"] < 0:
+            raise ValueError(f"adam_t must be an integer >= 0, got {info['adam_t']!r}")
+        adam.t = info["adam_t"]
         adam.m = [slot(f"adam.m.{p.name}", p) for p in adam.params]
         adam.v = [slot(f"adam.v.{p.name}", p) for p in adam.params]
         rng = np.random.default_rng()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ecgseg import wfdb
-from ecgseg.cli import main
+from ecgseg.cli import build_parser, main
 from ecgseg.signal import map_sample_indices
 from ecgseg.unet import SegmentationModel, load_container, save_container, save_weights, tiny_config
 from ecgseg.wfdb import load_json_record, save_json_record
@@ -286,6 +286,21 @@ class TestTrain:
         assert err == f"error: {checkpoint}: {message}\n"
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("iterations", ["3", "2"])
+    def test_resume_at_or_past_the_end_is_usage_error(self, json_dir, tmp_path, capsys,
+                                                      iterations):
+        out = tmp_path / "run"
+        assert main(self.train_args(json_dir, out, ["--iterations", "3"])) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        code = main(self.train_args(json_dir, out, ["--iterations", iterations,
+                                                    "--resume", str(out / "model.ckpt")]))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'model.ckpt'}: the checkpoint is at step 3, "
+            f"so iterations {iterations} has nothing to train\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     @pytest.mark.parametrize("case", TRAINER_CORRUPTIONS)
     def test_corrupt_trainer_state_fails_with_one_line(self, json_dir, tmp_path, capsys, case):
         checkpoint = tmp_path / "trainer.ckpt"
@@ -417,6 +432,21 @@ class TestSegment:
         assert err == (f"error: {untrained_checkpoint}: bad checkpoint header "
                        f"(encoder_widths must hold integers, got (4.0, 8, 16, 32))\n")
 
+    @pytest.mark.parametrize("record_id", ["../escaped", "sub/inner", "/abs", "."])
+    def test_record_id_that_is_not_a_file_name_fails(self, json_dir, untrained_checkpoint,
+                                                     tmp_path, capsys, record_id):
+        path = tmp_path / "evil.json"
+        doc = json.loads((json_dir / "rec0.json").read_text())
+        path.write_text(json.dumps({**doc, "record_id": record_id}))
+        out = tmp_path / "sub" / "out"
+        code = main(["segment", str(path), "--checkpoint", str(untrained_checkpoint),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: record_id {record_id!r} is not a file name\n")
+        assert [p for p in tmp_path.rglob("*") if p.is_file() and p != path
+                and p != untrained_checkpoint and json_dir not in p.parents] == []
+
     def test_non_finite_sample_fails(self, json_dir, untrained_checkpoint, tmp_path, capsys):
         path = json_dir / "rec0.json"
         doc = json.loads(path.read_text())
@@ -472,6 +502,30 @@ class TestEvaluate:
                      "--tolerance", "0.15s"]) == 0
         s_out = capsys.readouterr().out
         assert ms_out == s_out
+
+    @pytest.mark.parametrize("text,expected", [
+        ("150", 150.0), ("150ms", 150.0), ("0.15s", 150.0), (" 2s ", 2000.0), ("75.5", 75.5),
+    ])
+    def test_tolerance_units(self, text, expected):
+        args = build_parser().parse_args(["evaluate", "--ref", "r", "--pred", "p",
+                                          "--tolerance", text])
+        assert args.tolerance == pytest.approx(expected)
+
+    @pytest.mark.parametrize("text,message", [
+        ("nan", "tolerance must be positive and finite, got 'nan'"),
+        ("inf", "tolerance must be positive and finite, got 'inf'"),
+        ("infs", "tolerance must be positive and finite, got 'infs'"),
+        ("0ms", "tolerance must be positive and finite, got '0ms'"),
+        ("soon", "not a number: 'soon'"),
+    ], ids=["nan", "inf", "infs", "0ms", "soon"])
+    def test_bad_tolerance_is_usage_error(self, json_dir, tmp_path, capsys, text, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--ref", str(json_dir), "--pred", str(json_dir),
+                  "--out", str(tmp_path / "report"), f"--tolerance={text}"])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"ecgseg evaluate: error: argument --tolerance: {message}"]
+        assert list(tmp_path.glob("report*")) == []
 
     def test_id_mismatch_fails(self, json_dir, tmp_path, capsys):
         preds = tmp_path / "preds"
@@ -666,12 +720,15 @@ class TestUsageErrors:
             main(["segment", str(json_dir / "rec0.json")])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("value", ["-1", "-0.5", "nan"])
-    def test_negative_min_duration(self, json_dir, untrained_checkpoint, tmp_path, value):
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf"])
+    def test_negative_min_duration(self, json_dir, untrained_checkpoint, tmp_path, capsys, value):
         with pytest.raises(SystemExit) as excinfo:
             main(["segment", str(json_dir / "rec0.json"), "--checkpoint", str(untrained_checkpoint),
                   "--out", str(tmp_path / "d"), f"--min-duration-ms={value}"])
         assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"ecgseg segment: error: argument --min-duration-ms: "
+                          f"duration must be finite and >= 0 ms, got {value!r}"]
         assert not (tmp_path / "d").exists()
 
     def test_negative_checkpoint_every(self, json_dir, tmp_path, capsys):
@@ -682,3 +739,13 @@ class TestUsageErrors:
         assert code == 2
         assert err == "error: checkpoint_every must be >= 0, got -1\n"
         assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_learning_rate_is_usage_error(self, json_dir, tmp_path, capsys, value):
+        out = tmp_path / "run"
+        code = main(["train", "--data-root", str(json_dir), "--out", str(out), "--preset", "drill",
+                     "--iterations", "2", f"--learning-rate={value}"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: learning_rate must be a number finite and >= 0, got {float(value)!r}\n")
+        assert not out.exists()

@@ -5,7 +5,6 @@ from ecgseg.config import (
     build_model_config,
     build_train_config,
     merge_layers,
-    parse_tolerance,
     read_config_file,
     read_id_list,
 )
@@ -34,19 +33,6 @@ def config_file(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(SAMPLE)
     return path
-
-
-class TestParseTolerance:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [("150", 150.0), ("150ms", 150.0), ("0.15s", 150.0), (" 2s ", 2000.0), ("75.5", 75.5)],
-    )
-    def test_units(self, text, expected):
-        assert parse_tolerance(text) == pytest.approx(expected)
-
-    def test_garbage_raises(self):
-        with pytest.raises(ValueError):
-            parse_tolerance("soon")
 
 
 class TestBuildConfigs:
@@ -115,6 +101,11 @@ class TestRejectMalformedFile:
         ("[model]\nbn_eps = nan\n", r"\[model\] bn_eps must be a number finite and > 0, got nan"),
         ("[model]\nbn_momentum = 2\n", r"\[model\] bn_momentum must be a number in \[0, 1\], got 2.0"),
         ("[model]\nbottleneck_width = 0\n", r"\[model\] channel widths must be >= 1"),
+        ("[train]\nbatch_size = 0\n", r"\[train\] batch_size must be >= 1, got 0"),
+        ("[train]\nbeta1 = 5\n", r"\[train\] beta1 must be a number in \[0, 1\), got 5.0"),
+        ("[train]\nlearning_rate = -1\n",
+         r"\[train\] learning_rate must be a number finite and >= 0, got -1.0"),
+        ("[train]\nadam_eps = nan\n", r"\[train\] adam_eps must be a number finite and > 0, got nan"),
     ])
     def test_names_file_section_and_key(self, tmp_path, text, match):
         path = tmp_path / "bad.ini"
@@ -131,8 +122,14 @@ class TestRejectMalformedFile:
     def test_known_keys_accepted(self, config_file):
         assert list(read_config_file(config_file)) == ["data", "model", "train"]
 
+    def test_checkpoint_every_waits_for_the_output_directory(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[train]\ncheckpoint_every = 5\n")
+        assert read_config_file(path) == {"train": {"checkpoint_every": "5"}}
+
     @pytest.mark.parametrize("text", ["[train]\niteratons = 50\n", "[model]\nseed = x\n",
-                                      "[evaluate]\ntrim_edges = true\n", "[model]\nbn_eps = -1\n"])
+                                      "[evaluate]\ntrim_edges = true\n", "[model]\nbn_eps = -1\n",
+                                      "[train]\nbatch_size = 0\n"])
     def test_cli_train_exits_2_with_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.ini"
         path.write_text(text)

@@ -6,12 +6,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ecgseg.autodiff import Adam
 from ecgseg.delineate import delineate
 from ecgseg.evaluate import EvaluatorConfig, ReferenceRecord, evaluate_dataset, render_report
 from ecgseg.train import TrainConfig, make_split, save_loss_history, save_training_checkpoint, train
-from ecgseg.unet import SegmentationModel, tiny_config
+from ecgseg.unet import SegmentationModel, load_container, tiny_config
 from synth import make_ecg_record, write_wfdb_fixture
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -63,6 +64,39 @@ def test_overfit_drill_matches_library_flow(tmp_path):
     assert sorted(p.name for p in (script_out / "pred").iterdir()) == [
         "drill0.delineation.json", "drill1.delineation.json",
     ]
+
+
+def test_overfit_drill_forwards_train_flags(tmp_path):
+    out = tmp_path / "drill"
+    result = run_script("overfit_drill.py", "--out", str(out), "--iterations", "1",
+                        "--encoder-widths", "2,2,2,2", "--bottleneck-width", "4")
+    assert "drill FAILED" in result.stdout, result.stderr
+    config = load_container(out / "model.ckpt")[0]["config"]
+    assert (config["encoder_widths"], config["bottleneck_width"]) == ([2, 2, 2, 2], 4)
+
+
+@pytest.mark.parametrize("script,args,message", [
+    ("overfit_drill.py", ["--bogus"], "unrecognized arguments: --bogus"),
+    ("overfit_drill.py", ["--iterations", "5", "stray"], "unrecognized arguments: stray"),
+    ("overfit_drill.py", ["--preset", "drill"], "ecgseg train --preset is set by this script"),
+    ("overfit_drill.py", ["--data-root", "x"], "ecgseg train --data-root is set by this script"),
+    ("overfit_drill.py", ["--ou", "x"], "ecgseg train --out is set by this script"),
+    ("overfit_drill.py", ["--iterations", "many"], "invalid int value: 'many'"),
+    ("replicate_table.py", ["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ("replicate_table.py", ["--train-ids", "a"], "ecgseg train --train-ids is set by this script"),
+    ("replicate_table.py", ["--test-ids", "a"], "ecgseg train --test-ids is set by this script"),
+    ("replicate_table.py", ["--data-root", "x"], "ecgseg train --data-root is set by this script"),
+    ("replicate_table.py", ["--se", "3"], "ecgseg train --seed is set by this script"),
+], ids=["drill-unknown", "drill-stray", "drill-preset", "drill-data-root", "drill-out-prefix",
+        "drill-bad-value", "replicate-unknown", "replicate-train-ids", "replicate-test-ids",
+        "replicate-data-root", "replicate-seed-prefix"])
+def test_bad_forwarded_flag_is_usage_error_before_any_work(tmp_path, script, args, message):
+    out = tmp_path / "out"
+    wfdb = ["--wfdb-dir", str(tmp_path / "wfdb")] if script == "replicate_table.py" else []
+    result = run_script(script, *wfdb, "--out", str(out), *args)
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1].endswith(message), result.stderr
+    assert not out.exists()
 
 
 def test_replicate_table_smoke(tmp_path):

@@ -88,6 +88,22 @@ class TestMakeSplit:
         assert entry.mask.size == record.n_samples
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key,value,rule", [
+        ("learning_rate", -1.0, "finite and >= 0"), ("learning_rate", float("nan"), "finite and >= 0"),
+        ("learning_rate", float("inf"), "finite and >= 0"), ("beta1", 5.0, r"in \[0, 1\)"),
+        ("beta1", -0.1, r"in \[0, 1\)"), ("beta2", 1.0, r"in \[0, 1\)"),
+        ("adam_eps", 0.0, "finite and > 0"), ("adam_eps", float("inf"), "finite and > 0"),
+        ("learning_rate", True, "finite and >= 0"),
+    ])
+    def test_rejects_adam_settings_that_train_wrong(self, key, value, rule):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be a number {rule}, got "):
+            TrainConfig(**{key: value})
+
+    def test_accepts_the_range_ends(self):
+        TrainConfig(learning_rate=0.0, beta1=0.0, beta2=0.0, adam_eps=1e-300)
+
+
 class TestAugmentCrop:
     def make_source(self, n=5000, rate=500.0):
         rng = np.random.default_rng(1)

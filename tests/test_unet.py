@@ -705,6 +705,20 @@ def corrupt_trainer_state(path, case: str) -> None:
         trainer["adam_t"] = "abc"
     elif case == "adam_t-infinite":
         trainer["adam_t"] = float("inf")
+    elif case == "adam_t-negative":
+        trainer["adam_t"] = -1
+    elif case == "adam_t-fraction":
+        trainer["adam_t"] = 2.5
+    elif case == "lr-negative":
+        trainer["lr"] = -1.0
+    elif case == "lr-nan":
+        trainer["lr"] = float("nan")
+    elif case == "beta1-one":
+        trainer["beta1"] = 1.0
+    elif case == "beta2-negative":
+        trainer["beta2"] = -0.5
+    elif case == "eps-zero":
+        trainer["eps"] = 0.0
     else:  # "lr-not-number"
         trainer["lr"] = "fast"
     save_container(path, header, arrays)
@@ -712,7 +726,9 @@ def corrupt_trainer_state(path, case: str) -> None:
 
 TRAINER_CORRUPTIONS = ("trainer-empty", "trainer-not-object", "rng_state-not-object",
                        "rng_state-wrong-generator", "adam-slot-missing", "adam-slot-shape",
-                       "adam_t-not-int", "adam_t-infinite", "lr-not-number")
+                       "adam_t-not-int", "adam_t-infinite", "adam_t-negative", "adam_t-fraction",
+                       "lr-negative", "lr-nan", "beta1-one", "beta2-negative", "eps-zero",
+                       "lr-not-number")
 
 
 class TestCorruptCheckpoint:
