@@ -47,7 +47,8 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--wfdb-dir", required=True, help="directory of LUDB WFDB files")
     parser.add_argument("--out", default="runs/replication")
-    parser.add_argument("--train-fraction", type=float, default=0.8)
+    parser.add_argument("--train-fraction", default=0.8,
+                        type=cli._number("train fraction must be in (0, 1)", lambda v: 0 < v < 1))
     parser.add_argument("--seed", type=int, default=0, help="split shuffle and ecgseg train seed")
     args, train_flags = parser.parse_known_args(argv)
     cli.check_train_flags(parser, train_flags,

@@ -36,6 +36,7 @@ from .evaluate import (
 from .render import render_svg
 from .signal import SignalError, map_sample_indices, resample
 from .train import (
+    ADAM_SETTINGS,
     ConfigurationError,
     load_training_checkpoint,
     make_split,
@@ -45,7 +46,6 @@ from .train import (
 )
 from .unet import CheckpointError, SegmentationModel, load_weights
 from .wfdb import (
-    JsonFormatError,
     WaveAnnotation,
     WfdbError,
     load_json_record,
@@ -164,15 +164,15 @@ def cmd_train(args) -> int:
         print(f"no train ids configured; training on all {len(train_ids)} records")
     split = make_split(records, train_ids, test_ids)
 
+    model_cfg = build_model_config(values)
     if args.resume:
         model, adam, rng = load_training_checkpoint(args.resume)
         # The checkpoint fixes the model and Adam; a setting some layer gives must agree.
-        given = build_model_config(values)
-        for section, key, value, saved in (
-            ("model", "encoder_widths", given.encoder_widths, model.config.encoder_widths),
-            ("model", "bottleneck_width", given.bottleneck_width, model.config.bottleneck_width),
-            ("train", "learning_rate", train_cfg.learning_rate, adam.lr),
-        ):
+        stored = [("model", key, value, getattr(model.config, key))
+                  for key, value in vars(model_cfg).items()]
+        stored += [("train", key, getattr(train_cfg, key), getattr(adam, attr))
+                   for key, attr in ADAM_SETTINGS.items()]
+        for section, key, value, saved in stored:
             if key in values[section] and value != saved:
                 raise ConfigurationError(
                     f"{args.resume}: {key} is {value} here but {saved} in the checkpoint"
@@ -182,11 +182,9 @@ def cmd_train(args) -> int:
                                      f" so iterations {train_cfg.iterations} has nothing to train")
         print(f"resuming from {args.resume} at step {model.step_count}")
     else:
-        model = SegmentationModel(build_model_config(values))
-        adam = Adam(
-            model.parameters(), lr=train_cfg.learning_rate,
-            beta1=train_cfg.beta1, beta2=train_cfg.beta2, eps=train_cfg.adam_eps,
-        )
+        model = SegmentationModel(model_cfg)
+        adam = Adam(model.parameters(),
+                    **{a: getattr(train_cfg, k) for k, a in ADAM_SETTINGS.items()})
         rng = np.random.default_rng(train_cfg.seed)
 
     start_step = model.step_count
@@ -216,8 +214,6 @@ def cmd_segment(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     for path in inputs:
         record, _ = load_json_record(path)
-        if Path(record.record_id).name != record.record_id:  # it can name the output file
-            raise JsonFormatError(f"{path}: record_id {record.record_id!r} is not a file name")
         result = delineate(record, model, args.mode, min_duration_ms=args.min_duration_ms)
         target = out if single_file else out / f"{record.record_id}.delineation.json"
         target.write_text(json.dumps(result.to_json()))

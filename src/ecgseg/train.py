@@ -31,6 +31,10 @@ class TrainingWarning(UserWarning):
     pass
 
 
+# TrainConfig's Adam settings, each with the Adam attribute and trainer-header key it sets.
+ADAM_SETTINGS = {"learning_rate": "lr", "beta1": "beta1", "beta2": "beta2", "adam_eps": "eps"}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 2000
@@ -192,10 +196,7 @@ def train(model: SegmentationModel, split: DatasetSplit, config: TrainConfig,
     """
     pool = _usable_pool(split, config)
     if adam is None:
-        adam = Adam(
-            model.parameters(), lr=config.learning_rate,
-            beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps,
-        )
+        adam = Adam(model.parameters(), **{a: getattr(config, k) for k, a in ADAM_SETTINGS.items()})
     if rng is None:
         rng = np.random.default_rng(config.seed)
     model.train()
@@ -235,10 +236,7 @@ def save_training_checkpoint(path, model: SegmentationModel, adam: Adam,
     extra_header = {
         "trainer": {
             "adam_t": adam.t,
-            "lr": adam.lr,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "eps": adam.eps,
+            **{a: getattr(adam, a) for a in ADAM_SETTINGS.values()},
             "rng_state": rng.bit_generator.state,
         }
     }
@@ -258,10 +256,9 @@ def load_training_checkpoint(path) -> tuple[SegmentationModel, Adam, np.random.G
         return arrays[name].astype(param.data.dtype)
 
     try:
-        adam = Adam(model.parameters(), lr=float(info["lr"]), beta1=float(info["beta1"]),
-                    beta2=float(info["beta2"]), eps=float(info["eps"]))
+        adam = Adam(model.parameters(), **{a: float(info[a]) for a in ADAM_SETTINGS.values()})
         # A new run's rules for these settings.
-        TrainConfig(learning_rate=adam.lr, beta1=adam.beta1, beta2=adam.beta2, adam_eps=adam.eps)
+        TrainConfig(**{k: getattr(adam, a) for k, a in ADAM_SETTINGS.items()})
         if type(info["adam_t"]) is not int or info["adam_t"] < 0:
             raise ValueError(f"adam_t must be an integer >= 0, got {info['adam_t']!r}")
         adam.t = info["adam_t"]

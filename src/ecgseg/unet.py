@@ -31,7 +31,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,15 +64,19 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture parameters; four encoder levels are fixed."""
+    """Architecture parameters; the fields are the [model] keys.
+
+    The kernel geometry is fixed: each conv keeps the length, each transposed conv doubles it.
+    A checkpoint header stores every name annotated here, in this order.
+    """
 
     encoder_widths: tuple[int, int, int, int] = (16, 32, 64, 128)
     bottleneck_width: int = 256
-    kernel_size: int = 9
-    padding: int = 4
-    up_kernel_size: int = 8
-    up_stride: int = 2
-    up_padding: int = 3
+    kernel_size: ClassVar[int] = 9
+    padding: ClassVar[int] = 4
+    up_kernel_size: ClassVar[int] = 8
+    up_stride: ClassVar[int] = 2
+    up_padding: ClassVar[int] = 3
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
     seed: int = 0
@@ -82,23 +87,12 @@ class ModelConfig:
             raise ShapeError(f"exactly 4 encoder widths required, got {self.encoder_widths}")
         # A float or bool size would pass the checks below and fail, or
         # mean 1, only once the model is drawn.
-        for key in ("encoder_widths", "bottleneck_width", "kernel_size", "padding",
-                    "up_kernel_size", "up_stride", "up_padding"):
-            value = getattr(self, key)
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                       for v in (value if key == "encoder_widths" else (value,))):
-                raise ShapeError(f"{key} must hold integers, got {value!r}")
+        for key, sizes in (("encoder_widths", self.encoder_widths),
+                           ("bottleneck_width", (self.bottleneck_width,))):
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in sizes):
+                raise ShapeError(f"{key} must hold integers, got {getattr(self, key)!r}")
         if any(w < 1 for w in self.encoder_widths) or self.bottleneck_width < 1:
             raise ShapeError("channel widths must be >= 1")
-        # Each conv keeps the length and each transposed conv doubles it,
-        # undoing one pooling; otherwise the skips and the scores do not line up.
-        if self.padding < 0 or self.kernel_size != 2 * self.padding + 1:
-            raise ShapeError(f"kernel_size {self.kernel_size} with padding {self.padding} changes "
-                             f"the length: kernel_size must be 2*padding + 1, padding >= 0")
-        if self.up_stride != 2 or self.up_padding < 0 or self.up_kernel_size != 2 * self.up_padding + 2:
-            raise ShapeError(f"up_stride {self.up_stride}, up_kernel_size {self.up_kernel_size} and "
-                             f"up_padding {self.up_padding} do not double the length: up_stride must "
-                             f"be 2 and up_kernel_size 2*up_padding + 2, up_padding >= 0")
         # eps keeps batch norm's 1/sqrt(var + eps) finite; momentum blends
         # the running statistics.
         for key, valid, rule in (("bn_eps", lambda v: 0 < v < math.inf, "finite and > 0"),
@@ -107,6 +101,11 @@ class ModelConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
                     or not valid(value)):
                 raise ValueError(f"{key} must be a number {rule}, got {value!r}")
+
+
+# ModelConfig's constants, the kernel geometry; a checkpoint header stores them beside its fields.
+_GEOMETRY = {key: getattr(ModelConfig, key) for key in ModelConfig.__annotations__
+             if key not in {f.name for f in fields(ModelConfig)}}
 
 
 def tiny_config(seed: int = 0) -> ModelConfig:
@@ -376,7 +375,7 @@ def save_weights(model: SegmentationModel, path, extra_header: dict | None = Non
     """
     header = {
         "kind": "segmentation-model",
-        "config": asdict(model.config),
+        "config": {key: getattr(model.config, key) for key in ModelConfig.__annotations__},
         "step_count": model.step_count,
         "dtype": model.dtype.name,
     }
@@ -404,14 +403,16 @@ def _weights_from_container(path, header: dict, arrays: dict[str, np.ndarray]) -
     """``load_weights`` on a container that ``load_container`` has already read."""
     if header.get("kind") != "segmentation-model":
         raise CheckpointError(f"{path}: container holds {header.get('kind')!r}, not a model")
-    for key in ("config", "step_count"):
-        if key not in header:
-            raise CheckpointError(f"{path}: checkpoint header lacks {key!r}")
     try:
         step_count = int(header["step_count"])
-        config = ModelConfig(**{
-            k: tuple(v) if isinstance(v, list) else v for k, v in header["config"].items()
-        })
+        settings = {k: tuple(v) if isinstance(v, list) else v for k, v in header["config"].items()}
+        for key, fixed in _GEOMETRY.items():  # each stored one must be the constant
+            value = settings.pop(key, fixed)
+            if type(value) is not int or value != fixed:
+                raise ValueError(f"{key} is {value!r}, but this network's is {fixed}")
+        config = ModelConfig(**settings)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: checkpoint header lacks {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header ({exc})") from None
     dtype = header.get("dtype", "float64")

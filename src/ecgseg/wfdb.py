@@ -90,6 +90,11 @@ class HeaderInfo:
         return [s.lead_name for s in self.signals]
 
 
+def _is_file_name(record_id: str) -> bool:
+    """Whether ``record_id`` can name its record's own file: not empty, . or .., and no "/"."""
+    return record_id not in ("", ".", "..") and "/" not in record_id
+
+
 def parse_header(text: str) -> HeaderInfo:
     """Parse a WFDB header: record line, then one line per signal.
 
@@ -109,6 +114,8 @@ def parse_header(text: str) -> HeaderInfo:
             f"line {lineno}: record line needs 'name nsig fs nsamples', got {record_line!r}"
         )
     name = fields[0].split("/")[0]
+    if not _is_file_name(name):
+        raise HeaderParseError(f"line {lineno}: record name {name!r} is not a file name")
     try:
         n_signals = int(fields[1])
         sampling_rate = float(fields[2].split("/")[0])
@@ -158,19 +165,11 @@ def _parse_signal_line(lineno: int, line: str, idx: int) -> SignalSpec:
         )
     gain_token = tokens[2]
     gain_part, _, units = gain_token.partition("/")
-    adc_zero = 0
-    if "(" in gain_part:
-        gain_str, _, zero_str = gain_part.partition("(")
-        if not zero_str.endswith(")"):
-            raise HeaderParseError(f"line {lineno}: malformed gain field {gain_token!r}")
-        try:
-            adc_zero = int(zero_str[:-1])
-        except ValueError:
-            raise HeaderParseError(f"line {lineno}: malformed gain field {gain_token!r}") from None
-    else:
-        gain_str = gain_part
+    gain_str, paren, zero_str = gain_part.partition("(")  # gain(baseline)
     try:
-        gain = float(gain_str)
+        if paren and not zero_str.endswith(")"):
+            raise ValueError(zero_str)
+        gain, adc_zero = float(gain_str), (int(zero_str[:-1]) if paren else 0)
     except ValueError:
         raise HeaderParseError(f"line {lineno}: malformed gain field {gain_token!r}") from None
     if not np.isfinite(gain) or gain <= 0:
@@ -188,6 +187,12 @@ def _parse_signal_line(lineno: int, line: str, idx: int) -> SignalSpec:
                 f"line {lineno}: initial value and checksum must be integers, "
                 f"got {tokens[5]!r} and {tokens[6]!r}"
             ) from None
+        if not paren:  # WFDB's baseline defaults to the ADC zero
+            try:
+                adc_zero = int(tokens[4])
+            except ValueError:
+                raise HeaderParseError(
+                    f"line {lineno}: ADC zero must be an integer, got {tokens[4]!r}") from None
     elif len(tokens) >= 4:
         lead_name = tokens[-1]
     else:
@@ -207,11 +212,12 @@ def _parse_signal_line(lineno: int, line: str, idx: int) -> SignalSpec:
 def read_signal_format16(data: bytes, header: HeaderInfo) -> EcgRecord:
     """Decode interleaved 16-bit little-endian samples to mV.
 
-    Physical value = (raw - adc_zero) / gain per signal. A raw -32768,
-    the format's invalid-sample marker, becomes NaN, which EcgRecord
-    rejects by record, lead and index. A signal whose header line carries
-    an initial value and checksum must then match them: the first raw
-    sample, and the 16-bit two's-complement sum of all of them.
+    Physical value = (raw - adc_zero) / gain per signal, where ``adc_zero``
+    holds the header's baseline. A raw -32768, the format's invalid-sample
+    marker, becomes NaN, which EcgRecord rejects by record, lead and index.
+    A signal whose header line carries an initial value and checksum must
+    then match them: the first raw sample, and the 16-bit two's-complement
+    sum of all of them.
     """
     expected = 2 * header.n_signals * header.n_samples
     if len(data) != expected:
@@ -458,6 +464,8 @@ def record_from_json(doc: dict) -> tuple[EcgRecord, dict[str, list[WaveAnnotatio
     record_id = require_key(doc, "record_id", "document", JsonFormatError)
     if not isinstance(record_id, str):
         raise JsonFormatError(f"document: record_id must be a string, got {record_id!r}")
+    if not _is_file_name(record_id):
+        raise JsonFormatError(f"record_id {record_id!r} is not a file name")
     sampling_rate = require_key(doc, "sampling_rate", "document", JsonFormatError)
     leads_doc = require_key(doc, "leads", "document", JsonFormatError)
     if not isinstance(leads_doc, list) or not leads_doc:

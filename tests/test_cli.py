@@ -88,6 +88,19 @@ class TestConvert:
         assert "FAILED 100.hea" in err[0] and "signal 2" in err[0] and "checksum" in err[0]
         assert not (out / "100.json").exists() and (out / "101.json").exists()
 
+    @pytest.mark.parametrize("name, record_id", [("../escaped", ".."), ("/abs", ""), (".", ".")])
+    def test_record_name_that_is_not_a_file_name_fails_the_record(self, wfdb_dir, tmp_path, capsys,
+                                                                  name, record_id):
+        header = wfdb_dir / "100.hea"
+        first, rest = header.read_text().split("\n", 1)
+        header.write_text(" ".join([name, *first.split()[1:]]) + "\n" + rest)
+        out = tmp_path / "converted"
+        assert main(["convert", str(wfdb_dir), str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"  FAILED 100.hea: line 1: record name {record_id!r} is not a file name\n")
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file() and wfdb_dir not in p.parents] == [
+            "101.json"]
+
     def test_parses_each_header_once(self, wfdb_dir, tmp_path, monkeypatch):
         calls, parse_header = [], wfdb.parse_header
 
@@ -266,8 +279,14 @@ class TestTrain:
          "bottleneck_width is 7 here but 1 in the checkpoint"),
         ("", ["--preset", "drill"],
          "encoder_widths is (4, 8, 16, 32) here but (1, 1, 1, 1) in the checkpoint"),
+        ("[train]\nbeta1 = 0.5\n", [], "beta1 is 0.5 here but 0.9 in the checkpoint"),
+        ("[train]\nadam_eps = 0.001\n", [], "adam_eps is 0.001 here but 1e-08 in the checkpoint"),
+        ("[model]\nbn_eps = 0.01\n", [], "bn_eps is 0.01 here but 1e-05 in the checkpoint"),
+        ("[model]\nbn_momentum = 0.5\n", [], "bn_momentum is 0.5 here but 0.1 in the checkpoint"),
+        ("", ["--seed", "6"], "seed is 6 here but 5 in the checkpoint"),
     ], ids=["found-case", "bottleneck-flag", "learning-rate-flag", "learning-rate-file",
-            "bottleneck-file", "preset"])
+            "bottleneck-file", "preset", "beta1-file", "adam-eps-file", "bn-eps-file",
+            "bn-momentum-file", "seed-flag"])
     def test_resume_rejects_other_model_or_learning_rate(self, json_dir, tmp_path, capsys,
                                                          ini, flags, message):
         half_out = tmp_path / "half"
@@ -432,7 +451,7 @@ class TestSegment:
         assert err == (f"error: {untrained_checkpoint}: bad checkpoint header "
                        f"(encoder_widths must hold integers, got (4.0, 8, 16, 32))\n")
 
-    @pytest.mark.parametrize("record_id", ["../escaped", "sub/inner", "/abs", "."])
+    @pytest.mark.parametrize("record_id", ["../escaped", "sub/inner", "/abs", ".", "..", ""])
     def test_record_id_that_is_not_a_file_name_fails(self, json_dir, untrained_checkpoint,
                                                      tmp_path, capsys, record_id):
         path = tmp_path / "evil.json"

@@ -87,9 +87,12 @@ def test_overfit_drill_forwards_train_flags(tmp_path):
     ("replicate_table.py", ["--test-ids", "a"], "ecgseg train --test-ids is set by this script"),
     ("replicate_table.py", ["--data-root", "x"], "ecgseg train --data-root is set by this script"),
     ("replicate_table.py", ["--se", "3"], "ecgseg train --seed is set by this script"),
+    *(("replicate_table.py", ["--train-fraction", value],
+       f"train fraction must be in (0, 1), got '{value}'") for value in ("nan", "inf", "0", "1")),
 ], ids=["drill-unknown", "drill-stray", "drill-preset", "drill-data-root", "drill-out-prefix",
         "drill-bad-value", "replicate-unknown", "replicate-train-ids", "replicate-test-ids",
-        "replicate-data-root", "replicate-seed-prefix"])
+        "replicate-data-root", "replicate-seed-prefix", "replicate-train-fraction-nan",
+        "replicate-train-fraction-inf", "replicate-train-fraction-0", "replicate-train-fraction-1"])
 def test_bad_forwarded_flag_is_usage_error_before_any_work(tmp_path, script, args, message):
     out = tmp_path / "out"
     wfdb = ["--wfdb-dir", str(tmp_path / "wfdb")] if script == "replicate_table.py" else []

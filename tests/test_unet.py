@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -89,32 +90,21 @@ class TestBuild:
 
     @pytest.mark.parametrize("key, value", [
         ("encoder_widths", (True, 8, 16, 32)), ("encoder_widths", (4.0, 8, 16, 32)),
-        ("bottleneck_width", 64.0), ("kernel_size", True), ("padding", 4.0),
-        ("up_kernel_size", 8.0), ("up_stride", True), ("up_padding", 3.5),
+        ("bottleneck_width", 64.0),
     ])
     def test_rejects_non_integer_sizes(self, key, value):
         with pytest.raises(ShapeError, match=f"{key} must hold integers"):
             ModelConfig(**{**TINY_WIDTHS, key: value})
 
-    @pytest.mark.parametrize("sizes", [
-        {"padding": -1}, {"padding": 50}, {"kernel_size": 8}, {"kernel_size": 7, "padding": 4},
-        {"kernel_size": -1, "padding": -1},
-    ])
-    def test_rejects_a_conv_that_changes_the_length(self, sizes):
-        with pytest.raises(ShapeError, match="kernel_size must be 2\\*padding \\+ 1"):
-            ModelConfig(**{**TINY_WIDTHS, **sizes})
-
-    @pytest.mark.parametrize("sizes", [
-        {"up_stride": 0}, {"up_stride": 1}, {"up_stride": 3}, {"up_padding": -2}, {"up_padding": 4},
-        {"up_kernel_size": 7}, {"up_kernel_size": 0, "up_padding": -1},
-    ])
-    def test_rejects_an_up_conv_that_does_not_double_the_length(self, sizes):
-        with pytest.raises(ShapeError, match="do not double the length"):
-            ModelConfig(**{**TINY_WIDTHS, **sizes})
-
-    def test_accepts_other_length_keeping_sizes(self):
-        config = ModelConfig(**TINY_WIDTHS, kernel_size=5, padding=2, up_kernel_size=4, up_padding=1)
-        assert SegmentationModel(config).eval().scores(np.zeros(37)).shape == (4, 37)
+    def test_kernel_geometry_is_fixed(self):
+        # The fields are the [model] keys; the geometry is a constant of the class.
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "encoder_widths", "bottleneck_width", "bn_eps", "bn_momentum", "seed"]
+        geometry = {"kernel_size": 9, "padding": 4, "up_kernel_size": 8, "up_stride": 2, "up_padding": 3}
+        assert {key: getattr(ModelConfig(), key) for key in geometry} == geometry
+        for key, value in geometry.items():
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+                ModelConfig(**{key: value})
 
     @pytest.mark.parametrize("key, value", [
         ("bn_eps", -1.0), ("bn_eps", 0.0), ("bn_eps", float("nan")), ("bn_eps", float("inf")),
@@ -145,6 +135,20 @@ class TestStateTables:
     ])
     def test_checkpoint_arrays_are_pinned(self, config, expected):
         assert arrays_sha256(SegmentationModel(config)) == expected
+
+    # Whole files: the header's keys, their order and values are pinned too.
+    @pytest.mark.parametrize("config, trainer, expected", [
+        (ModelConfig(seed=3), False, "f3799e8c6681770610476e40efb4117c779912abe9f1c845a07cf756c35c266e"),
+        (tiny_config(seed=1), False, "ec2e025e4aec5557c0d7f8bb6f076af4f8c8548c544a0295001783f188014313"),
+        (tiny_config(), True, "4586bc3699344590ab226b92f4db3b1b23ce3a7e309252f6d871a4e7c0b57529"),
+    ], ids=["full", "tiny", "trainer"])
+    def test_checkpoint_files_are_pinned(self, tmp_path, config, trainer, expected):
+        path, model = tmp_path / "model.ckpt", SegmentationModel(config)
+        if trainer:
+            save_training_checkpoint(path, model, Adam(model.parameters()), np.random.default_rng(0))
+        else:
+            save_weights(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
     def test_adam_slot_names_are_pinned(self, tmp_path):
         model = SegmentationModel(tiny_config())
@@ -534,20 +538,39 @@ class TestCheckpoint:
 
     # Sizes far beyond any memory, so a model that allocated before the
     # check would fail at once; the first array that carries one is named.
-    @pytest.mark.parametrize("sizes, carrier", [
-        ({"encoder_widths": [4, 8, 16, 10**9]}, "enc4.conv1.weight"),
-        ({"bottleneck_width": 10**9}, "bottleneck.conv1.weight"),
-        ({"kernel_size": 2 * 10**12 + 1, "padding": 10**12}, "enc1.conv1.weight"),
-        ({"up_kernel_size": 2 * 10**12 + 2, "up_padding": 10**12}, "up4.weight"),
-    ])
-    def test_header_sizes_checked_against_their_arrays_first(self, tmp_path, sizes, carrier):
+    # A kernel size is no model setting: the header's must be the constant.
+    @pytest.mark.parametrize("sizes, message", [
+        ({"encoder_widths": [4, 8, 16, 10**9]}, "shape mismatch at 'enc4.conv1.weight'"),
+        ({"bottleneck_width": 10**9}, "shape mismatch at 'bottleneck.conv1.weight'"),
+        ({"kernel_size": 2 * 10**12 + 1, "padding": 10**12},
+         f"bad checkpoint header (kernel_size is {2 * 10**12 + 1}, but this network's is 9)"),
+        ({"up_kernel_size": 2 * 10**12 + 2, "up_padding": 10**12},
+         f"bad checkpoint header (up_kernel_size is {2 * 10**12 + 2}, but this network's is 8)"),
+    ], ids=["encoder-width", "bottleneck-width", "kernel-size", "up-kernel-size"])
+    def test_header_sizes_checked_against_their_arrays_first(self, tmp_path, sizes, message):
         path = tmp_path / "model.ckpt"
         save_weights(SegmentationModel(tiny_config()), path)
         header, arrays = load_container(path)
         header["config"].update(sizes)
         save_container(path, header, arrays)
-        with pytest.raises(CheckpointError, match=re.escape(f"{path}: shape mismatch at {carrier!r}")):
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
             load_weights(path)
+
+    def test_header_stores_the_geometry_and_loads_without_it(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        model = SegmentationModel(tiny_config(seed=4))
+        save_weights(model, path)
+        header, arrays = load_container(path)
+        # Every header since the format began holds all ten keys, in this order.
+        assert list(header["config"]) == [
+            "encoder_widths", "bottleneck_width", "kernel_size", "padding", "up_kernel_size",
+            "up_stride", "up_padding", "bn_eps", "bn_momentum", "seed"]
+        for key in ("kernel_size", "padding", "up_kernel_size", "up_stride", "up_padding"):
+            del header["config"][key]
+        save_container(path, header, arrays)
+        loaded = load_weights(path)
+        assert loaded.config == model.config
+        assert arrays_sha256(loaded) == arrays_sha256(model)
 
     @pytest.mark.parametrize("widths", [[4.0, 8, 16, 32], [True, 8, 16, 32]])
     def test_header_width_that_is_no_integer_rejected(self, tmp_path, widths):
@@ -673,7 +696,10 @@ def corrupt_checkpoint(path, case: str) -> None:
 # Header configs a network cannot run, or not as the one that was trained.
 BAD_CONFIGS = {"up_stride-0": {"up_stride": 0}, "bn_eps-negative": {"bn_eps": -1.0},
                "padding-negative": {"padding": -1}, "padding-50": {"padding": 50},
-               "up_padding-negative": {"up_padding": -2}, "bn_momentum-above-1": {"bn_momentum": 1.5}}
+               "up_padding-negative": {"up_padding": -2}, "bn_momentum-above-1": {"bn_momentum": 1.5},
+               "kernel_size-7": {"kernel_size": 7}, "up_kernel_size-4": {"up_kernel_size": 4},
+               "kernel_size-float": {"kernel_size": 9.0}, "up_stride-true": {"up_stride": True},
+               "padding-null": {"padding": None}}
 
 CORRUPTIONS = ("header-utf8", "header-json", "header-not-object", "array-name", "shape-size-overflows",
                "config", "step_count", "config-unknown-key", "step_count-not-int", "bottleneck_width-huge",

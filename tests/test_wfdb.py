@@ -78,6 +78,35 @@ class TestParseHeader:
         with pytest.raises(HeaderParseError, match="2 signals"):
             parse_header("r 2 500 10\nr.dat 16 1000(0)/mV 16 0 0 0 0 i")
 
+    @pytest.mark.parametrize("line, baseline", [
+        ("r.dat 16 200/mV 16 1024 1030 4120 0 ii", 1024),  # a full line: its ADC zero
+        ("r.dat 16 200(7)/mV 16 1024 1030 4120 0 ii", 7),  # a (baseline) wins
+        ("r.dat 16 200(7)/mV 16 x 1030 4120 0 ii", 7),  # and the ADC zero is not read
+        ("r.dat 16 200/mV 16 1024 ii", 0),  # shorter lines end in the description
+        ("r.dat 16 200/mV ii", 0),
+    ])
+    def test_baseline_defaults_to_the_adc_zero_of_a_full_line(self, line, baseline):
+        assert parse_header(f"r 1 200 4\n{line}").signals[0].adc_zero == baseline
+
+    def test_adc_zero_baseline_is_subtracted(self):
+        header = parse_header("r 1 200 4\nr.dat 16 200/mV 16 1024 1030 4120 0 ii")
+        rec = read_signal_format16(struct.pack("<4h", 1030, 1030, 1030, 1030), header)
+        np.testing.assert_allclose(rec.signals[0], [0.03] * 4)  # (1030 - 1024) / 200
+
+    def test_non_integer_adc_zero_rejected(self):
+        with pytest.raises(HeaderParseError, match="line 2: ADC zero must be an integer, got 'x'"):
+            parse_header("r 1 500 4\nr.dat 16 1000/mV 16 x 0 0 0 ii")
+
+    @pytest.mark.parametrize("field, name", [("../escaped", ".."), ("/abs", ""), (".", "."),
+                                             ("..", "..")])
+    def test_record_name_that_is_not_a_file_name_rejected(self, field, name):
+        with pytest.raises(HeaderParseError,
+                           match=re.escape(f"line 1: record name {name!r} is not a file name")):
+            parse_header(f"{field} 1 500 5000\nr.dat 16 1000(0)/mV ii")
+
+    def test_record_name_before_a_segment_count_accepted(self):
+        assert parse_header("100/2 1 500 5000\nr.dat 16 1000(0)/mV ii").record_name == "100"
+
 
 class TestReadSignal:
     def header(self, nsig=1, nsamp=4, gain=1000.0, zero=0):
@@ -278,6 +307,14 @@ class TestParserRobustness:
         doc = {"record_id": record_id, "sampling_rate": 500,
                "leads": [{"name": "i", "samples_mV": [0.0], "waves": []}]}
         with pytest.raises(JsonFormatError, match="record_id must be a string"):
+            record_from_json(doc)
+
+    @pytest.mark.parametrize("record_id", ["..", ".", "", "a/b", "/abs", "../escaped"])
+    def test_json_reader_rejects_record_id_that_is_not_a_file_name(self, record_id):
+        doc = {"record_id": record_id, "sampling_rate": 500,
+               "leads": [{"name": "i", "samples_mV": [0.0], "waves": []}]}
+        with pytest.raises(JsonFormatError,
+                           match=re.escape(f"record_id {record_id!r} is not a file name")):
             record_from_json(doc)
 
     @pytest.mark.parametrize("rate", [True, False, "500", None, [500]])
