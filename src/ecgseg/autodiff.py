@@ -608,14 +608,14 @@ class BatchNormState:
     training: bool = True
 
     @classmethod
-    def create(cls, channels: int, name: str, eps: float = 1e-5, momentum: float = 0.1) -> "BatchNormState":
+    def create(cls, channels: int, name: str, **settings) -> "BatchNormState":
+        """Fresh state for ``channels``; ``settings`` may override ``eps`` and ``momentum``."""
         return cls(
             gamma=Parameter(np.ones(channels), f"{name}.gamma"),
             beta=Parameter(np.zeros(channels), f"{name}.beta"),
             running_mean=np.zeros(channels),
             running_var=np.ones(channels),
-            eps=eps,
-            momentum=momentum,
+            **settings,
         )
 
 
@@ -764,8 +764,10 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 class Adam:
     """Bias-corrected Adam over a parameter list."""
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # the defaults; train.TrainConfig reads them
+
+    def __init__(self, params, lr: float = 1e-3, beta1: float = beta1,
+                 beta2: float = beta2, eps: float = eps):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1

@@ -36,7 +36,6 @@ from .evaluate import (
 from .render import render_svg
 from .signal import SignalError, map_sample_indices, resample
 from .train import (
-    ADAM_SETTINGS,
     ConfigurationError,
     load_training_checkpoint,
     make_split,
@@ -95,9 +94,13 @@ def cmd_convert(args) -> int:
         print(f"no .hea files found in {wfdb_dir}")
         return EXIT_OK
     failures = []
+    converted = {}  # record id -> the header it was converted from
     for header_path in headers:
         try:
             header = read_header(header_path)
+            if header.record_name in converted:
+                raise WfdbError(f"record {header.record_name!r} was already converted "
+                                f"from {converted[header.record_name]}")
             ann_files = {}
             for lead in header.lead_names:
                 for candidate in (lead, lead.lower()):
@@ -107,6 +110,7 @@ def cmd_convert(args) -> int:
                         break
             record, waves = read_wfdb_record(header_path, ann_files, header=header)
             save_json_record(out_dir / f"{record.record_id}.json", record, waves)
+            converted[header.record_name] = header_path.name
         except (WfdbError, SignalError, OSError) as exc:
             failures.append((header_path.name, str(exc)))
     print(f"converted {len(headers) - len(failures)}/{len(headers)} records to {out_dir}")
@@ -167,11 +171,10 @@ def cmd_train(args) -> int:
     model_cfg = build_model_config(values)
     if args.resume:
         model, adam, rng = load_training_checkpoint(args.resume)
-        # The checkpoint fixes the model and Adam; a setting some layer gives must agree.
+        # The checkpoint fixes the model and the learning rate; a setting some layer gives must agree.
         stored = [("model", key, value, getattr(model.config, key))
                   for key, value in vars(model_cfg).items()]
-        stored += [("train", key, getattr(train_cfg, key), getattr(adam, attr))
-                   for key, attr in ADAM_SETTINGS.items()]
+        stored.append(("train", "learning_rate", train_cfg.learning_rate, adam.lr))
         for section, key, value, saved in stored:
             if key in values[section] and value != saved:
                 raise ConfigurationError(
@@ -183,8 +186,7 @@ def cmd_train(args) -> int:
         print(f"resuming from {args.resume} at step {model.step_count}")
     else:
         model = SegmentationModel(model_cfg)
-        adam = Adam(model.parameters(),
-                    **{a: getattr(train_cfg, k) for k, a in ADAM_SETTINGS.items()})
+        adam = Adam(model.parameters(), lr=train_cfg.learning_rate)
         rng = np.random.default_rng(train_cfg.seed)
 
     start_step = model.step_count
@@ -212,8 +214,14 @@ def cmd_segment(args) -> int:
     single_file = len(inputs) == 1 and out.suffix == ".json"
     if not single_file:
         out.mkdir(parents=True, exist_ok=True)
+    sources = {}  # record id -> the input it came from
     for path in inputs:
         record, _ = load_json_record(path)
+        if record.record_id in sources:
+            print(f"error: {path}: record_id {record.record_id!r} is also that of "
+                  f"{sources[record.record_id]}", file=sys.stderr)
+            return EXIT_FAILURE
+        sources[record.record_id] = path
         result = delineate(record, model, args.mode, min_duration_ms=args.min_duration_ms)
         target = out if single_file else out / f"{record.record_id}.delineation.json"
         target.write_text(json.dumps(result.to_json()))

@@ -30,16 +30,9 @@ def _widths(value) -> tuple[int, ...]:
 
 
 _DATA_KEYS = dict.fromkeys(("root", "train_ids", "train_ids_file", "test_ids", "test_ids_file"), str)
-_MODEL_KEYS = {
-    "encoder_widths": _widths, "bottleneck_width": int, "seed": int,
-    "bn_eps": float, "bn_momentum": float,
-}
-_TRAIN_KEYS = {
-    "iterations": int, "batch_size": int, "learning_rate": float,
-    "beta1": float, "beta2": float, "adam_eps": float, "seed": int,
-    "crop_seconds": float, "crop_start_min": float, "crop_start_max": float,
-    "checkpoint_every": int,
-}
+_MODEL_KEYS = {"encoder_widths": _widths, "bottleneck_width": int, "seed": int}
+_TRAIN_KEYS = {"iterations": int, "batch_size": int, "learning_rate": float, "seed": int,
+               "checkpoint_every": int}
 _SECTIONS = {"data": _DATA_KEYS, "model": _MODEL_KEYS, "train": _TRAIN_KEYS}
 
 

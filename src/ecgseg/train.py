@@ -13,13 +13,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .autodiff import Adam, Tensor, softmax_cross_entropy
 from .signal import EcgRecord
 from .unet import (CheckpointError, SegmentationModel, _weights_from_container, load_container,
-                   save_weights)
+                   save_weights, stored_settings)
 from .wfdb import to_mask
 
 
@@ -31,22 +32,20 @@ class TrainingWarning(UserWarning):
     pass
 
 
-# TrainConfig's Adam settings, each with the Adam attribute and trainer-header key it sets.
-ADAM_SETTINGS = {"learning_rate": "lr", "beta1": "beta1", "beta2": "beta2", "adam_eps": "eps"}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
+    """The [train] keys and the checkpoint directory; Adam's betas and eps and the crop are fixed."""
+
     iterations: int = 2000
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
+    beta1: ClassVar[float] = Adam.beta1
+    beta2: ClassVar[float] = Adam.beta2
+    adam_eps: ClassVar[float] = Adam.eps
     seed: int = 0
-    crop_seconds: float = 4.0
-    crop_start_min: float = 2.0
-    crop_start_max: float = 4.0
+    crop_seconds: ClassVar[float] = 4.0
+    crop_start_min: ClassVar[float] = 2.0
+    crop_start_max: ClassVar[float] = 4.0
     checkpoint_every: int = 0
     checkpoint_dir: str | None = None
 
@@ -55,24 +54,18 @@ class TrainConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.iterations < 1:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
-        if self.crop_seconds <= 0:
-            raise ConfigurationError("crop_seconds must be positive")
-        if not 0 <= self.crop_start_min <= self.crop_start_max:
-            raise ConfigurationError(
-                f"crop start window [{self.crop_start_min}, {self.crop_start_max}] is invalid"
-            )
         if self.checkpoint_every < 0:
             raise ConfigurationError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.checkpoint_every > 0 and not self.checkpoint_dir:
             raise ConfigurationError("checkpoint_every needs a checkpoint_dir")
-        # Outside these ranges Adam trains on into a useless model, or fails later blaming a batch.
-        for key, valid, rule in (("learning_rate", lambda v: 0 <= v < math.inf, "finite and >= 0"),
-                                 ("beta1", lambda v: 0 <= v < 1, "in [0, 1)"),
-                                 ("beta2", lambda v: 0 <= v < 1, "in [0, 1)"),
-                                 ("adam_eps", lambda v: 0 < v < math.inf, "finite and > 0")):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not valid(value):
-                raise ConfigurationError(f"{key} must be a number {rule}, got {value!r}")
+        # Outside this range Adam trains on into a useless model, or fails later blaming a batch.
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 <= lr < math.inf:
+            raise ConfigurationError(f"learning_rate must be a number finite and >= 0, got {lr!r}")
+
+
+# The trainer header's Adam constants, keyed as it stores them beside "lr".
+_ADAM_CONSTANTS = {"beta1": TrainConfig.beta1, "beta2": TrainConfig.beta2, "eps": TrainConfig.adam_eps}
 
 
 @dataclass
@@ -145,7 +138,7 @@ def make_split(records, train_ids, test_ids) -> DatasetSplit:
 
 
 def augment_crop(source: LeadSignal, config: TrainConfig, rng: np.random.Generator) -> TrainingSample:
-    """Crop a random fragment; start time uniform in the configured window.
+    """Crop a random fragment; start time uniform in TrainConfig's fixed window.
 
     The continuous start is snapped to an integer sample; signal and mask
     are cropped identically.
@@ -196,7 +189,7 @@ def train(model: SegmentationModel, split: DatasetSplit, config: TrainConfig,
     """
     pool = _usable_pool(split, config)
     if adam is None:
-        adam = Adam(model.parameters(), **{a: getattr(config, k) for k, a in ADAM_SETTINGS.items()})
+        adam = Adam(model.parameters(), lr=config.learning_rate)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     model.train()
@@ -236,7 +229,8 @@ def save_training_checkpoint(path, model: SegmentationModel, adam: Adam,
     extra_header = {
         "trainer": {
             "adam_t": adam.t,
-            **{a: getattr(adam, a) for a in ADAM_SETTINGS.values()},
+            "lr": adam.lr,
+            **{key: getattr(adam, key) for key in _ADAM_CONSTANTS},
             "rng_state": rng.bit_generator.state,
         }
     }
@@ -256,9 +250,10 @@ def load_training_checkpoint(path) -> tuple[SegmentationModel, Adam, np.random.G
         return arrays[name].astype(param.data.dtype)
 
     try:
-        adam = Adam(model.parameters(), **{a: float(info[a]) for a in ADAM_SETTINGS.values()})
-        # A new run's rules for these settings.
-        TrainConfig(**{k: getattr(adam, a) for k, a in ADAM_SETTINGS.items()})
+        stored_settings(info, _ADAM_CONSTANTS)
+        lr = float(info["lr"])
+        TrainConfig(learning_rate=lr)  # a new run's rule for the learning rate
+        adam = Adam(model.parameters(), lr=lr)
         if type(info["adam_t"]) is not int or info["adam_t"] < 0:
             raise ValueError(f"adam_t must be an integer >= 0, got {info['adam_t']!r}")
         adam.t = info["adam_t"]
@@ -268,7 +263,7 @@ def load_training_checkpoint(path) -> tuple[SegmentationModel, Adam, np.random.G
         rng.bit_generator.state = info["rng_state"]
     except KeyError as exc:
         raise CheckpointError(f"{path}: trainer state lacks {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: bad trainer state ({exc})") from None
     return model, adam, rng
 

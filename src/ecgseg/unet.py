@@ -67,6 +67,7 @@ class ModelConfig:
     """Architecture parameters; the fields are the [model] keys.
 
     The kernel geometry is fixed: each conv keeps the length, each transposed conv doubles it.
+    So are batch norm's eps and momentum, BatchNormState's defaults.
     A checkpoint header stores every name annotated here, in this order.
     """
 
@@ -77,8 +78,8 @@ class ModelConfig:
     up_kernel_size: ClassVar[int] = 8
     up_stride: ClassVar[int] = 2
     up_padding: ClassVar[int] = 3
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
+    bn_eps: ClassVar[float] = BatchNormState.eps
+    bn_momentum: ClassVar[float] = BatchNormState.momentum
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -93,19 +94,20 @@ class ModelConfig:
                 raise ShapeError(f"{key} must hold integers, got {getattr(self, key)!r}")
         if any(w < 1 for w in self.encoder_widths) or self.bottleneck_width < 1:
             raise ShapeError("channel widths must be >= 1")
-        # eps keeps batch norm's 1/sqrt(var + eps) finite; momentum blends
-        # the running statistics.
-        for key, valid, rule in (("bn_eps", lambda v: 0 < v < math.inf, "finite and > 0"),
-                                 ("bn_momentum", lambda v: 0 <= v <= 1, "in [0, 1]")):
-            value = getattr(self, key)
-            if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-                    or not valid(value)):
-                raise ValueError(f"{key} must be a number {rule}, got {value!r}")
 
 
-# ModelConfig's constants, the kernel geometry; a checkpoint header stores them beside its fields.
-_GEOMETRY = {key: getattr(ModelConfig, key) for key in ModelConfig.__annotations__
-             if key not in {f.name for f in fields(ModelConfig)}}
+# ModelConfig's constants; a checkpoint header stores them beside its fields.
+_CONSTANTS = {key: getattr(ModelConfig, key) for key in ModelConfig.__annotations__
+              if key not in {f.name for f in fields(ModelConfig)}}
+
+
+def stored_settings(stored: dict, constants: dict) -> dict:
+    """``stored`` without ``constants``' keys, each of which it may hold only at exactly its value."""
+    for key, fixed in constants.items():
+        value = stored.get(key, fixed)
+        if type(value) is not type(fixed) or value != fixed:
+            raise ValueError(f"{key} is {value!r}, but this network's is {fixed}")
+    return {key: value for key, value in stored.items() if key not in constants}
 
 
 def tiny_config(seed: int = 0) -> ModelConfig:
@@ -154,8 +156,7 @@ class SegmentationModel:
                 bn = f"{conv}.bn"
                 self.bn[bn] = BatchNormState(
                     param(f"{bn}.gamma", (out_ch,), fill=1.0), param(f"{bn}.beta", (out_ch,)),
-                    array(f"{bn}.running_mean", (out_ch,)), array(f"{bn}.running_var", (out_ch,), fill=1.0),
-                    eps=config.bn_eps, momentum=config.bn_momentum)
+                    array(f"{bn}.running_mean", (out_ch,)), array(f"{bn}.running_var", (out_ch,), fill=1.0))
 
         widths = (1,) + config.encoder_widths
         for i in range(1, 5):
@@ -406,11 +407,7 @@ def _weights_from_container(path, header: dict, arrays: dict[str, np.ndarray]) -
     try:
         step_count = int(header["step_count"])
         settings = {k: tuple(v) if isinstance(v, list) else v for k, v in header["config"].items()}
-        for key, fixed in _GEOMETRY.items():  # each stored one must be the constant
-            value = settings.pop(key, fixed)
-            if type(value) is not int or value != fixed:
-                raise ValueError(f"{key} is {value!r}, but this network's is {fixed}")
-        config = ModelConfig(**settings)
+        config = ModelConfig(**stored_settings(settings, _CONSTANTS))
     except KeyError as exc:
         raise CheckpointError(f"{path}: checkpoint header lacks {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:

@@ -101,6 +101,20 @@ class TestConvert:
         assert [p.name for p in tmp_path.rglob("*") if p.is_file() and wfdb_dir not in p.parents] == [
             "101.json"]
 
+    def test_second_header_naming_a_converted_record_fails(self, wfdb_dir, tmp_path, capsys):
+        header = wfdb_dir / "101.hea"
+        first, rest = header.read_text().split("\n", 1)
+        header.write_text(" ".join(["100", *first.split()[1:]]) + "\n" + rest)
+        out = tmp_path / "converted"
+        assert main(["convert", str(wfdb_dir), str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"converted 1/2 records to {out}\n"
+        assert captured.err == "  FAILED 101.hea: record '100' was already converted from 100.hea\n"
+        assert [p.name for p in out.iterdir()] == ["100.json"]
+        record, _ = load_json_record(out / "100.json")
+        first_record, _ = wfdb.read_wfdb_record(wfdb_dir / "100.hea", {})
+        np.testing.assert_array_equal(record.signals, first_record.signals)
+
     def test_parses_each_header_once(self, wfdb_dir, tmp_path, monkeypatch):
         calls, parse_header = [], wfdb.parse_header
 
@@ -268,22 +282,30 @@ class TestTrain:
             "--encoder-widths", "1,1,1,1", "--bottleneck-width", "1", "--learning-rate", "0.001",
         ])
 
+    # Adam's and batch norm's constants match every checkpoint; a file that names one is
+    # refused before the checkpoint is read.
     @pytest.mark.parametrize("ini,flags,message", [
         ("", ["--encoder-widths", "2,2,2,2", "--bottleneck-width", "7", "--learning-rate", "0.5"],
-         "encoder_widths is (2, 2, 2, 2) here but (1, 1, 1, 1) in the checkpoint"),
-        ("", ["--bottleneck-width", "7"], "bottleneck_width is 7 here but 1 in the checkpoint"),
-        ("", ["--learning-rate", "0.5"], "learning_rate is 0.5 here but 0.001 in the checkpoint"),
+         "{checkpoint}: encoder_widths is (2, 2, 2, 2) here but (1, 1, 1, 1) in the checkpoint"),
+        ("", ["--bottleneck-width", "7"],
+         "{checkpoint}: bottleneck_width is 7 here but 1 in the checkpoint"),
+        ("", ["--learning-rate", "0.5"],
+         "{checkpoint}: learning_rate is 0.5 here but 0.001 in the checkpoint"),
         ("[train]\nlearning_rate = 0.5\n", [],
-         "learning_rate is 0.5 here but 0.001 in the checkpoint"),
+         "{checkpoint}: learning_rate is 0.5 here but 0.001 in the checkpoint"),
         ("[model]\nbottleneck_width = 7\n", [],
-         "bottleneck_width is 7 here but 1 in the checkpoint"),
+         "{checkpoint}: bottleneck_width is 7 here but 1 in the checkpoint"),
         ("", ["--preset", "drill"],
-         "encoder_widths is (4, 8, 16, 32) here but (1, 1, 1, 1) in the checkpoint"),
-        ("[train]\nbeta1 = 0.5\n", [], "beta1 is 0.5 here but 0.9 in the checkpoint"),
-        ("[train]\nadam_eps = 0.001\n", [], "adam_eps is 0.001 here but 1e-08 in the checkpoint"),
-        ("[model]\nbn_eps = 0.01\n", [], "bn_eps is 0.01 here but 1e-05 in the checkpoint"),
-        ("[model]\nbn_momentum = 0.5\n", [], "bn_momentum is 0.5 here but 0.1 in the checkpoint"),
-        ("", ["--seed", "6"], "seed is 6 here but 5 in the checkpoint"),
+         "{checkpoint}: encoder_widths is (4, 8, 16, 32) here but (1, 1, 1, 1) in the checkpoint"),
+        ("[train]\nbeta1 = 0.5\n", [], "{config}: [train] unknown key 'beta1' (keys: iterations, "
+         "batch_size, learning_rate, seed, checkpoint_every)"),
+        ("[train]\nadam_eps = 0.001\n", [], "{config}: [train] unknown key 'adam_eps' (keys: "
+         "iterations, batch_size, learning_rate, seed, checkpoint_every)"),
+        ("[model]\nbn_eps = 0.01\n", [], "{config}: [model] unknown key 'bn_eps' (keys: "
+         "encoder_widths, bottleneck_width, seed)"),
+        ("[model]\nbn_momentum = 0.5\n", [], "{config}: [model] unknown key 'bn_momentum' (keys: "
+         "encoder_widths, bottleneck_width, seed)"),
+        ("", ["--seed", "6"], "{checkpoint}: seed is 6 here but 5 in the checkpoint"),
     ], ids=["found-case", "bottleneck-flag", "learning-rate-flag", "learning-rate-file",
             "bottleneck-file", "preset", "beta1-file", "adam-eps-file", "bn-eps-file",
             "bn-momentum-file", "seed-flag"])
@@ -302,7 +324,7 @@ class TestTrain:
                      *flags])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == f"error: {checkpoint}: {message}\n"
+        assert err == f"error: {message.format(checkpoint=checkpoint, config=config)}\n"
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
     @pytest.mark.parametrize("iterations", ["3", "2"])
@@ -348,28 +370,32 @@ class TestTrain:
         assert main(["train", "--config", str(ini), "--out", str(out)]) == 0
         assert (out / "model.ckpt").exists()
 
-    @pytest.mark.parametrize("ini,flags,model,steps", [
-        ("[model]\nseed = 3\n", ["--iterations", "1"], ((4, 8, 16, 32), 64, 3), 1),
-        ("", ["--bottleneck-width", "32", "--iterations", "1"], ((4, 8, 16, 32), 32, 0), 1),
-        ("[model]\nencoder_widths = 1,1,1,1\n", ["--iterations", "1"], ((4, 8, 16, 32), 64, 0), 1),
-        ("[train]\niterations = 50\ncrop_seconds = 0.25\n", ["--batch-size", "1"],
-         ((4, 8, 16, 32), 64, 0), 400),
-        ("[train]\niterations = 50\n", ["--iterations", "1"], ((4, 8, 16, 32), 64, 0), 1),
+    @pytest.mark.parametrize("ini,flags,model,steps,lr", [
+        ("[model]\nseed = 3\n", ["--iterations", "1"], ((4, 8, 16, 32), 64, 3), 1, 3e-3),
+        ("", ["--bottleneck-width", "32", "--iterations", "1"], ((4, 8, 16, 32), 32, 0), 1, 3e-3),
+        ("[model]\nencoder_widths = 1,1,1,1\n", ["--iterations", "1"], ((4, 8, 16, 32), 64, 0), 1,
+         3e-3),
+        ("[train]\nlearning_rate = 0.5\n", ["--iterations", "1"], ((4, 8, 16, 32), 64, 0), 1, 3e-3),
+        ("[train]\niterations = 50\nbatch_size = 4\n", ["--batch-size", "1"],
+         ((4, 8, 16, 32), 64, 0), 400, 3e-3),
+        ("[train]\niterations = 50\n", ["--iterations", "1"], ((4, 8, 16, 32), 64, 0), 1, 3e-3),
         ("[model]\nencoder_widths = 1,1,1,1\nbottleneck_width = 1\nseed = 3\n"
-         "[train]\niterations = 2\nbatch_size = 2\n", None, ((1, 1, 1, 1), 1, 3), 2),
-    ], ids=["model-seed", "bottleneck-flag", "model-widths", "train-iterations",
-            "iterations-flag", "no-preset"])
+         "[train]\niterations = 2\nbatch_size = 2\n", None, ((1, 1, 1, 1), 1, 3), 2, 1e-3),
+    ], ids=["model-seed", "bottleneck-flag", "model-widths", "train-learning-rate",
+            "train-iterations", "iterations-flag", "no-preset"])
     def test_precedence_defaults_file_preset_flags(self, json_dir, tmp_path, ini, flags,
-                                                   model, steps):
+                                                   model, steps, lr):
         path = tmp_path / "run.ini"
         path.write_text(ini)
         out = tmp_path / "run"
         preset = [] if flags is None else ["--preset", "drill", *flags]
         assert main(["train", "--config", str(path), "--data-root", str(json_dir),
                      "--out", str(out), *preset]) == 0
-        config = load_container(out / "model.ckpt")[0]["config"]
+        header = load_container(out / "model.ckpt")[0]
+        config = header["config"]
         assert (tuple(config["encoder_widths"]), config["bottleneck_width"],
                 config["seed"]) == model
+        assert header["trainer"]["lr"] == lr
         assert len((out / "loss.csv").read_text().splitlines()) == 1 + steps
 
     def test_id_flag_replaces_the_file_id_list(self, json_dir, tmp_path):
@@ -465,6 +491,23 @@ class TestSegment:
             f"error: {path}: record_id {record_id!r} is not a file name\n")
         assert [p for p in tmp_path.rglob("*") if p.is_file() and p != path
                 and p != untrained_checkpoint and json_dir not in p.parents] == []
+
+    def test_repeated_record_id_fails_and_writes_nothing_for_it(self, json_dir, untrained_checkpoint,
+                                                                tmp_path, capsys):
+        repeat = tmp_path / "repeat.json"
+        doc = json.loads((json_dir / "rec1.json").read_text())
+        repeat.write_text(json.dumps({**doc, "record_id": "rec0"}))
+        alone, out = tmp_path / "alone", tmp_path / "d"
+        for inputs, target in (([json_dir / "rec0.json"], alone),
+                               ([json_dir / "rec0.json", repeat], out)):
+            code = main(["segment", *map(str, inputs), "--checkpoint", str(untrained_checkpoint),
+                         "--out", str(target)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {repeat}: record_id 'rec0' is also that of {json_dir / 'rec0.json'}\n")
+        assert [p.name for p in out.iterdir()] == ["rec0.delineation.json"]
+        assert ((out / "rec0.delineation.json").read_bytes()
+                == (alone / "rec0.delineation.json").read_bytes())
 
     def test_non_finite_sample_fails(self, json_dir, untrained_checkpoint, tmp_path, capsys):
         path = json_dir / "rec0.json"
