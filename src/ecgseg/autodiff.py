@@ -58,8 +58,8 @@ What each node keeps for its backward beyond its parents, whose
 nothing (conv1d pads its input again rather than keep a padded copy);
 zero_pad_concat nothing; batchnorm1d per-channel vectors; batchnorm_relu
 those and its own output, whose positive entries are relu's mask; relu
-nothing, as it masks by its input; maxpool1d the winning phase of each
-window; softmax_cross_entropy its exponentials and the targets. A
+nothing, as it masks by its input; maxpool1d which sample of each pair
+won; softmax_cross_entropy its exponentials and the targets. A
 conv-bn-relu layer built on batchnorm_relu thus keeps two full-size
 arrays: the conv's output, which batch norm's backward reads, and the
 layer's output, which the next layer takes as its input. A decoder level
@@ -76,6 +76,7 @@ import functools
 import os
 import threading
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -547,44 +548,37 @@ def relu(x: Tensor) -> Tensor:
     return _track(out, (x,), backward)
 
 
-def maxpool1d(x: Tensor, size: int = 2, stride: int = 2) -> tuple[Tensor, np.ndarray]:
-    """Non-overlapping max pooling; a trailing incomplete window is dropped.
+def maxpool1d(x: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Max over each pair of samples; an odd trailing sample is dropped.
 
-    Returns (pooled tensor, absolute argmax indices of shape (B, C, Lout)).
+    Returns (pooled tensor, absolute argmax indices of shape (B, C, L // 2)).
     As in ``argmax``, the first of equal values wins, +0.0 and -0.0 among
-    them, and a NaN beats any number, the first NaN any later one.
+    them, and a NaN beats any number, the first NaN the second.
     """
-    if size != stride:
-        raise ShapeError("maxpool1d supports size == stride only")
     B, C, L = x.shape
-    Lout = L // size
-    phases = x.data[:, :, :Lout * size]
-    # The window's phases x[..., j::size] are compared in turn: elementwise
-    # passes instead of a size-`size` argmax and gather.
-    best = phases[:, :, 0::size]
-    arg = np.zeros((B, C, Lout), dtype=np.min_scalar_type(size - 1))
-    for j in range(1, size):
-        first_nan = np.isnan(best)
-        # np.maximum keeps its second operand on a tie of equal values or of
-        # +0.0 and -0.0, and returns the first of two NaNs
-        cand = np.maximum(phases[:, :, j::size], best)
-        np.copyto(cand, best, where=first_nan)
-        wins = np.not_equal(cand, best)
-        np.greater(wins, first_nan, out=wins)  # best's NaN compared unequal to itself
-        np.maximum(arg, wins * arg.dtype.type(j), out=arg)
-        best = cand
+    Lout = L // 2
+    # One elementwise comparison of the even and odd phases instead of a
+    # pairwise argmax and gather.
+    even, odd = x.data[:, :, 0:2 * Lout:2], x.data[:, :, 1:2 * Lout:2]
+    first_nan = np.isnan(even)
+    # np.maximum keeps its second operand on a tie of equal values or of
+    # +0.0 and -0.0, and returns the first of two NaNs
+    best = np.maximum(odd, even)
+    np.copyto(best, even, where=first_nan)
+    arg = np.not_equal(best, even)
+    np.greater(arg, first_nan, out=arg)  # even's NaN compared unequal to itself
     out = Tensor(best)
-    indices = arg + np.arange(Lout) * size
+    indices = arg + np.arange(0, 2 * Lout, 2)
 
     def backward(g):
-        # dx holds g where the window's max was and +0.0 elsewhere: the
-        # winning phase's bits are g's, the others' are masked to zero.
+        # dx holds g where the pair's max was and +0.0 elsewhere: the
+        # winning phase's bits are g's, the other's are masked to zero.
         bits = np.dtype(f"u{g.itemsize}")
         dx = np.zeros((B, C, L), dtype=g.dtype)
-        for j in range(size):
-            keep = np.equal(arg, j).astype(bits)
+        for j, wins in enumerate((~arg, arg)):
+            keep = wins.astype(bits)
             np.negative(keep, out=keep)  # 1 -> all ones
-            np.bitwise_and(g.view(bits), keep, out=dx.view(bits)[:, :, j:Lout * size:size])
+            np.bitwise_and(g.view(bits), keep, out=dx.view(bits)[:, :, j:2 * Lout:2])
         x._accumulate(dx, fresh=True)
 
     return _track(out, (x,), backward), indices
@@ -603,19 +597,18 @@ class BatchNormState:
     beta: Parameter
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.1
+    eps: ClassVar[float] = 1e-5
+    momentum: ClassVar[float] = 0.1
     training: bool = True
 
     @classmethod
-    def create(cls, channels: int, name: str, **settings) -> "BatchNormState":
-        """Fresh state for ``channels``; ``settings`` may override ``eps`` and ``momentum``."""
+    def create(cls, channels: int, name: str) -> "BatchNormState":
+        """Fresh state for ``channels``: unit scale, zero shift, and running statistics of N(0, 1)."""
         return cls(
             gamma=Parameter(np.ones(channels), f"{name}.gamma"),
             beta=Parameter(np.zeros(channels), f"{name}.beta"),
             running_mean=np.zeros(channels),
             running_var=np.ones(channels),
-            **settings,
         )
 
 

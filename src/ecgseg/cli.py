@@ -156,7 +156,7 @@ def cmd_train(args) -> int:
         raise ConfigurationError(f"data root is not a directory: {data_root}")
 
     out_dir = Path(args.out)
-    train_cfg = build_train_config(values, checkpoint_dir=str(out_dir))
+    train_cfg = build_train_config(values)
 
     records = [load_json_record(path) for path in sorted(data_root.glob("*.json"))]
     if not records:
@@ -197,7 +197,8 @@ def cmd_train(args) -> int:
             print(f"iteration {step}/{train_cfg.iterations}  loss {value:.4f}")
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    history = train(model, split, train_cfg, adam=adam, rng=rng, progress=progress)
+    history = train(model, split, train_cfg, adam=adam, rng=rng, progress=progress,
+                    checkpoint_dir=out_dir)
     save_training_checkpoint(out_dir / "model.ckpt", model, adam, rng)
     save_loss_history(out_dir / "loss.csv", history, start_step=start_step + 1)
     print(f"wrote {out_dir / 'model.ckpt'} and {out_dir / 'loss.csv'}")

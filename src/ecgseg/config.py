@@ -80,10 +80,8 @@ def _check_section(path, section: str, values: dict[str, str]) -> None:
         except ValueError:
             raise ConfigurationError(f"{path}: [{section}] {key}: bad value {value!r}") from None
     if section != "data":  # each key's own range, as the config class checks it
-        # checkpoint_every needs a directory, which the CLI gives only with --out.
-        fixed = {"checkpoint_dir": "--out"} if section == "train" else {}
         try:
-            (ModelConfig if section == "model" else TrainConfig)(**parsed, **fixed)
+            (ModelConfig if section == "model" else TrainConfig)(**parsed)
         except ValueError as exc:
             raise ConfigurationError(f"{path}: [{section}] {exc}") from None
 
@@ -102,12 +100,11 @@ def merge_layers(*layers) -> dict[str, dict]:
     return merged
 
 
-def _build(cls, values: dict, section: str, **fixed):
+def _build(cls, values: dict, section: str):
     """``cls`` from the merged ``values`` of ``section``, each cast once."""
     casts = _SECTIONS[section]
     try:
-        return cls(**{key: casts[key](value) for key, value in values.get(section, {}).items()},
-                   **fixed)
+        return cls(**{key: casts[key](value) for key, value in values.get(section, {}).items()})
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(str(exc)) from None
 
@@ -116,8 +113,8 @@ def build_model_config(values) -> ModelConfig:
     return _build(ModelConfig, values, "model")
 
 
-def build_train_config(values, checkpoint_dir: str | None = None) -> TrainConfig:
-    return _build(TrainConfig, values, "train", checkpoint_dir=checkpoint_dir)
+def build_train_config(values) -> TrainConfig:
+    return _build(TrainConfig, values, "train")
 
 
 def read_id_list(values: dict[str, str], key: str) -> list[str]:

@@ -2,6 +2,9 @@
 
 Modes: ``per-lead`` (one wave stream per lead), ``avg`` (scores averaged
 across all leads, one stream), ``lead2`` (lead II only, one forward pass).
+The model scores signals at NATIVE_RATE; a record at any other rate is
+resampled to it, and the waves found are mapped back to the record's own
+samples.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from .wfdb import CLASS_NAMES, MASK_NONE, WAVE_TYPES, read_json, require_key, sa
 
 MODES = ("per-lead", "avg", "lead2")
 AVERAGED_STREAM = "avg"
+NATIVE_RATE = 500.0  # Hz
 
 
 class DelineationError(ValueError):
@@ -142,14 +146,14 @@ def average_leads(score_matrices) -> np.ndarray:
     return np.mean(stacked, axis=0)
 
 
-def delineate(record: EcgRecord, model, mode: str, native_rate: float = 500.0,
+def delineate(record: EcgRecord, model, mode: str,
               min_duration_ms: float = 0.0) -> DelineationResult:
     """Run the model on a record and extract waves per the requested mode.
 
-    The record is resampled to the model's native rate when needed and the
-    resulting wave indices are mapped back to the record's own grid. The
-    optional minimum-duration filter is off by default and must stay off
-    for evaluation runs.
+    The record is resampled to NATIVE_RATE when needed and the resulting
+    wave indices are mapped back to the record's own grid. The optional
+    minimum-duration filter is off by default and must stay off for
+    evaluation runs.
     """
     if mode not in MODES:
         raise DelineationError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -163,7 +167,7 @@ def delineate(record: EcgRecord, model, mode: str, native_rate: float = 500.0,
     else:
         lead_names = list(record.leads)
 
-    work = record if record.sampling_rate == native_rate else resample(record, native_rate)
+    work = record if record.sampling_rate == NATIVE_RATE else resample(record, NATIVE_RATE)
     model.eval()
     rows = model.scores(work.signals[[work.lead_index(name) for name in lead_names]])
     scores = {AVERAGED_STREAM: average_leads(rows)} if mode == "avg" else dict(zip(lead_names, rows))
@@ -172,12 +176,12 @@ def delineate(record: EcgRecord, model, mode: str, native_rate: float = 500.0,
     for stream, stream_scores in scores.items():
         onsets, offsets, classes = _runs(argmax_labels(stream_scores))
         if min_duration_ms > 0:
-            keep = offsets - onsets + 1 >= min_duration_ms * native_rate / 1000.0
+            keep = offsets - onsets + 1 >= min_duration_ms * NATIVE_RATE / 1000.0
             onsets, offsets, classes = onsets[keep], offsets[keep], classes[keep]
         if work is not record and onsets.size:
             # One call per stream: each index maps on its own, and the call builds the grid once.
             onsets, offsets = map_sample_indices(
-                np.concatenate([onsets, offsets]), work.n_samples, native_rate,
+                np.concatenate([onsets, offsets]), work.n_samples, NATIVE_RATE,
                 record.n_samples, record.sampling_rate,
             ).reshape(2, -1)
         streams[stream] = _predictions(onsets, offsets, classes)

@@ -132,7 +132,7 @@ class ResamplePlan:
     target_times: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (0 < self.source_rate < math.inf and 0 < self.target_rate < math.inf):
+        if not (is_sampling_rate(self.source_rate) and is_sampling_rate(self.target_rate)):
             raise SignalError(
                 f"sampling rates must be positive and finite, got {self.source_rate!r} "
                 f"and {self.target_rate!r}"
@@ -252,8 +252,6 @@ def resample(record: EcgRecord, target_rate: float) -> EcgRecord:
     elimination of the spline system serves them all; each lead is then
     fitted and evaluated on its own.
     """
-    if not target_rate > 0:
-        raise SignalError(f"target rate must be positive, got {target_rate}")
     plan = ResamplePlan(record.sampling_rate, target_rate, record.n_samples)
     out = np.empty((len(record.leads), plan.m), dtype=np.float64)
     for row in range(len(record.leads)):

@@ -18,7 +18,6 @@ from typing import ClassVar
 import numpy as np
 
 from .autodiff import Adam, Tensor, softmax_cross_entropy
-from .signal import EcgRecord
 from .unet import (CheckpointError, SegmentationModel, _weights_from_container, load_container,
                    save_weights, stored_settings)
 from .wfdb import to_mask
@@ -34,7 +33,7 @@ class TrainingWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The [train] keys and the checkpoint directory; Adam's betas and eps and the crop are fixed."""
+    """The [train] keys; Adam's betas and eps and the crop are fixed."""
 
     iterations: int = 2000
     batch_size: int = 32
@@ -47,7 +46,6 @@ class TrainConfig:
     crop_start_min: ClassVar[float] = 2.0
     crop_start_max: ClassVar[float] = 4.0
     checkpoint_every: int = 0
-    checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -56,8 +54,6 @@ class TrainConfig:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
         if self.checkpoint_every < 0:
             raise ConfigurationError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.checkpoint_every > 0 and not self.checkpoint_dir:
-            raise ConfigurationError("checkpoint_every needs a checkpoint_dir")
         # Outside this range Adam trains on into a useless model, or fails later blaming a batch.
         lr = self.learning_rate
         if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 <= lr < math.inf:
@@ -86,7 +82,6 @@ class LeadSignal:
 @dataclass
 class DatasetSplit:
     train_pool: list[LeadSignal]
-    test_records: list[tuple[EcgRecord, dict]]
     sampling_rate: float
 
 
@@ -130,11 +125,7 @@ def make_split(records, train_ids, test_ids) -> DatasetSplit:
             pool.append(
                 LeadSignal(rid, lead, record.sampling_rate, record.signals[j], mask)
             )
-    return DatasetSplit(
-        train_pool=pool,
-        test_records=[by_id[rid] for rid in test_ids],
-        sampling_rate=rates.pop() if rates else 500.0,
-    )
+    return DatasetSplit(train_pool=pool, sampling_rate=rates.pop() if rates else 500.0)
 
 
 def augment_crop(source: LeadSignal, config: TrainConfig, rng: np.random.Generator) -> TrainingSample:
@@ -181,12 +172,16 @@ def _usable_pool(split: DatasetSplit, config: TrainConfig) -> list[LeadSignal]:
 
 def train(model: SegmentationModel, split: DatasetSplit, config: TrainConfig,
           adam: Adam | None = None, rng: np.random.Generator | None = None,
-          progress=None) -> list[float]:
+          progress=None, checkpoint_dir: str | Path | None = None) -> list[float]:
     """Run the loop from model.step_count + 1 up to config.iterations.
 
     Returns the per-iteration loss history of this call. Pass the adam/rng
-    from a loaded trainer checkpoint to resume bitwise.
+    from a loaded trainer checkpoint to resume bitwise. Every
+    ``config.checkpoint_every`` steps a trainer checkpoint is written to
+    ``checkpoint_dir``, which must then be given.
     """
+    if config.checkpoint_every > 0 and not checkpoint_dir:
+        raise ConfigurationError("checkpoint_every needs a checkpoint directory")
     pool = _usable_pool(split, config)
     if adam is None:
         adam = Adam(model.parameters(), lr=config.learning_rate)
@@ -214,7 +209,7 @@ def train(model: SegmentationModel, split: DatasetSplit, config: TrainConfig,
         if progress is not None:
             progress(step, value)
         if config.checkpoint_every > 0 and step % config.checkpoint_every == 0:
-            path = Path(config.checkpoint_dir) / f"step-{step:06d}.ckpt"
+            path = Path(checkpoint_dir) / f"step-{step:06d}.ckpt"
             save_training_checkpoint(path, model, adam, rng)
     return history
 

@@ -67,7 +67,7 @@ class ModelConfig:
     """Architecture parameters; the fields are the [model] keys.
 
     The kernel geometry is fixed: each conv keeps the length, each transposed conv doubles it.
-    So are batch norm's eps and momentum, BatchNormState's defaults.
+    So are batch norm's eps and momentum, BatchNormState's constants.
     A checkpoint header stores every name annotated here, in this order.
     """
 
@@ -191,9 +191,6 @@ class SegmentationModel:
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
-
-    def bn_states(self) -> list[BatchNormState]:
-        return list(self.bn.values())
 
     def train(self) -> "SegmentationModel":
         self.training = True

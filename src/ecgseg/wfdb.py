@@ -1,7 +1,8 @@
 """LUDB-style WFDB parsing: text headers, format-16 signals, MIT annotations.
 
 Also owns the JSON interchange document and per-sample segmentation masks.
-Only storage format 16 is supported; other formats are rejected loudly.
+Only storage format 16 in millivolts is supported, and an annotation file
+must hold the events of one channel; anything else is rejected loudly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal import EcgRecord
+from .signal import EcgRecord, is_sampling_rate
 
 MASK_NONE, MASK_P, MASK_QRS, MASK_T = 0, 1, 2, 3
 WAVE_TYPES = ("P", "QRS", "T")
@@ -68,10 +69,8 @@ class AnnotationWarning(UserWarning):
 @dataclass
 class SignalSpec:
     file_name: str
-    format_code: int
     gain: float
     adc_zero: int
-    units: str
     lead_name: str
     initial_value: int | None = None
     checksum: int | None = None
@@ -80,7 +79,6 @@ class SignalSpec:
 @dataclass
 class HeaderInfo:
     record_name: str
-    n_signals: int
     sampling_rate: float
     n_samples: int
     signals: list[SignalSpec]
@@ -124,7 +122,7 @@ def parse_header(text: str) -> HeaderInfo:
         raise HeaderParseError(f"line {lineno}: {exc}") from None
     if n_signals < 1:
         raise HeaderParseError(f"line {lineno}: signal count must be >= 1")
-    if not np.isfinite(sampling_rate) or sampling_rate <= 0:
+    if not is_sampling_rate(sampling_rate):
         raise HeaderParseError(f"line {lineno}: sampling rate must be positive")
     if n_samples < 1:
         raise HeaderParseError(f"line {lineno}: sample count must be >= 1")
@@ -138,13 +136,8 @@ def parse_header(text: str) -> HeaderInfo:
     for idx in range(n_signals):
         lineno, line = signal_lines[idx]
         specs.append(_parse_signal_line(lineno, line, idx))
-    return HeaderInfo(
-        record_name=name,
-        n_signals=n_signals,
-        sampling_rate=sampling_rate,
-        n_samples=n_samples,
-        signals=specs,
-    )
+    return HeaderInfo(record_name=name, sampling_rate=sampling_rate, n_samples=n_samples,
+                      signals=specs)
 
 
 def _parse_signal_line(lineno: int, line: str, idx: int) -> SignalSpec:
@@ -174,6 +167,8 @@ def _parse_signal_line(lineno: int, line: str, idx: int) -> SignalSpec:
         raise HeaderParseError(f"line {lineno}: malformed gain field {gain_token!r}") from None
     if not np.isfinite(gain) or gain <= 0:
         raise HeaderParseError(f"line {lineno}: gain must be positive, got {gain}")
+    if units not in ("", "mV"):  # no units means mV
+        raise UnsupportedFormatError(f"line {lineno}: units {units!r} not supported (only mV)")
     # A full line has adcres, adczero, initial value, checksum and block size
     # before the description; a shorter one is read with its description as
     # the last token. LUDB uses single-token lead names.
@@ -199,10 +194,8 @@ def _parse_signal_line(lineno: int, line: str, idx: int) -> SignalSpec:
         lead_name = f"sig{idx}"
     return SignalSpec(
         file_name=file_name,
-        format_code=format_code,
         gain=gain,
         adc_zero=adc_zero,
-        units=units or "mV",
         lead_name=lead_name,
         initial_value=initial_value,
         checksum=checksum,
@@ -219,13 +212,14 @@ def read_signal_format16(data: bytes, header: HeaderInfo) -> EcgRecord:
     then match them: the first raw sample, and the 16-bit two's-complement
     sum of all of them.
     """
-    expected = 2 * header.n_signals * header.n_samples
+    n_signals = len(header.signals)
+    expected = 2 * n_signals * header.n_samples
     if len(data) != expected:
         raise TruncatedFileError(
             f"record {header.record_name!r}: expected {expected} signal bytes, got {len(data)}"
         )
-    raw = np.frombuffer(data, dtype="<i2").reshape(header.n_samples, header.n_signals)
-    signals = np.empty((header.n_signals, header.n_samples), dtype=np.float64)
+    raw = np.frombuffer(data, dtype="<i2").reshape(header.n_samples, n_signals)
+    signals = np.empty((n_signals, header.n_samples), dtype=np.float64)
     for j, spec in enumerate(header.signals):
         signals[j] = (raw[:, j].astype(np.float64) - spec.adc_zero) / spec.gain
     signals[raw.T == _INVALID_SAMPLE] = np.nan
@@ -541,7 +535,8 @@ def read_wfdb_record(header_path, annotation_files: dict[str, Path | str] | None
 
     ``annotation_files`` maps lead name -> annotation path (LUDB ships one
     file per lead, suffix = lead name); leads without an entry get an
-    empty wave list.
+    empty wave list. A file whose events name more than one channel is
+    refused: its waves could not be told apart once given the lead.
     """
     header_path = Path(header_path)
     header = header or read_header(header_path)
@@ -555,6 +550,11 @@ def read_wfdb_record(header_path, annotation_files: dict[str, Path | str] | None
     for lead_name, ann_path in (annotation_files or {}).items():
         lead_idx = record.lead_index(lead_name)
         events = parse_annotations(Path(ann_path).read_bytes())
+        channels = sorted({ev.lead for ev in events})
+        if len(channels) > 1:
+            raise UnsupportedFormatError(
+                f"{ann_path}: annotations span channels {channels} (only one per file)"
+            )
         for ev in events:
             if ev.sample >= record.n_samples:
                 raise InvalidAnnotationError(

@@ -215,13 +215,14 @@ def upsample_concat_two_nodes(x, w, b, skip, stride=2, padding=3):
     return zero_pad_concat(convtranspose1d(x, w, b, stride=stride, padding=padding), skip)
 
 
-def maxpool1d_argmax(x, size):
-    """Max pooling through a per-window argmax and gather, size == stride.
+def maxpool1d_argmax(x):
+    """Max pooling of sample pairs through a per-pair argmax and gather.
 
     Returns (out, indices, backward), where backward(g) scatters g to each
-    window's argmax in a zero gradient of x's shape. numpy's argmax takes
+    pair's argmax in a zero gradient of x's shape. numpy's argmax takes
     the first of equal values and the first NaN.
     """
+    size = 2
     B, C, L = x.shape
     Lout = L // size
     win = x[:, :, :Lout * size].reshape(B, C, Lout, size)
@@ -279,7 +280,7 @@ def finite_difference_grad(scalar_fn, array, h=1e-5):
     return grad
 
 
-def delineate_per_wave(record, model, mode, native_rate=500.0, min_duration_ms=0.0):
+def delineate_per_wave(record, model, mode, min_duration_ms=0.0):
     """``delineate.delineate`` as it ran with one mapping call per wave.
 
     Each wave is cut from the argmax labels, filtered and built on its
@@ -288,6 +289,7 @@ def delineate_per_wave(record, model, mode, native_rate=500.0, min_duration_ms=0
     call and must give the same waves. Returns {stream: [(type, onset,
     offset), ...]}.
     """
+    from ecgseg.delineate import NATIVE_RATE as native_rate
     from ecgseg.signal import map_sample_indices, resample
 
     names = {1: "P", 2: "QRS", 3: "T"}

@@ -17,6 +17,8 @@ from ecgseg.wfdb import CODE_BY_SYMBOL
 
 __all__ = [
     "STANDARD_LEADS",
+    "TWO_CHANNEL_STREAM",
+    "annotation_words",
     "encode_annotations",
     "make_ecg_record",
     "waves_to_events",
@@ -45,6 +47,17 @@ def encode_annotations(events) -> bytes:
         time = sample
     out += b"\x00\x00"
     return bytes(out)
+
+
+def annotation_words(words) -> bytes:
+    """An MIT annotation stream of (code, delta) words, then the terminating zero word."""
+    return struct.pack(f"<{len(words) + 1}H", *((code << 10) | delta for code, delta in words), 0)
+
+
+# Channel 0's QRS (10, 12, 14) interleaved with channel 1's T (11, 13, 15): each
+# CHN word (code 62) moves the event before it, and those after, to its channel.
+TWO_CHANNEL_STREAM = annotation_words([(39, 10), (39, 1), (62, 1), (1, 1), (62, 0), (27, 1),
+                                       (62, 1), (40, 1), (62, 0), (40, 1), (62, 1)])
 
 
 def waves_to_events(waves):

@@ -8,7 +8,7 @@ from ecgseg.cli import build_parser, main
 from ecgseg.signal import map_sample_indices
 from ecgseg.unet import SegmentationModel, load_container, save_container, save_weights, tiny_config
 from ecgseg.wfdb import load_json_record, save_json_record
-from synth import make_ecg_record, write_wfdb_fixture
+from synth import TWO_CHANNEL_STREAM, make_ecg_record, write_wfdb_fixture
 from test_unet import (CORRUPTIONS, TRAINER_CORRUPTIONS, corrupt_checkpoint, corrupt_trainer_state,
                        save_trainer_checkpoint)
 
@@ -114,6 +114,29 @@ class TestConvert:
         record, _ = load_json_record(out / "100.json")
         first_record, _ = wfdb.read_wfdb_record(wfdb_dir / "100.hea", {})
         np.testing.assert_array_equal(record.signals, first_record.signals)
+
+    def test_units_other_than_millivolts_fail_the_record(self, wfdb_dir, tmp_path, capsys):
+        header = wfdb_dir / "100.hea"
+        lines = header.read_text().splitlines()
+        lines[2] = lines[2].replace("/mV", "/uV")  # the second signal
+        header.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "converted"
+        assert main(["convert", str(wfdb_dir), str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"converted 1/2 records to {out}\n"
+        assert captured.err == "  FAILED 100.hea: line 3: units 'uV' not supported (only mV)\n"
+        assert [p.name for p in out.iterdir()] == ["101.json"]
+
+    def test_annotation_file_spanning_channels_fails_the_record(self, wfdb_dir, tmp_path, capsys):
+        ann_path = wfdb_dir / "100.ii"
+        ann_path.write_bytes(TWO_CHANNEL_STREAM)
+        out = tmp_path / "converted"
+        assert main(["convert", str(wfdb_dir), str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"converted 1/2 records to {out}\n"
+        assert captured.err == (
+            f"  FAILED 100.hea: {ann_path}: annotations span channels [0, 1] (only one per file)\n")
+        assert [p.name for p in out.iterdir()] == ["101.json"]
 
     def test_parses_each_header_once(self, wfdb_dir, tmp_path, monkeypatch):
         calls, parse_header = [], wfdb.parse_header

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgseg.delineate import delineate
 from ecgseg.signal import (
     CubicSpline,
     EcgRecord,
@@ -17,7 +16,6 @@ from ecgseg.signal import (
     midpoint_grid,
     resample,
 )
-from ecgseg.unet import SegmentationModel, tiny_config
 from oracles import eval_cubic_dense, fit_spline_scalar, natural_spline_coeffs_dense
 
 
@@ -283,9 +281,6 @@ class TestResamplePlan:
         record = make_record(np.zeros((2, 10)), 10.0)
         with pytest.raises(SignalError, match="positive and finite"):
             resample(record, np.inf)
-        model = SegmentationModel(tiny_config())
-        with pytest.raises(SignalError, match="positive and finite"):
-            delineate(record, model, "per-lead", native_rate=np.inf)
 
     def test_grids_inside_open_interval(self):
         plan = ResamplePlan(500.0, 50.0, 5000)

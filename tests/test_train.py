@@ -52,7 +52,6 @@ class TestMakeSplit:
         records = dataset(3, n_leads=12)
         split = make_split(records, ["rec0", "rec1"], ["rec2"])
         assert len(split.train_pool) == 24
-        assert len(split.test_records) == 1
         assert split.sampling_rate == 500.0
 
     def test_single_record_gives_twelve_lead_signals(self):
@@ -109,8 +108,8 @@ class TestTrainConfig:
         TrainConfig(learning_rate=0.0)
 
     def test_protocol_is_fixed(self):
-        # The fields are the [train] keys and the directory; Adam and the crop window are constants.
-        assert [f.name for f in dataclasses.fields(TrainConfig)] == [*_TRAIN_KEYS, "checkpoint_dir"]
+        # The fields are the [train] keys; Adam and the crop window are constants.
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [*_TRAIN_KEYS]
         constants = {"beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8, "crop_seconds": 4.0,
                      "crop_start_min": 2.0, "crop_start_max": 4.0}
         assert {key: getattr(TrainConfig(), key) for key in constants} == constants
@@ -209,20 +208,15 @@ class TestTrain:
         full_history = train(model_full, split, config_full)
 
         model_half, _, _ = tiny_train_setup()
-        config_half = TrainConfig(
-            iterations=6, batch_size=2, seed=7,
-            checkpoint_every=3, checkpoint_dir=str(tmp_path),
-        )
+        config_half = TrainConfig(iterations=6, batch_size=2, seed=7, checkpoint_every=3)
         # interrupt by limiting iterations to 3, checkpointing at 3
-        interrupted = TrainConfig(
-            iterations=3, batch_size=2, seed=7,
-            checkpoint_every=3, checkpoint_dir=str(tmp_path),
-        )
-        first_half = train(model_half, split, interrupted)
+        interrupted = TrainConfig(iterations=3, batch_size=2, seed=7, checkpoint_every=3)
+        first_half = train(model_half, split, interrupted, checkpoint_dir=tmp_path)
         model_resumed, adam, rng = load_training_checkpoint(tmp_path / "step-000003.ckpt")
         assert model_resumed.dtype == np.float32
         assert all(slot.dtype == np.float32 for slot in adam.m + adam.v)
-        second_half = train(model_resumed, split, config_half, adam=adam, rng=rng)
+        second_half = train(model_resumed, split, config_half, adam=adam, rng=rng,
+                            checkpoint_dir=tmp_path)
         assert first_half + second_half == full_history
         for pa, pb in zip(model_full.parameters(), model_resumed.parameters()):
             assert pa.name == pb.name
@@ -245,15 +239,14 @@ class TestTrain:
                 np.testing.assert_array_equal(pa.data, pb.data)
             for slot_1, slot_n in zip(adam_1.m + adam_1.v, adam_n.m + adam_n.v):
                 np.testing.assert_array_equal(slot_1, slot_n)
-            for state_1, state_n in zip(model_1.bn_states(), model_n.bn_states()):
+            for state_1, state_n in zip(model_1.bn.values(), model_n.bn.values()):
                 np.testing.assert_array_equal(state_1.running_mean, state_n.running_mean)
                 np.testing.assert_array_equal(state_1.running_var, state_n.running_var)
 
     def test_resume_reads_the_checkpoint_once(self, tmp_path, monkeypatch):
         model, split, _ = tiny_train_setup()
-        config = TrainConfig(iterations=1, batch_size=2, seed=7,
-                             checkpoint_every=1, checkpoint_dir=str(tmp_path))
-        train(model, split, config)
+        config = TrainConfig(iterations=1, batch_size=2, seed=7, checkpoint_every=1)
+        train(model, split, config, checkpoint_dir=tmp_path)
         reads = []
 
         def counting(path):
@@ -265,6 +258,14 @@ class TestTrain:
         resumed, _, _ = load_training_checkpoint(tmp_path / "step-000001.ckpt")
         assert len(reads) == 1
         assert resumed.step_count == 1
+
+    @pytest.mark.parametrize("checkpoint_dir", [None, ""])
+    def test_checkpoint_every_needs_a_directory(self, checkpoint_dir):
+        model, split, _ = tiny_train_setup()
+        config = TrainConfig(iterations=2, batch_size=2, checkpoint_every=1)
+        with pytest.raises(ConfigurationError, match="checkpoint_every needs a checkpoint directory"):
+            train(model, split, config, checkpoint_dir=checkpoint_dir)
+        assert model.step_count == 0
 
     def test_nonfinite_loss_aborts_with_provenance(self):
         model, split, config = tiny_train_setup(iterations=2)

@@ -158,7 +158,6 @@ class TestStateTables:
         model = SegmentationModel(tiny_config())
         assert all(name == p.name for name, p in model.params.items())
         assert model.parameters() == list(model.params.values())
-        assert model.bn_states() == list(model.bn.values())
         assert list(model.bn)[:3] == ["enc1.conv1.bn", "enc1.conv2.bn", "enc2.conv1.bn"]
         assert len(model.bn) == 18
         for path, state in model.bn.items():
@@ -187,11 +186,11 @@ class TestForwardShapes:
     def test_inference_is_pure(self):
         model = SegmentationModel(tiny_config()).eval()
         x = np.random.default_rng(1).normal(size=(1, 1, 48))
-        before = [s.running_mean.copy() for s in model.bn_states()]
+        before = [s.running_mean.copy() for s in model.bn.values()]
         out1 = model.forward(x).data
         out2 = model.forward(x).data
         np.testing.assert_array_equal(out1, out2)
-        for state, saved in zip(model.bn_states(), before):
+        for state, saved in zip(model.bn.values(), before):
             np.testing.assert_array_equal(state.running_mean, saved)
 
 
@@ -259,7 +258,7 @@ class TestScoresRows:
         monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 3)
         rows = SegmentationModel(tiny_config(seed=7))
         rows.scores(x)
-        for a, b in zip(serial.bn_states(), rows.bn_states()):
+        for a, b in zip(serial.bn.values(), rows.bn.values()):
             np.testing.assert_array_equal(a.running_mean, b.running_mean)
             np.testing.assert_array_equal(a.running_var, b.running_var)
 
@@ -303,7 +302,7 @@ class TestDtype:
         model = SegmentationModel(tiny_config())
         assert model.dtype == MODEL_DTYPE == np.float32
         assert all(p.data.dtype == np.float32 for p in model.parameters())
-        for state in model.bn_states():
+        for state in model.bn.values():
             assert state.running_mean.dtype == state.running_var.dtype == np.float32
         assert model.eval().scores(np.zeros(40)).dtype == np.float32
 
@@ -469,7 +468,7 @@ class TestCheckpoint:
         model = SegmentationModel(tiny_config(seed=9))
         # some training-like state
         model.step_count = 17
-        for state in model.bn_states():
+        for state in model.bn.values():
             state.running_mean += 0.25
         path = tmp_path / "model.ckpt"
         save_weights(model, path)
@@ -489,7 +488,7 @@ class TestCheckpoint:
         assert load_container(path)[0]["dtype"] == "float32"
         loaded = load_weights(path)
         assert loaded.dtype == np.float32
-        for state in loaded.bn_states():
+        for state in loaded.bn.values():
             assert state.running_mean.dtype == np.float32
         np.testing.assert_array_equal(model.eval().forward(x).data, loaded.eval().forward(x).data)
 

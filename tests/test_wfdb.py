@@ -29,7 +29,8 @@ from ecgseg.wfdb import (
     record_to_json,
     to_mask,
 )
-from synth import encode_annotations, make_ecg_record, waves_to_events, write_wfdb_fixture
+from synth import (TWO_CHANNEL_STREAM, annotation_words, encode_annotations, make_ecg_record,
+                   waves_to_events, write_wfdb_fixture)
 
 TWELVE_LEAD_HEADER = "\n".join(
     ["1 12 500 5000"]
@@ -43,7 +44,7 @@ TWELVE_LEAD_HEADER = "\n".join(
 class TestParseHeader:
     def test_ludb_shaped_header(self):
         h = parse_header(TWELVE_LEAD_HEADER)
-        assert h.n_signals == 12
+        assert len(h.signals) == 12
         assert h.sampling_rate == 500.0
         assert h.n_samples == 5000
         assert h.lead_names[:3] == ["i", "ii", "iii"]
@@ -56,7 +57,20 @@ class TestParseHeader:
         h = parse_header("r 1 360 100\nr.dat 16 1000(12)/mV 16 0 0 0 0 ii")
         assert h.signals[0].gain == 1000.0
         assert h.signals[0].adc_zero == 12
-        assert h.signals[0].units == "mV"
+
+    def test_line_without_units_reads_as_millivolts(self):
+        raw = struct.pack("<4h", 1000, -1000, 500, 0)
+        with_units, without = (read_signal_format16(raw, parse_header(f"r 1 500 4\nr.dat 16 {gain} ii"))
+                               for gain in ("1000(0)/mV", "1000(0)"))
+        np.testing.assert_array_equal(without.signals, with_units.signals)
+        np.testing.assert_allclose(without.signals[0], [1.0, -1.0, 0.5, 0.0])
+
+    @pytest.mark.parametrize("units", ["uV", "V", "mv", "mmHg"])
+    def test_units_other_than_millivolts_rejected(self, units):
+        with pytest.raises(UnsupportedFormatError,
+                           match=rf"^line 3: units '{units}' not supported \(only mV\)$"):
+            parse_header(f"r 2 500 100\nr.dat 16 1000(0)/mV 16 0 0 0 0 i\n"
+                         f"r.dat 16 1000(0)/{units} 16 0 0 0 0 ii")
 
     def test_malformed_record_line_reports_line_number(self):
         with pytest.raises(HeaderParseError, match="line 1"):
@@ -538,6 +552,28 @@ class TestWfdbEndToEnd:
         header_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SignalError, match="leads 'i' and 'I' have the same name"):
             read_wfdb_record(header_path)
+
+    def test_annotation_file_spanning_channels_rejected(self, tmp_path):
+        record, _ = make_ecg_record(record_id="80", seed=8, n_leads=2)
+        header_path, _, _ = write_wfdb_fixture(tmp_path, record, {})
+        ann_path = tmp_path / "80.i"
+        ann_path.write_bytes(TWO_CHANNEL_STREAM)
+        assert [(e.sample, e.symbol, e.lead) for e in parse_annotations(TWO_CHANNEL_STREAM)] == [
+            (10, "(", 0), (11, "(", 1), (12, "N", 0), (13, "t", 1), (14, ")", 0), (15, ")", 1)]
+        with pytest.raises(UnsupportedFormatError,
+                           match=r"80\.i: annotations span channels \[0, 1\] \(only one per file\)"):
+            read_wfdb_record(header_path, {"i": ann_path})
+
+    @pytest.mark.parametrize("channel", [0, 3])
+    def test_annotation_file_of_one_channel_reads_as_that_lead(self, tmp_path, channel):
+        record, _ = make_ecg_record(record_id="81", seed=8, n_leads=2)
+        header_path, _, _ = write_wfdb_fixture(tmp_path, record, {})
+        ann_path = tmp_path / "81.ii"
+        ann_path.write_bytes(annotation_words([(39, 10), (62, channel), (1, 2), (40, 2)]))
+        _, waves = read_wfdb_record(header_path, {"ii": ann_path})
+        assert [(w.wave_type, w.onset, w.peak, w.offset, w.lead) for w in waves["ii"]] == [
+            ("QRS", 10, 12, 14, 1)]
+        assert waves["i"] == []
 
     def test_fixture_round_trip(self, tmp_path):
         record, waves = make_ecg_record(record_id="77", seed=7, n_leads=4)
