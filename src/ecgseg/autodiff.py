@@ -21,7 +21,16 @@ convolution pass but the two transposed ones: conv1d's forward and weight
 gradient, and convtranspose1d's input and weight gradients at its stride.
 Those two, conv1d's input gradient and convtranspose1d's forward, run on
 it as stride-1 correlations of a flipped kernel, the latter once per
-output phase.
+output phase. The correlation reads a kernel either as one im2col matrix
+(few channel-taps) or as one (O, C) matrix per tap, and copies it only
+when that matrix is not contiguous. ``empty_weight`` lays a kernel out so
+that its forward needs no copy: a conv1d kernel keeps its (O, C, k) shape
+but is tap-major in memory, or C order when it is an im2col matrix, and a
+transposed conv's (Cin, Cout, k) kernel holds each tap's (Cout, Cin)
+matrix contiguous, so each phase's flipped taps are views. A weight
+gradient comes in its kernel's layout or is copied into it, so Adam's
+passes over the kernel, its gradient and its slots run over memory in
+one order.
 
 The correlations of a training step split their work over LEAD_WORKERS
 threads: the usable cores divided by the BLAS threads each matmul may
@@ -59,7 +68,9 @@ nothing (conv1d pads its input again rather than keep a padded copy);
 zero_pad_concat nothing; batchnorm1d per-channel vectors; batchnorm_relu
 those and its own output, whose positive entries are relu's mask; relu
 nothing, as it masks by its input; maxpool1d which sample of each pair
-won; softmax_cross_entropy its exponentials and the targets. A
+won, built only when a graph is recorded: inside ``no_graph()`` it
+builds the pooled values alone, and returns no indices;
+softmax_cross_entropy its exponentials and the targets. A
 conv-bn-relu layer built on batchnorm_relu thus keeps two full-size
 arrays: the conv's output, which batch norm's backward reads, and the
 layer's output, which the next layer takes as its input. A decoder level
@@ -187,8 +198,9 @@ def _drain(tasks: list[_Task]) -> Exception | None:
 def run_chunks(n: int, run) -> None:
     """Call ``run(start, stop)`` on contiguous chunks that cover range(n).
 
-    With LEAD_WORKERS > 1 and n >= 2, range(n) is cut into equal chunks,
-    up to _CHUNKS_PER_WORKER per worker, one task each: the pool takes them
+    With LEAD_WORKERS > 1 and n >= 2, range(n) is cut into equal chunks
+    but the last, at least _CHUNKS_PER_WORKER per worker where n allows
+    (one item each when it does not), one task each: the pool takes them
     from the front and the calling thread from the back, and a chunk no
     worker has started is cancelled on the pool, not waited for. So a slow
     or busy core takes fewer chunks instead of holding up the call. An
@@ -200,7 +212,7 @@ def run_chunks(n: int, run) -> None:
     if workers < 2 or _thread.pool:
         run(0, n)
         return
-    size = -(-n // (_CHUNKS_PER_WORKER * workers))  # equal chunks but the last
+    size = max(1, n // (_CHUNKS_PER_WORKER * workers))  # equal chunks but the last
     pool = _lead_pool(LEAD_WORKERS)
     error = _drain([_Task(functools.partial(run, start, min(start + size, n)), pool)
                     for start in range(0, n, size)])
@@ -258,15 +270,18 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
         # fresh: g is a new array that no other node holds and nothing else
-        # writes, so a contiguous one of this shape and dtype becomes the
-        # gradient itself. Any other g is copied: it may be a view of
-        # another node's gradient.
+        # writes, so one of this shape, dtype and strides becomes the
+        # gradient itself. Any other g is copied into .data's layout: it may
+        # be a view of another node's gradient, or a kernel's gradient laid
+        # out otherwise than the kernel, which slows Adam's elementwise
+        # passes over the kernel, its gradient and its slots.
+        d = self.data
         if self.grad is not None:
             self.grad += g
-        elif fresh and g.flags.c_contiguous and g.dtype == self.data.dtype and g.shape == self.data.shape:
+        elif fresh and g.strides == d.strides and g.dtype == d.dtype and g.shape == d.shape:
             self.grad = g
         else:
-            self.grad = np.empty_like(self.data)
+            self.grad = np.empty_like(d)
             self.grad[...] = g
 
     def backward(self, grad=None) -> None:
@@ -378,6 +393,25 @@ def _im2col(xp: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
     return windows.transpose(0, 1, 3, 2).reshape(B, C * k, windows.shape[2])
 
 
+def empty_weight(shape: tuple[int, int, int], dtype, transposed: bool = False) -> np.ndarray:
+    """An uninitialized kernel of ``shape`` laid out as its forward pass reads it, with no copy.
+
+    conv1d's (O, C, k) kernel: in C order when the correlation takes it as
+    one im2col matrix (C*k <= _IM2COL_MAX_TAPS; read in Fortran order, that
+    matmul gives other bits), else tap-major, so that ``w.transpose(2, 0,
+    1)`` is C-contiguous and each tap's (O, C) matrix a contiguous view.
+    convtranspose1d's (Cin, Cout, k) kernel, with ``transposed``:
+    ``w.transpose(2, 1, 0)`` is C-contiguous, so each phase's flipped taps
+    are contiguous (Cout, Cin) views.
+    """
+    a, b, k = shape
+    if transposed:
+        return np.empty((k, b, a), dtype=dtype).transpose(2, 1, 0)
+    if b * k <= _IM2COL_MAX_TAPS:
+        return np.empty(shape, dtype=dtype)
+    return np.empty((k, a, b), dtype=dtype).transpose(1, 2, 0)
+
+
 def _correlate(xp: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     # xp (B, C, Lp) cross-correlated with w (O, C, k) at the given stride ->
     # (B, O, T), y[b, o, t] = sum_{c,j} w[o, c, j] * xp[b, c, stride*t + j].
@@ -386,7 +420,9 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     # the bits of the transposed conv's input gradient.) Otherwise one
     # broadcasted matmul per kernel tap; the shifted slices stay views, so
     # nothing the size of an im2col buffer is materialized (matmul copies a
-    # strided one). The batch is split into chunks that each fill their
+    # strided one). The taps are read in place when each tap's (O, C)
+    # matrix is contiguous, as empty_weight lays them out, and copied into
+    # that layout otherwise. The batch is split into chunks that each fill their
     # rows of y, unless the call is too small to pay for it.
     B, C, Lp = xp.shape
     O, _, k = w.shape
@@ -399,7 +435,9 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
         def rows(start, stop):
             np.matmul(flat, _im2col(xp[start:stop], k), out=y[start:stop])
     else:
-        taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (k, O, C)
+        taps = w.transpose(2, 0, 1)  # (k, O, C)
+        if not taps[0].flags.c_contiguous:
+            taps = np.ascontiguousarray(taps)
 
         def rows(start, stop):
             part = y[start:stop]
@@ -418,17 +456,18 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
 
 def _correlate_weight_grad(xp: np.ndarray, g: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
     # dw[o, i, j] = sum_{b,t} g[b, o, t] * xp[b, i, stride*t + j]: one matmul
-    # over the im2col matrix for few channel-taps, else one full-batch
-    # matmul per tap.
+    # over the im2col matrix for few channel-taps, in C order, else one
+    # full-batch matmul per tap, each written to its own (O, C) matrix of a
+    # tap-major buffer: the layouts empty_weight gives a conv1d kernel.
     C = xp.shape[1]
     _, O, T = g.shape
     if C * k <= _IM2COL_MAX_TAPS:
         return np.matmul(g, _im2col(xp, k, stride).swapaxes(1, 2)).sum(axis=0).reshape(O, C, k)
     span = (T - 1) * stride + 1
-    dw = np.empty((O, C, k), dtype=np.result_type(xp, g))
+    dw = np.empty((k, O, C), dtype=np.result_type(xp, g))
     for j in range(k):
-        dw[:, :, j] = np.matmul(g, xp[:, :, j:j + span:stride].swapaxes(1, 2)).sum(axis=0)
-    return dw
+        dw[j] = np.matmul(g, xp[:, :, j:j + span:stride].swapaxes(1, 2)).sum(axis=0)
+    return dw.transpose(1, 2, 0)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
@@ -548,12 +587,14 @@ def relu(x: Tensor) -> Tensor:
     return _track(out, (x,), backward)
 
 
-def maxpool1d(x: Tensor) -> tuple[Tensor, np.ndarray]:
+def maxpool1d(x: Tensor) -> tuple[Tensor, np.ndarray | None]:
     """Max over each pair of samples; an odd trailing sample is dropped.
 
     Returns (pooled tensor, absolute argmax indices of shape (B, C, L // 2)).
     As in ``argmax``, the first of equal values wins, +0.0 and -0.0 among
-    them, and a NaN beats any number, the first NaN the second.
+    them, and a NaN beats any number, the first NaN the second. Inside
+    ``no_graph()`` no backward reads which sample won, so only the pooled
+    values are built and the indices are None.
     """
     B, C, L = x.shape
     Lout = L // 2
@@ -565,6 +606,8 @@ def maxpool1d(x: Tensor) -> tuple[Tensor, np.ndarray]:
     # +0.0 and -0.0, and returns the first of two NaNs
     best = np.maximum(odd, even)
     np.copyto(best, even, where=first_nan)
+    if not _thread.recording:
+        return Tensor(best), None
     arg = np.not_equal(best, even)
     np.greater(arg, first_nan, out=arg)  # even's NaN compared unequal to itself
     out = Tensor(best)

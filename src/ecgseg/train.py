@@ -240,9 +240,12 @@ def load_training_checkpoint(path) -> tuple[SegmentationModel, Adam, np.random.G
     info = header["trainer"]
 
     def slot(name, param):
+        # cast into the parameter's memory layout, which Adam's passes share
         if arrays[name].shape != param.data.shape:
             raise ValueError(f"{name!r} has shape {arrays[name].shape}, not {param.data.shape}")
-        return arrays[name].astype(param.data.dtype)
+        out = np.empty_like(param.data)
+        out[...] = arrays[name]
+        return out
 
     try:
         stored_settings(info, _ADAM_CONSTANTS)

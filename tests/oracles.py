@@ -265,19 +265,52 @@ def optimal_matching(ref, pred, tolerance):
 
 
 def finite_difference_grad(scalar_fn, array, h=1e-5):
-    """Central finite differences of scalar_fn() w.r.t. array, perturbed in place."""
+    """Central finite differences of scalar_fn() w.r.t. array, perturbed in place.
+
+    Elements are indexed in place, in C order, so an array in any memory
+    layout is perturbed itself rather than a reshaped copy.
+    """
     grad = np.zeros_like(array)
-    flat = array.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
+    for at in np.ndindex(array.shape):
+        orig = array[at]
+        array[at] = orig + h
         fp = scalar_fn()
-        flat[i] = orig - h
+        array[at] = orig - h
         fm = scalar_fn()
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        array[at] = orig
+        grad[at] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def assert_kernels_read_in_place(model, adam=None):
+    """Assert each kernel is laid out as its forward correlation reads it, with no copy.
+
+    A conv1d kernel of at most _IM2COL_MAX_TAPS channel-taps is read as
+    one (O, C*k) im2col matrix, so it must be C-contiguous; a wider one
+    tap by tap, so ``w.transpose(2, 0, 1)`` must be. A transposed conv's
+    (Cin, Cout, k) kernel is read as one (Cout, Cin) matrix per tap, so
+    ``w.transpose(2, 1, 0)`` must be. The kernel's gradient, when it has
+    one, and its two ``adam`` slots must have its strides.
+    """
+    from ecgseg.autodiff import _IM2COL_MAX_TAPS
+
+    slots = {} if adam is None else {id(p): (m, v) for p, m, v in zip(adam.params, adam.m, adam.v)}
+    kernels = 0
+    for name, p in model.params.items():
+        w = p.data
+        if w.ndim != 3:
+            continue
+        kernels += 1
+        if name.startswith("up"):
+            read = w.transpose(2, 1, 0)
+        elif w.shape[1] * w.shape[2] <= _IM2COL_MAX_TAPS:
+            read = w
+        else:
+            read = w.transpose(2, 0, 1)
+        assert read.flags.c_contiguous, name
+        for other in ([] if p.grad is None else [p.grad]) + list(slots.get(id(p), ())):
+            assert other.strides == w.strides, name
+    assert kernels == 23  # 18 convs of the blocks, 4 transposed convs and the head
 
 
 def delineate_per_wave(record, model, mode, min_duration_ms=0.0):

@@ -259,6 +259,20 @@ class TestMaxPool:
         np.testing.assert_array_equal(indices, want_indices)
         np.testing.assert_array_equal(x.grad.view(bits), want_backward(g).view(bits))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [shape for shape, values in CASES if values == "ties"])
+    def test_no_graph_builds_only_the_pooled_values(self, dtype, shape):
+        data = self._ties_and_nans(np.random.default_rng(sum(shape)), shape, dtype)
+        x = Tensor(data, requires_grad=True)
+        recorded, indices = maxpool1d(x)
+        with no_graph():
+            pooled, none = maxpool1d(x)
+        assert none is None and pooled._parents == () and not pooled.requires_grad
+        bits = f"u{np.dtype(dtype).itemsize}"
+        np.testing.assert_array_equal(pooled.data.view(bits), recorded.data.view(bits))
+        # outside no_graph() the indices are as before
+        np.testing.assert_array_equal(indices, maxpool1d_argmax(data)[1])
+
     def test_oracle_cases_hold_every_tie(self):
         data = self._ties_and_nans(np.random.default_rng(0), (2, 3, 40), np.float32)
         a, b = data[..., 0::2], data[..., 1::2]
@@ -776,8 +790,10 @@ class TestSplitKernels:
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         assert all(start < stop for start, stop in chunks)
         if min(workers, n) > 1:
-            size = -(-n // (ecgseg.autodiff._CHUNKS_PER_WORKER * workers))
+            # at least _CHUNKS_PER_WORKER chunks per worker where n allows, else one item each
+            size = max(1, n // (ecgseg.autodiff._CHUNKS_PER_WORKER * min(workers, n)))
             assert {stop - start for start, stop in chunks[:-1]} <= {size}
+            assert chunks[-1][1] - chunks[-1][0] <= size
         else:
             assert chunks == [(0, n)]
 

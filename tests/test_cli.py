@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import ecgseg.cli
 from ecgseg import wfdb
 from ecgseg.cli import build_parser, main
 from ecgseg.signal import map_sample_indices
 from ecgseg.unet import SegmentationModel, load_container, save_container, save_weights, tiny_config
 from ecgseg.wfdb import load_json_record, save_json_record
+from oracles import assert_kernels_read_in_place
 from synth import TWO_CHANNEL_STREAM, make_ecg_record, write_wfdb_fixture
 from test_unet import (CORRUPTIONS, TRAINER_CORRUPTIONS, corrupt_checkpoint, corrupt_trainer_state,
                        save_trainer_checkpoint)
@@ -296,6 +298,27 @@ class TestTrain:
             "--resume", str(half_out / "step-000003.ckpt"), *resume_flags,
         ]) == 0
         assert (resumed_out / "model.ckpt").read_bytes() == (full_out / "model.ckpt").read_bytes()
+
+    def test_resume_keeps_every_kernel_read_in_place(self, json_dir, tmp_path, monkeypatch, capsys):
+        # wide enough that some convs are read tap by tap, not as one im2col matrix
+        widths = ["--encoder-widths", "4,8,8,8", "--bottleneck-width", "8"]
+        half_out = tmp_path / "half"
+        assert main(self.train_args(json_dir, half_out,
+                                    ["--iterations", "1", "--checkpoint-every", "1", *widths])) == 0
+        trained = []
+        run = ecgseg.cli.train
+
+        def spy(model, split, config, adam=None, **kwargs):
+            history = run(model, split, config, adam=adam, **kwargs)
+            trained.append((model, adam))
+            return history
+
+        monkeypatch.setattr(ecgseg.cli, "train", spy)
+        assert main(self.train_args(json_dir, tmp_path / "resumed", [
+            "--iterations", "2", *widths, "--resume", str(half_out / "step-000001.ckpt")])) == 0
+        [(model, adam)] = trained
+        assert model.step_count == 2 and all(p.grad is not None for p in model.parameters())
+        assert_kernels_read_in_place(model, adam)
 
     def test_resume_matches_uninterrupted(self, json_dir, tmp_path, capsys):
         self.resume_matches_uninterrupted(json_dir, tmp_path, [])

@@ -31,7 +31,7 @@ from ecgseg.unet import (
     save_weights,
     tiny_config,
 )
-from oracles import conv_bn_relu_block, upsample_concat_two_nodes
+from oracles import assert_kernels_read_in_place, conv_bn_relu_block, upsample_concat_two_nodes
 
 
 def expected_param_count(widths, bottleneck, k=9, ku=8, n_classes=4):
@@ -297,6 +297,95 @@ class TestScoresRows:
         assert out.split() == ["False", "True"]
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(f"u{a.itemsize}")
+
+
+PRESETS = pytest.mark.parametrize("config", [tiny_config(seed=2), ModelConfig(seed=0)],
+                                  ids=["tiny", "full"])
+
+
+class TestScoresAtTheBenchmarkShape:
+    """scores of a 12-lead, 5000-sample record equal the graph-recording forward, bit for bit."""
+
+    @staticmethod
+    def assert_rows_match_graph_forward(model, x):
+        for row, signal in zip(model.scores(x), x):
+            np.testing.assert_array_equal(_bits(row), _bits(model.forward(signal[None, None]).data[0]))
+
+    @PRESETS
+    def test_every_row_at_one_two_and_three_workers(self, monkeypatch, config):
+        model = SegmentationModel(config).eval()
+        x = np.random.default_rng(12).normal(size=(12, 5000)).astype(np.float32)
+        want = [_bits(model.forward(signal[None, None]).data[0]) for signal in x]
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+            for row, expected in zip(model.scores(x), want):
+                np.testing.assert_array_equal(_bits(row), expected)
+
+    @PRESETS
+    def test_after_a_step_a_cast_and_a_round_trip(self, tmp_path, monkeypatch, config):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(2, 5000)).astype(np.float32)
+        model = SegmentationModel(config)
+        before = model.eval().scores(x)
+        adam = Adam(model.train().parameters())
+        softmax_cross_entropy(model.forward(rng.normal(size=(2, 1, 64))),
+                              rng.integers(0, 4, size=(2, 64))).backward()
+        adam.step()
+        model.eval()
+        stepped = model.scores(x)
+        assert not np.array_equal(stepped, before)
+        self.assert_rows_match_graph_forward(model, x)
+        save_weights(model, tmp_path / "model.ckpt")
+        loaded = load_weights(tmp_path / "model.ckpt").eval()
+        np.testing.assert_array_equal(_bits(loaded.scores(x)), _bits(stepped))
+        self.assert_rows_match_graph_forward(loaded, x)
+        self.assert_rows_match_graph_forward(model.astype(np.float64), x)
+
+
+class TestKernelLayout:
+    """Each kernel is made in the layout its forward correlation reads, and keeps it."""
+
+    @PRESETS
+    def test_after_build_load_cast_and_an_adam_step(self, tmp_path, config):
+        model = SegmentationModel(config)
+        assert_kernels_read_in_place(model)
+        save_weights(model, tmp_path / "model.ckpt")
+        assert_kernels_read_in_place(load_weights(tmp_path / "model.ckpt"))
+        model.astype(np.float64)
+        assert_kernels_read_in_place(model)
+        adam = Adam(model.parameters())
+        rng = np.random.default_rng(14)
+        softmax_cross_entropy(model.forward(rng.normal(size=(2, 1, 64))),
+                              rng.integers(0, 4, size=(2, 64))).backward()
+        assert all(p.grad is not None for p in model.parameters())
+        adam.step()
+        assert_kernels_read_in_place(model, adam)
+
+    def test_eval_scores_copy_no_kernel(self, monkeypatch):
+        model = SegmentationModel(ModelConfig(seed=0)).eval()
+        sizes = {p.data.size for p in model.parameters() if p.data.ndim == 3}
+        copied = []
+        contiguous = np.ascontiguousarray
+
+        def spy(a, *args, **kwargs):
+            copied.append(np.asarray(a).size)
+            return contiguous(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", spy)
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 1)
+        model.scores(np.zeros((2, 500)))
+        assert not sizes & set(copied)
+        # a kernel in C order, as a caller of conv1d may pass one, is still copied
+        w = Tensor(np.ascontiguousarray(model.params["enc2.conv1.weight"].data))
+        copied.clear()
+        ecgseg.autodiff.conv1d(Tensor(np.zeros((1, 16, 40), np.float32)), w,
+                               model.params["enc2.conv1.bias"], padding=4)
+        assert copied == [w.data.size]
+
+
 class TestDtype:
     def test_model_is_float32(self):
         model = SegmentationModel(tiny_config())
@@ -445,16 +534,18 @@ class TestEndToEndGradients:
         checked = 0
         for _ in range(20):
             p = params[rng.integers(0, len(params))]
-            flat = p.data.reshape(-1)
-            i = int(rng.integers(0, flat.size))
-            orig = flat[i]
-            flat[i] = orig + h
+            # The i-th element in C order, written in place: for a tap-major
+            # kernel, reshape(-1) would be a copy and the perturbation lost.
+            i = int(rng.integers(0, p.data.size))
+            at = np.unravel_index(i, p.data.shape)
+            orig = p.data[at]
+            p.data[at] = orig + h
             fp = loss_value()
-            flat[i] = orig - h
+            p.data[at] = orig - h
             fm = loss_value()
-            flat[i] = orig
+            p.data[at] = orig
             numeric = (fp - fm) / (2 * h)
-            analytic = p.grad.reshape(-1)[i] if p.grad is not None else 0.0
+            analytic = p.grad[at] if p.grad is not None else 0.0
             scale = max(abs(numeric), abs(analytic), 1e-6)
             assert abs(numeric - analytic) / scale < 1e-3, (
                 f"{p.name}[{i}]: analytic {analytic:.3e} vs numeric {numeric:.3e}"
