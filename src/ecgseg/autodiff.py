@@ -1,10 +1,11 @@
 """Reverse-mode autodiff over (batch, channels, length) arrays.
 
 Covers exactly the layer set the segmentation network needs: stride-1
-cross-correlation, ReLU, batch norm alone or fused with ReLU, 2x max
-pooling, stride-2 transposed convolution, zero-pad channel concatenation
-alone or fused with the transposed convolution before it, softmax
-cross-entropy, and Adam. Every op computes in the dtype of its operands,
+cross-correlation, alone or after batch norm and ReLU as its prologue,
+ReLU, batch norm alone or fused with ReLU, 2x max pooling, stride-2
+transposed convolution, zero-pad channel concatenation alone or fused
+with the transposed convolution before it, softmax cross-entropy, and
+Adam. Every op computes in the dtype of its operands,
 which should share one: float32 and float64 pass through, and any other
 input becomes float64. The segmentation model runs in float32; the
 finite-difference gradient checks run these same ops in float64. Forward
@@ -28,9 +29,10 @@ that its forward needs no copy: a conv1d kernel keeps its (O, C, k) shape
 but is tap-major in memory, or C order when it is an im2col matrix, and a
 transposed conv's (Cin, Cout, k) kernel holds each tap's (Cout, Cin)
 matrix contiguous, so each phase's flipped taps are views. A weight
-gradient comes in its kernel's layout or is copied into it, so Adam's
-passes over the kernel, its gradient and its slots run over memory in
-one order.
+gradient is summed tap by tap straight into its kernel's layout; only an
+im2col one that its kernel does not read in C order (a transposed conv
+of few channel-taps) is copied into it. So Adam's passes over the
+kernel, its gradient and its slots run over memory in one order.
 
 The correlations of a training step split their work over LEAD_WORKERS
 threads: the usable cores divided by the BLAS threads each matmul may
@@ -56,29 +58,35 @@ least _SPLIT_MIN_MACS multiply-adds, and inline on a pool thread. backward()
 drains these tasks, then adds each weight gradient into its parameter in
 the order the tasks were submitted, which gives the bits of one worker. A
 deferred task reads only arrays that no later step of the backward
-writes: conv1d's pads its input's ``.data`` again, and convtranspose1d's
-reads its input's ``.data``. So no backward step writes an activation: a
-step writes only its own gradient and fresh arrays, and no op rebinds an
-input's ``.data``. Batch norm, relu, pooling, the loss and Adam run on the
-calling thread.
+writes: conv1d's pads its input's ``.data`` again, or with a batch-norm
+prologue reads the normalized input that its backward built again, and
+convtranspose1d's reads its input's ``.data``. So no backward step writes
+an activation: a step writes only its own gradient and fresh arrays, and
+no op rebinds an input's ``.data``. Batch norm (the prologue's rebuild
+included), relu, pooling, the loss and Adam run on the calling thread.
 
 What each node keeps for its backward beyond its parents, whose
 ``.data`` it may read: conv1d, convtranspose1d and convtranspose_concat
-nothing (conv1d pads its input again rather than keep a padded copy);
-zero_pad_concat nothing; batchnorm1d per-channel vectors; batchnorm_relu
-those and its own output, whose positive entries are relu's mask; relu
-nothing, as it masks by its input; maxpool1d which sample of each pair
-won, built only when a graph is recorded: inside ``no_graph()`` it
-builds the pooled values alone, and returns no indices;
-softmax_cross_entropy its exponentials and the targets. A
-conv-bn-relu layer built on batchnorm_relu thus keeps two full-size
-arrays: the conv's output, which batch norm's backward reads, and the
-layer's output, which the next layer takes as its input. A decoder level
-built on convtranspose_concat keeps no upsampled array: the transposed
-conv writes into its channels of the concatenation. backward() drops
-each node once it has walked it, so an activation is freed as soon as
-the last node that reads it has been walked and the last deferred task
-that reads it has run.
+nothing (conv1d pads its input again rather than keep a padded copy),
+and conv1d with a batch-norm prologue that batch norm's per-channel
+vectors; zero_pad_concat nothing; batchnorm1d per-channel vectors;
+batchnorm_relu those and its own output, whose positive entries are
+relu's mask; relu nothing, as it masks by its input; maxpool1d which
+sample of each pair won, built only when a graph is recorded: inside
+``no_graph()`` it builds the pooled values alone, and returns no indices;
+softmax_cross_entropy its exponentials and the targets. A conv-bn-relu
+layer whose batch norm and ReLU run as the next conv's prologue thus
+keeps one full-size array, the conv's output: the prologue's backward
+builds the normalized array again by the forward's ops, one elementwise
+pass per layer and step. A layer built on batchnorm_relu, as a block's
+last one is because a pooling, a skip, a transposed conv or the head
+reads it, keeps two: the conv's output, which batch norm's backward
+reads, and the layer's output. A decoder level built on
+convtranspose_concat keeps no upsampled array: the transposed conv
+writes into its channels of the concatenation. backward() drops each
+node once it has walked it, so an activation is freed as soon as the
+last node that reads it has been walked and the last deferred task that
+reads it has run.
 """
 
 from __future__ import annotations
@@ -454,45 +462,80 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     return y
 
 
-def _correlate_weight_grad(xp: np.ndarray, g: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
+def _correlate_weight_grad(xp: np.ndarray, g: np.ndarray, k: int, stride: int = 1,
+                           transposed: bool = False) -> np.ndarray:
     # dw[o, i, j] = sum_{b,t} g[b, o, t] * xp[b, i, stride*t + j]: one matmul
     # over the im2col matrix for few channel-taps, in C order, else one
-    # full-batch matmul per tap, each written to its own (O, C) matrix of a
-    # tap-major buffer: the layouts empty_weight gives a conv1d kernel.
+    # full-batch matmul per tap, each summed straight into its (O, C) matrix
+    # of the layout empty_weight gives an (O, C, k) kernel, or with
+    # ``transposed`` a transposed conv's. Summing into a transposed matrix
+    # adds in the same order as summing into a fresh one.
     C = xp.shape[1]
     _, O, T = g.shape
     if C * k <= _IM2COL_MAX_TAPS:
         return np.matmul(g, _im2col(xp, k, stride).swapaxes(1, 2)).sum(axis=0).reshape(O, C, k)
     span = (T - 1) * stride + 1
-    dw = np.empty((k, O, C), dtype=np.result_type(xp, g))
+    dw = empty_weight((O, C, k), np.result_type(xp, g), transposed)
     for j in range(k):
-        dw[j] = np.matmul(g, xp[:, :, j:j + span:stride].swapaxes(1, 2)).sum(axis=0)
-    return dw.transpose(1, 2, 0)
+        np.matmul(g, xp[:, :, j:j + span:stride].swapaxes(1, 2)).sum(axis=0, out=dw[:, :, j])
+    return dw
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
-    """Stride-1 cross-correlation; output length = L + 2*padding - k + 1."""
+def _padded_weight_grad(x: np.ndarray, g: np.ndarray, k: int, padding: int) -> np.ndarray:
+    # conv1d's weight gradient from its unpadded input, so that a deferred task pads it on the pool
+    return _correlate_weight_grad(_pad_length(x, padding, padding), g, k)
+
+
+def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int, bn: BatchNormState | None = None) -> Tensor:
+    """Stride-1 cross-correlation; output length = L + 2*padding - k + 1.
+
+    With ``bn``, batch norm and ReLU run as the correlation's prologue: the
+    node gives the bits of ``conv1d(batchnorm_relu(x, bn), w, b, padding)``,
+    running statistics included, with parents (x, w, b, gamma, beta). Its
+    forward builds the normalized input, correlates a padded copy of it and
+    drops both, keeping x and batch norm's per-channel vectors. Its backward
+    builds that input again by the same ops, hands it to the weight-gradient
+    task, which pads it as it pads x without a prologue, masks the input
+    gradient by where it is positive while copying it out of the padded
+    result, and runs batch norm's backward into x. So a conv-bn-relu layer
+    that feeds a conv keeps one full-size array, not two.
+    """
     B, Cin, L = x.shape
     Cout, Cin_w, k = w.shape
     if Cin != Cin_w:
         raise ShapeError(f"conv1d: input has {Cin} channels, kernel expects {Cin_w}")
     if L + 2 * padding - k + 1 < 1:
         raise ShapeError(f"conv1d: length {L} too short for kernel {k} with padding {padding}")
-    y = _correlate(_pad_length(x.data, padding, padding), w.data)
+    norm = None if bn is None else _Normalization.of(x.data, bn)
+    xin = x.data if norm is None else norm.apply(x.data, relu=True)
+    y = _correlate(_pad_length(xin, padding, padding), w.data)
     y += b.data[:, None]
     out = Tensor(y)
 
     def backward(g):
         b._accumulate(g.sum(axis=(0, 2)), fresh=True)
-        # The graph keeps x; the padded copy is made again, on the pool.
+        # The graph keeps x, and the prologue builds its output again here by
+        # the forward's ops; the task makes the padded copy, on the pool when
+        # it is deferred.
+        xin = x.data if norm is None else norm.apply(x.data, relu=True)
+        positive = None if norm is None else xin > 0
         _weight_grad(w, B * Cout * Cin * k * g.shape[2],
-                     lambda: _correlate_weight_grad(_pad_length(x.data, padding, padding), g, k))
-        if x.requires_grad:  # the network's input needs no gradient
-            wf = w.data[:, :, ::-1].transpose(1, 0, 2)
-            dxp = _correlate(_pad_length(g, k - 1, k - 1), wf)
+                     functools.partial(_padded_weight_grad, xin, g, k, padding))
+        del xin  # the task holds it until it has run
+        if norm is None and not x.requires_grad:  # the network's input needs no gradient
+            return
+        wf = w.data[:, :, ::-1].transpose(1, 0, 2)
+        dxp = _correlate(_pad_length(g, k - 1, k - 1), wf)
+        if norm is None:
             x._accumulate(dxp[:, :, padding:padding + L], fresh=True)
+        else:
+            # relu's mask, as the two nodes applied it to their copy of this slice
+            dy = np.multiply(dxp[:, :, padding:padding + L], positive)
+            del dxp, positive
+            x._accumulate(norm.backward(dy, x.data), fresh=True)
 
-    return _track(out, (x, w, b), backward)
+    parents = (x, w, b) if norm is None else (x, w, b, norm.gamma, norm.beta)
+    return _track(out, parents, backward)
 
 
 def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: int = 3) -> Tensor:
@@ -569,7 +612,8 @@ def _convtranspose(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int,
         # The transposed conv's backward is a strided correlation of the
         # padded g, (L - 1)*stride + k long, with w read as (Cin, Cout, k).
         gp = _pad_length(g, padding, padding)
-        _weight_grad(w, B * Cin * Cout * k * L, lambda: _correlate_weight_grad(gp, x.data, k, stride))
+        _weight_grad(w, B * Cin * Cout * k * L,
+                     lambda: _correlate_weight_grad(gp, x.data, k, stride, transposed=True))
         x._accumulate(_correlate(gp, w.data, stride), fresh=True)
 
     # With skip last, backward() walks the graph in the two nodes' order.
@@ -670,53 +714,84 @@ def batchnorm_relu(x: Tensor, state: BatchNormState) -> Tensor:
     return _batchnorm(x, state, fuse_relu=True)
 
 
+@dataclass(frozen=True, eq=False)
+class _Normalization:
+    """One forward's batch norm as y = scale*x + shift per channel, and what its backward reads."""
+
+    gamma: Parameter
+    beta: Parameter
+    training: bool
+    mean: np.ndarray
+    inv: np.ndarray  # 1 / sqrt(var + eps)
+    scale: np.ndarray
+    shift: np.ndarray
+
+    @classmethod
+    def of(cls, x: np.ndarray, state: BatchNormState) -> "_Normalization":
+        """The batch's statistics in training (updating the running ones), else the running ones."""
+        B, C, L = x.shape
+        if C != state.gamma.data.size:
+            raise ShapeError(f"batchnorm1d: {C} channels vs state of {state.gamma.data.size}")
+        if state.training:
+            # One sum gives the mean and, through it, the variance: the bits of
+            # np.mean and np.var, which would each take their own sum. dev is
+            # freed when this returns, before any output is built.
+            n = B * L
+            mean = x.sum(axis=(0, 2), keepdims=True) / n
+            dev = x - mean
+            dev *= dev
+            var = dev.sum(axis=(0, 2)) / n
+            mean = mean.reshape(C)
+            state.running_mean = (1.0 - state.momentum) * state.running_mean + state.momentum * mean
+            state.running_var = (1.0 - state.momentum) * state.running_var + state.momentum * var
+        else:
+            mean = state.running_mean
+            var = state.running_var
+        inv = 1.0 / np.sqrt(var + state.eps)
+        # fused y = scale*x + shift; xhat is never materialized
+        scale = state.gamma.data * inv
+        shift = state.beta.data - scale * mean
+        return cls(state.gamma, state.beta, state.training, mean, inv, scale, shift)
+
+    def apply(self, x: np.ndarray, relu: bool) -> np.ndarray:
+        """scale*x + shift, then relu's where(y > 0, y, 0) if asked, NaN -> 0 included."""
+        y = x * self.scale[:, None]
+        y += self.shift[:, None]
+        if relu:
+            np.fmax(y, 0, out=y)
+        return y
+
+    def backward(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Add gamma's and beta's gradients for gradient ``g`` of the output; return x's."""
+        B, _, L = x.shape
+        n = B * L
+        inv, scale, mean = self.inv, self.scale, self.mean
+        # One pass over g and x: sum(g*xhat) = inv*(sum(g*x) - mean*sum(g)).
+        sum_g = g.sum(axis=(0, 2))
+        sum_gxhat = inv * ((g * x).sum(axis=(0, 2)) - mean * sum_g)
+        self.gamma._accumulate(sum_gxhat)
+        self.beta._accumulate(sum_g)
+        dx = g * scale[:, None]
+        if self.training:
+            # dx = gamma*inv/n * (n*g - sum(g) - xhat*sum(g*xhat)), with xhat
+            # expanded to (x - mean)*inv: an affine function of g and x.
+            slope = scale * inv * sum_gxhat / n
+            dx -= x * slope[:, None]
+            dx += (slope * mean - scale * sum_g / n)[:, None]
+        return dx
+
+
 def _batchnorm(x: Tensor, state: BatchNormState, fuse_relu: bool) -> Tensor:
-    B, C, L = x.shape
-    if C != state.gamma.data.size:
-        raise ShapeError(f"batchnorm1d: {C} channels vs state of {state.gamma.data.size}")
-    gamma, beta = state.gamma, state.beta
-    n = B * L
-    if state.training:
-        # One sum gives the mean and, through it, the variance: the bits of
-        # np.mean and np.var, which would each take their own sum.
-        mean = x.data.sum(axis=(0, 2), keepdims=True) / n
-        dev = x.data - mean
-        dev *= dev
-        var = dev.sum(axis=(0, 2)) / n
-        mean = mean.reshape(C)
-        state.running_mean = (1.0 - state.momentum) * state.running_mean + state.momentum * mean
-        state.running_var = (1.0 - state.momentum) * state.running_var + state.momentum * var
-    else:
-        mean = state.running_mean
-        var = state.running_var
-    inv = 1.0 / np.sqrt(var + state.eps)
-    # fused y = scale*x + shift; xhat is never materialized
-    scale = gamma.data * inv
-    shift = beta.data - scale * mean
-    y = x.data * scale[:, None]
-    y += shift[:, None]
-    if fuse_relu:
-        np.fmax(y, 0, out=y)  # relu's where(y > 0, y, 0), NaN -> 0 included
+    norm = _Normalization.of(x.data, state)
+    y = norm.apply(x.data, relu=fuse_relu)
     out = Tensor(y)
 
     def backward(g):
         if fuse_relu:  # g is this node's own gradient, dropped once this returns
             np.multiply(g, y > 0, out=g)
-        # One pass over g and x: sum(g*xhat) = inv*(sum(g*x) - mean*sum(g)).
-        sum_g = g.sum(axis=(0, 2))
-        sum_gxhat = inv * ((g * x.data).sum(axis=(0, 2)) - mean * sum_g)
-        gamma._accumulate(sum_gxhat)
-        beta._accumulate(sum_g)
-        dx = g * scale[:, None]
-        if state.training:
-            # dx = gamma*inv/n * (n*g - sum(g) - xhat*sum(g*xhat)), with xhat
-            # expanded to (x - mean)*inv: an affine function of g and x.
-            slope = scale * inv * sum_gxhat / n
-            dx -= x.data * slope[:, None]
-            dx += (slope * mean - scale * sum_g / n)[:, None]
-        x._accumulate(dx, fresh=True)
+        x._accumulate(norm.backward(g, x.data), fresh=True)
 
-    return _track(out, (x, gamma, beta), backward)
+    return _track(out, (x, norm.gamma, norm.beta), backward)
 
 
 def zero_pad_concat(up: Tensor, skip: Tensor) -> Tensor:

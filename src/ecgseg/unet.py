@@ -254,12 +254,17 @@ class SegmentationModel:
         return crop_right(h, length)
 
     def _block(self, h: Tensor, path: str) -> Tensor:
-        """Two conv-bn-relu layers, ``path``.conv1 then ``path``.conv2."""
-        for conv in (f"{path}.conv1", f"{path}.conv2"):
-            h = conv1d(h, self.params[f"{conv}.weight"], self.params[f"{conv}.bias"],
-                       self.config.padding)
-            h = batchnorm_relu(h, self.bn[f"{conv}.bn"])
-        return h
+        """Two conv-bn-relu layers, ``path``.conv1 then ``path``.conv2.
+
+        conv1's batch norm and ReLU run as conv2's prologue, so no array of
+        their output is kept. conv2's are a node of their own: a maxpool, a
+        skip, a transposed conv or the head reads the block's output.
+        """
+        p, padding = self.params, self.config.padding
+        h = conv1d(h, p[f"{path}.conv1.weight"], p[f"{path}.conv1.bias"], padding)
+        h = conv1d(h, p[f"{path}.conv2.weight"], p[f"{path}.conv2.bias"], padding,
+                   bn=self.bn[f"{path}.conv1.bn"])
+        return batchnorm_relu(h, self.bn[f"{path}.conv2.bn"])
 
     def scores(self, signals: np.ndarray) -> np.ndarray:
         """Inference scores: one lead (l,) -> (4, l), or n leads (n, l) -> (n, 4, l).

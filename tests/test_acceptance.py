@@ -140,9 +140,23 @@ def test_criterion_1_gradient_suite_all_layers():
         targets = rng.integers(0, 4, size=(B, L))
         assert_grad_matches(lambda: softmax_cross_entropy(logits, targets), [logits], rng)
 
+    for _ in range(5):  # conv1d with batch norm and ReLU as its prologue, training mode, away from the kink
+        B, C, Cout = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        k = int(rng.integers(1, 10))
+        L = int(rng.integers(max(k, 3), k + 8))  # n >= 3, so redrawing x moves the normalized values
+        pad = int(rng.integers(0, 5))
+        state = BatchNormState.create(C, "bn")
+        state.gamma.data[:] = rng.normal(size=C)
+        state.beta.data[:] = rng.normal(size=C)
+        x, w, b = rt(rng, (B, C, L)), rt(rng, (Cout, C, k)), rt(rng, (Cout,))
+        while np.abs(batchnorm1d(x, state).data).min() < 0.05:
+            x.data[:] = rng.normal(size=x.shape)
+        assert_grad_matches(lambda: conv1d(x, w, b, padding=pad, bn=state),
+                            [x, w, b, state.gamma, state.beta], rng)
+
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s, budget is 120s"
-    print(f"criterion 1 PASS: 45 gradient checks in {elapsed:.1f}s")
+    print(f"criterion 1 PASS: 50 gradient checks in {elapsed:.1f}s")
 
 
 @pytest.mark.parametrize("length", [1, 15, 16, 17, 496, 2000, 4000, 5000, 5001])

@@ -392,6 +392,82 @@ class TestBatchNormRelu:
         assert self._run(batchnorm_relu, x, training, g) == want
 
 
+def _prologue_state(rng, channels, dtype, training):
+    state = BatchNormState.create(channels, "bn")
+    state.gamma.data = rng.normal(size=channels).astype(dtype)
+    state.beta.data = rng.normal(size=channels).astype(dtype)
+    state.running_mean = rng.normal(size=channels).astype(dtype)
+    state.running_var = rng.uniform(0.5, 2.0, size=channels).astype(dtype)
+    state.training = training
+    return state
+
+
+class TestConvBatchNormPrologue:
+    """conv1d(c, w, b, padding, bn=state) gives conv1d(batchnorm_relu(c, state), w, b, padding)'s bits."""
+
+    @staticmethod
+    def _run(fused, dtype, training, cin, k):
+        rng = np.random.default_rng(cin * k)
+        c = rng.normal(size=(5, cin, 17)).astype(dtype)
+        c[:, :, ::4] = 0.0  # with beta 0, an exact zero after normalization in eval mode
+        c = Tensor(c, requires_grad=True)
+        w = Parameter(rng.normal(size=(4, cin, k)).astype(dtype), "w")
+        b = Parameter(rng.normal(size=4).astype(dtype), "b")
+        state = _prologue_state(rng, cin, dtype, training)
+        state.beta.data[0] = 0.0
+        if fused:
+            out = conv1d(c, w, b, padding=k // 2, bn=state)
+        else:
+            out = conv1d(batchnorm_relu(c, state), w, b, padding=k // 2)
+        out.backward(rng.normal(size=out.shape).astype(dtype))
+        return [a.tobytes() for a in (out.data, c.grad, w.grad, b.grad, state.gamma.grad, state.beta.grad,
+                                      state.running_mean, state.running_var)]
+
+    CONV_SHAPES = [(4, 9), (5, 9)]  # C*k at the im2col threshold and past it
+
+    def test_conv_shapes_cover_both_kernels(self):
+        assert [c * k <= _IM2COL_MAX_TAPS for c, k in self.CONV_SHAPES] == [True, False]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("cin, k", CONV_SHAPES)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matches_the_two_nodes_bit_for_bit(self, monkeypatch, dtype, training, cin, k, workers):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+        monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)  # split and defer every call
+        want = self._run(False, dtype, training, cin, k)
+        assert self._run(True, dtype, training, cin, k) == want
+
+    def test_keeps_its_input_and_per_channel_vectors_only(self):
+        rng = np.random.default_rng(27)
+        c = rand_tensor(rng, (2, 3, 13))
+        state = _prologue_state(rng, 3, np.float64, True)
+        out = conv1d(c, rand_tensor(rng, (4, 3, 9)), rand_tensor(rng, (4,)), padding=4, bn=state)
+        assert out._parents[3:] == (state.gamma, state.beta)
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        held += [v for obj in held for v in getattr(obj, "__dict__", {}).values()]
+        assert max(a.size for a in held if isinstance(a, np.ndarray)) == 3
+
+    def test_channel_mismatch(self):
+        rng = np.random.default_rng(28)
+        state = _prologue_state(rng, 2, np.float64, True)
+        with pytest.raises(ShapeError, match="3 channels vs state of 2"):
+            conv1d(rand_tensor(rng, (1, 3, 8)), rand_tensor(rng, (1, 3, 3)), rand_tensor(rng, (1,)),
+                   padding=1, bn=state)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("cin, k", CONV_SHAPES)
+    def test_gradients(self, training, cin, k):
+        rng = np.random.default_rng(29 + cin)
+        state = _prologue_state(rng, cin, np.float64, training)
+        c, w, b = rand_tensor(rng, (2, cin, 11)), rand_tensor(rng, (3, cin, k)), rand_tensor(rng, (3,))
+        with no_graph():  # normalized values away from relu's kink
+            while np.abs(batchnorm1d(c, state).data).min() < 0.05:
+                c.data[:] = rng.normal(size=c.shape)
+        assert_grad_matches(lambda: conv1d(c, w, b, padding=k // 2, bn=state),
+                            [c, w, b, state.gamma, state.beta], rng)
+
+
 class TestZeroPadConcat:
     def test_equal_lengths_plain_concat(self):
         rng = np.random.default_rng(14)
@@ -575,8 +651,8 @@ class TestGraphRelease:
 
 
 OPS = ("conv1d_per_tap", "conv1d_im2col", "convtranspose1d", "relu", "maxpool1d", "batchnorm1d_train",
-       "batchnorm1d_eval", "batchnorm_relu_train", "batchnorm_relu_eval", "zero_pad_concat",
-       "convtranspose_concat", "pad_right", "crop_right", "softmax_cross_entropy")
+       "batchnorm1d_eval", "batchnorm_relu_train", "batchnorm_relu_eval", "conv1d_bn_train", "conv1d_bn_eval",
+       "zero_pad_concat", "convtranspose_concat", "pad_right", "crop_right", "softmax_cross_entropy")
 
 
 def _op_cases(dtype):
@@ -603,6 +679,7 @@ def _op_cases(dtype):
     up, skip, logits, long_skip = t(2, 2, 7), t(2, 3, 10), t(2, 4, 10), t(2, 3, 21)
     bn_train, bn_eval = bn(True), bn(False)
     targets = rng.integers(0, 4, size=(2, 10))
+    w3 = p(4, 3, 9)
     cases = [
         ("conv1d_per_tap", lambda: conv1d(x5, w5, b, padding=4), [x5, w5, b]),
         ("conv1d_im2col", lambda: conv1d(x1, w1, b, padding=4), [x1, w1, b]),
@@ -613,6 +690,10 @@ def _op_cases(dtype):
         ("batchnorm1d_eval", lambda: batchnorm1d(x, bn_eval), [x, bn_eval.gamma, bn_eval.beta]),
         ("batchnorm_relu_train", lambda: batchnorm_relu(x, bn_train), [x, bn_train.gamma, bn_train.beta]),
         ("batchnorm_relu_eval", lambda: batchnorm_relu(x, bn_eval), [x, bn_eval.gamma, bn_eval.beta]),
+        ("conv1d_bn_train", lambda: conv1d(x, w3, b, padding=4, bn=bn_train),
+         [x, w3, b, bn_train.gamma, bn_train.beta]),
+        ("conv1d_bn_eval", lambda: conv1d(x, w3, b, padding=4, bn=bn_eval),
+         [x, w3, b, bn_eval.gamma, bn_eval.beta]),
         ("zero_pad_concat", lambda: zero_pad_concat(up, skip), [up, skip]),
         ("convtranspose_concat", lambda: convtranspose_concat(x, wt, bt, long_skip), [x, wt, bt, long_skip]),
         ("pad_right", lambda: pad_right(x, 3), [x]),
