@@ -58,35 +58,38 @@ least _SPLIT_MIN_MACS multiply-adds, and inline on a pool thread. backward()
 drains these tasks, then adds each weight gradient into its parameter in
 the order the tasks were submitted, which gives the bits of one worker. A
 deferred task reads only arrays that no later step of the backward
-writes: conv1d's pads its input's ``.data`` again, or with a batch-norm
+writes: conv1d's pads its input's array again, or with a batch-norm
 prologue reads the normalized input that its backward built again, and
-convtranspose1d's reads its input's ``.data``. So no backward step writes
+convtranspose1d's reads its input's array. So no backward step writes
 an activation: a step writes only its own gradient and fresh arrays, and
-no op rebinds an input's ``.data``. Batch norm (the prologue's rebuild
-included), relu, pooling, the loss and Adam run on the calling thread.
+no op rebinds an input's ``.data``. Batch norm (every rebuild included),
+relu, pooling, the loss and Adam run on the calling thread.
 
-What each node keeps for its backward beyond its parents, whose
-``.data`` it may read: conv1d, convtranspose1d and convtranspose_concat
-nothing (conv1d pads its input again rather than keep a padded copy),
-and conv1d with a batch-norm prologue that batch norm's per-channel
-vectors; zero_pad_concat nothing; batchnorm1d per-channel vectors;
-batchnorm_relu those and its own output, whose positive entries are
-relu's mask; relu nothing, as it masks by its input; maxpool1d which
-sample of each pair won, built only when a graph is recorded: inside
-``no_graph()`` it builds the pooled values alone, and returns no indices;
-softmax_cross_entropy its exponentials and the targets. A conv-bn-relu
-layer whose batch norm and ReLU run as the next conv's prologue thus
-keeps one full-size array, the conv's output: the prologue's backward
-builds the normalized array again by the forward's ops, one elementwise
-pass per layer and step. A layer built on batchnorm_relu, as a block's
-last one is because a pooling, a skip, a transposed conv or the head
-reads it, keeps two: the conv's output, which batch norm's backward
-reads, and the layer's output. A decoder level built on
-convtranspose_concat keeps no upsampled array: the transposed conv
-writes into its channels of the concatenation. backward() drops each
-node once it has walked it, so an activation is freed as soon as the
-last node that reads it has been walked and the last deferred task that
-reads it has run.
+What each node keeps for its backward beyond its parents, whose arrays
+it may read: conv1d, convtranspose1d and convtranspose_concat nothing
+(conv1d pads its input again rather than keep a padded copy), and conv1d
+with a batch-norm prologue that batch norm's per-channel vectors;
+zero_pad_concat nothing; batchnorm1d per-channel vectors; batchnorm_relu
+those and its own output, whose positive entries are relu's mask, unless
+``Tensor.release()`` dropped it; relu nothing, as it masks by its input;
+maxpool1d which sample of each pair won, built only when a graph is
+recorded: inside ``no_graph()`` it builds the pooled values alone, and
+returns no indices; softmax_cross_entropy its exponentials and the
+targets. A conv-bn-relu layer whose batch norm and ReLU run as the next
+conv's prologue thus keeps one full-size array, the conv's output: the
+prologue's backward builds the normalized array again by the forward's
+ops, one elementwise pass per layer and step. A layer built on
+batchnorm_relu, as a block's last one is because a pooling, a skip, a
+transposed conv or the head reads it, keeps the same one array once its
+output is released after the forward's last reader: the first backward
+step that reads the output (the transposed conv's or the head's weight
+gradient, or the node's own mask) builds it again by the forward's ops,
+and that one array serves the node's own backward too. A decoder level
+built on convtranspose_concat keeps no upsampled array: the transposed
+conv writes into its channels of the concatenation. backward() drops
+each node once it has walked it, so an activation is freed as soon as
+the last node that reads it has been walked and the last deferred task
+that reads it has run.
 """
 
 from __future__ import annotations
@@ -262,7 +265,7 @@ class Tensor:
     requires a gradient and the op does not run inside ``no_graph()``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_output")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -271,10 +274,29 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._output: _Output | None = None  # set on a node that can build .data again
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self._output.shape if self.data is None else self.data.shape
+
+    def release(self) -> None:
+        """Drop ``.data`` if this node's backward can build it again, else keep it.
+
+        A C-contiguous batchnorm_relu output recorded in a graph and not yet
+        walked can: once released, ``.data`` is None, and the first backward
+        step that reads the array builds it from the node's input by the
+        forward's own ops, bit for bit, for that step and the node's own
+        backward. Call it after the forward's last reader of the output;
+        every backward step reads its parents' arrays through ``_array()``.
+        """
+        out = self._output
+        if out is not None and self._parents and self.data is not None and self.data.flags.c_contiguous:
+            self.data = out.array = None
+
+    def _array(self) -> np.ndarray:
+        """``.data``, or the array that release() dropped, built again."""
+        return self._output.get() if self.data is None else self.data
 
     def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
         # fresh: g is a new array that no other node holds and nothing else
@@ -282,14 +304,17 @@ class Tensor:
         # gradient itself. Any other g is copied into .data's layout: it may
         # be a view of another node's gradient, or a kernel's gradient laid
         # out otherwise than the kernel, which slows Adam's elementwise
-        # passes over the kernel, its gradient and its slots.
-        d = self.data
+        # passes over the kernel, its gradient and its slots. A released
+        # tensor held a C-contiguous array of its _Output's shape and dtype.
+        released = self.data is None
+        d = self._output if released else self.data
         if self.grad is not None:
             self.grad += g
-        elif fresh and g.strides == d.strides and g.dtype == d.dtype and g.shape == d.shape:
+        elif (fresh and g.dtype == d.dtype and g.shape == d.shape
+              and (g.flags.c_contiguous if released else g.strides == d.strides)):
             self.grad = g
         else:
-            self.grad = np.empty_like(d)
+            self.grad = np.empty(d.shape, d.dtype) if released else np.empty_like(d)
             self.grad[...] = g
 
     def backward(self, grad=None) -> None:
@@ -338,6 +363,8 @@ class Tensor:
                     node.grad = None
                     node._parents = ()
                     node._backward = _RELEASED
+                    if node._output is not None:  # an array built again, and what builds it
+                        node._output.array = node._output.build = None
                 node = None
         finally:
             _thread.weight_grads = outer
@@ -359,6 +386,27 @@ class Parameter(Tensor):
 
 
 _RELEASED = object()  # the _backward of a node whose graph has been released
+
+
+class _Output:
+    """A node's output array, which Tensor.release() may drop; ``get()`` builds it again once.
+
+    The node's Tensor and its backward closure both hold it, and it holds
+    neither, so no reference cycle keeps a graph alive. It keeps the
+    array's shape and dtype for the released Tensor. backward() drops its
+    array and ``build`` once it has walked the node.
+    """
+
+    __slots__ = ("array", "build", "shape", "dtype")
+
+    def __init__(self, array: np.ndarray, build) -> None:
+        self.array, self.build = array, build
+        self.shape, self.dtype = array.shape, array.dtype
+
+    def get(self) -> np.ndarray:
+        if self.array is None:
+            self.array = self.build()
+        return self.array
 
 
 class no_graph:
@@ -430,7 +478,8 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     # nothing the size of an im2col buffer is materialized (matmul copies a
     # strided one). The taps are read in place when each tap's (O, C)
     # matrix is contiguous, as empty_weight lays them out, and copied into
-    # that layout otherwise. The batch is split into chunks that each fill their
+    # that layout otherwise, one tap at a time, so no copy of the whole
+    # kernel is held. The batch is split into chunks that each fill their
     # rows of y, unless the call is too small to pay for it.
     B, C, Lp = xp.shape
     O, _, k = w.shape
@@ -444,15 +493,18 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
             np.matmul(flat, _im2col(xp[start:stop], k), out=y[start:stop])
     else:
         taps = w.transpose(2, 0, 1)  # (k, O, C)
-        if not taps[0].flags.c_contiguous:
-            taps = np.ascontiguousarray(taps)
+        if taps[0].flags.c_contiguous:
+            tap = taps.__getitem__
+        else:
+            def tap(j):
+                return np.ascontiguousarray(taps[j])
 
         def rows(start, stop):
             part = y[start:stop]
-            np.matmul(taps[0], xp[start:stop, :, :span:stride], out=part)
+            np.matmul(tap(0), xp[start:stop, :, :span:stride], out=part)
             tmp = np.empty_like(part)
             for j in range(1, k):
-                np.matmul(taps[j], xp[start:stop, :, j:j + span:stride], out=tmp)
+                np.matmul(tap(j), xp[start:stop, :, j:j + span:stride], out=tmp)
                 part += tmp
 
     if B * O * C * k * T < _SPLIT_MIN_MACS:
@@ -466,18 +518,22 @@ def _correlate_weight_grad(xp: np.ndarray, g: np.ndarray, k: int, stride: int = 
                            transposed: bool = False) -> np.ndarray:
     # dw[o, i, j] = sum_{b,t} g[b, o, t] * xp[b, i, stride*t + j]: one matmul
     # over the im2col matrix for few channel-taps, in C order, else one
-    # full-batch matmul per tap, each summed straight into its (O, C) matrix
-    # of the layout empty_weight gives an (O, C, k) kernel, or with
-    # ``transposed`` a transposed conv's. Summing into a transposed matrix
-    # adds in the same order as summing into a fresh one.
+    # full-batch matmul per tap, each summed into its (O, C) matrix of the
+    # layout empty_weight gives an (O, C, k) kernel, or with ``transposed``
+    # a transposed conv's. Each tap is summed into one C-order buffer and
+    # copied over, as a transposed conv's matrix is in Fortran order, which
+    # the sum fills 20x slower; the sum adds in the same order either way.
     C = xp.shape[1]
     _, O, T = g.shape
     if C * k <= _IM2COL_MAX_TAPS:
         return np.matmul(g, _im2col(xp, k, stride).swapaxes(1, 2)).sum(axis=0).reshape(O, C, k)
     span = (T - 1) * stride + 1
     dw = empty_weight((O, C, k), np.result_type(xp, g), transposed)
+    total = np.empty((O, C), dw.dtype)
+    products = None  # the (B, O, C) products, one buffer for every tap
     for j in range(k):
-        np.matmul(g, xp[:, :, j:j + span:stride].swapaxes(1, 2)).sum(axis=0, out=dw[:, :, j])
+        products = np.matmul(g, xp[:, :, j:j + span:stride].swapaxes(1, 2), out=products)
+        dw[:, :, j] = products.sum(axis=0, out=total)
     return dw
 
 
@@ -514,10 +570,10 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int, bn: BatchNormState | N
 
     def backward(g):
         b._accumulate(g.sum(axis=(0, 2)), fresh=True)
-        # The graph keeps x, and the prologue builds its output again here by
-        # the forward's ops; the task makes the padded copy, on the pool when
-        # it is deferred.
-        xin = x.data if norm is None else norm.apply(x.data, relu=True)
+        # The graph keeps x, or x builds a released array again, and the
+        # prologue builds its output again here by the forward's ops; the
+        # task makes the padded copy, on the pool when it is deferred.
+        xin = x._array() if norm is None else norm.apply(x._array(), relu=True)
         positive = None if norm is None else xin > 0
         _weight_grad(w, B * Cout * Cin * k * g.shape[2],
                      functools.partial(_padded_weight_grad, xin, g, k, padding))
@@ -532,7 +588,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int, bn: BatchNormState | N
             # relu's mask, as the two nodes applied it to their copy of this slice
             dy = np.multiply(dxp[:, :, padding:padding + L], positive)
             del dxp, positive
-            x._accumulate(norm.backward(dy, x.data), fresh=True)
+            x._accumulate(norm.backward(dy, x._array()), fresh=True)
 
     parents = (x, w, b) if norm is None else (x, w, b, norm.gamma, norm.beta)
     return _track(out, parents, backward)
@@ -613,7 +669,7 @@ def _convtranspose(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int,
         # padded g, (L - 1)*stride + k long, with w read as (Cin, Cout, k).
         gp = _pad_length(g, padding, padding)
         _weight_grad(w, B * Cin * Cout * k * L,
-                     lambda: _correlate_weight_grad(gp, x.data, k, stride, transposed=True))
+                     functools.partial(_correlate_weight_grad, gp, x._array(), k, stride, transposed=True))
         x._accumulate(_correlate(gp, w.data, stride), fresh=True)
 
     # With skip last, backward() walks the graph in the two nodes' order.
@@ -625,7 +681,7 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.fmax(x.data, 0))  # where(x > 0, x, 0), NaN -> 0 included, but faster
 
     def backward(g):  # g is this node's own gradient, dropped once this returns
-        np.multiply(g, x.data > 0, out=g)
+        np.multiply(g, x._array() > 0, out=g)
         x._accumulate(g, fresh=True)
 
     return _track(out, (x,), backward)
@@ -783,15 +839,18 @@ class _Normalization:
 
 def _batchnorm(x: Tensor, state: BatchNormState, fuse_relu: bool) -> Tensor:
     norm = _Normalization.of(x.data, state)
-    y = norm.apply(x.data, relu=fuse_relu)
-    out = Tensor(y)
+    out = Tensor(norm.apply(x.data, relu=fuse_relu))
+    # a fused output may be released after the forward and built again from x
+    kept = _Output(out.data, functools.partial(norm.apply, x.data, relu=True)) if fuse_relu else None
 
     def backward(g):
         if fuse_relu:  # g is this node's own gradient, dropped once this returns
-            np.multiply(g, y > 0, out=g)
-        x._accumulate(norm.backward(g, x.data), fresh=True)
+            np.multiply(g, kept.get() > 0, out=g)
+        x._accumulate(norm.backward(g, x._array()), fresh=True)
 
-    return _track(out, (x, norm.gamma, norm.beta), backward)
+    if _track(out, (x, norm.gamma, norm.beta), backward)._parents:
+        out._output = kept
+    return out
 
 
 def zero_pad_concat(up: Tensor, skip: Tensor) -> Tensor:

@@ -246,12 +246,20 @@ class SegmentationModel:
             h, _ = maxpool1d(h)
         h = self._block(h, "bottleneck")
         cfg, p = self.config, self.params
+        # Each block's output is released once its last forward reader has
+        # run: the concat copies an encoder's, and a transposed conv or the
+        # head reads the others'. The backward builds each again.
         for i in range(4, 0, -1):
-            h = convtranspose_concat(h, p[f"up{i}.weight"], p[f"up{i}.bias"], skips[i - 1],
+            below, skip = h, skips.pop()
+            h = convtranspose_concat(below, p[f"up{i}.weight"], p[f"up{i}.bias"], skip,
                                      stride=cfg.up_stride, padding=cfg.up_padding)
+            below.release()
+            skip.release()
+            del below, skip  # inside no_graph() nothing else holds them
             h = self._block(h, f"dec{i}")
-        h = conv1d(h, p["head.weight"], p["head.bias"], padding=0)
-        return crop_right(h, length)
+        scores = conv1d(h, p["head.weight"], p["head.bias"], padding=0)
+        h.release()
+        return crop_right(scores, length)
 
     def _block(self, h: Tensor, path: str) -> Tensor:
         """Two conv-bn-relu layers, ``path``.conv1 then ``path``.conv2.

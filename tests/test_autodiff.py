@@ -1,8 +1,10 @@
+import gc
 import os
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -650,6 +652,106 @@ class TestGraphRelease:
             again.backward(np.ones(again.shape))
 
 
+def _released_graph(release: bool, length: int = 24):
+    """Every reader of a block output: a transposed conv, a concat's skip and a head conv.
+
+    Returns the loss, the leaves, the batch-norm states and the three
+    batchnorm_relu outputs, released after their last forward reader when
+    ``release``.
+    """
+    rng = np.random.default_rng(31)
+    c = rand_tensor(rng, (2, 3, length // 2))
+    skip_in = rand_tensor(rng, (2, 3, length))
+    states = [BatchNormState.create(n, f"bn{n}") for n in (3, 3, 5)]
+    wt, bt = Parameter(rng.normal(size=(3, 2, 8)), "wt"), Parameter(rng.normal(size=2), "bt")
+    wh, bh = Parameter(rng.normal(size=(4, 5, 1)), "wh"), Parameter(rng.normal(size=4), "bh")
+    h, skip = batchnorm_relu(c, states[0]), batchnorm_relu(skip_in, states[1])
+    top = batchnorm_relu(convtranspose_concat(h, wt, bt, skip), states[2])
+    outputs = (h, skip, top)
+    if release:
+        h.release()
+        skip.release()
+    scores = conv1d(top, wh, bh, padding=0)
+    if release:
+        top.release()
+    loss = softmax_cross_entropy(scores, rng.integers(0, 4, size=(2, length)))
+    leaves = [c, skip_in, wt, bt, wh, bh] + [q for state in states for q in (state.gamma, state.beta)]
+    return loss, leaves, states, outputs
+
+
+class TestRelease:
+    """A released batchnorm_relu output is built again where the backward reads it, bit for bit."""
+
+    def test_backward_bitwise_against_no_release(self):
+        results = []
+        for release in (False, True):
+            loss, leaves, states, outputs = _released_graph(release)
+            assert [o.data is None for o in outputs] == [release] * 3
+            assert [o.shape for o in outputs] == [(2, 3, 12), (2, 3, 24), (2, 5, 24)]
+            loss.backward()
+            results.append([q.grad.tobytes() for q in leaves]
+                           + [a.tobytes() for s in states for a in (s.running_mean, s.running_var)])
+        assert results[0] == results[1]
+
+    def test_one_rebuild_serves_the_reader_and_the_node(self, monkeypatch):
+        rebuilt = []
+        apply = ecgseg.autodiff._Normalization.apply
+
+        def spy(self, x, relu):
+            rebuilt.append(x.shape)
+            return apply(self, x, relu)
+
+        monkeypatch.setattr(ecgseg.autodiff._Normalization, "apply", spy)
+        loss, *_ = _released_graph(True)
+        rebuilt.clear()
+        loss.backward()
+        assert rebuilt == [(2, 5, 24), (2, 3, 12), (2, 3, 24)]  # walked from the head back
+
+    def test_release_keeps_what_cannot_be_built_again(self):
+        rng = np.random.default_rng(32)
+        x = rand_tensor(rng, (2, 3, 10))
+        state = BatchNormState.create(3, "bn")
+        with no_graph():
+            unrecorded = batchnorm_relu(x, state)
+        transposed = rand_tensor(rng, (2, 10, 3)).data.transpose(0, 2, 1)
+        kept = [x, relu(x), batchnorm1d(x, state), unrecorded,
+                batchnorm_relu(Tensor(transposed, requires_grad=True), state)]
+        for t in kept:
+            t.release()
+            assert t.data is not None
+        y = batchnorm_relu(x, state)
+        y.release()
+        y.release()  # a second release changes nothing
+        assert y.data is None
+        y.backward(np.ones(y.shape))
+        y.release()
+        assert y.data is None and y.shape == (2, 3, 10)
+
+    @pytest.mark.parametrize("walk", [False, True])
+    def test_graph_is_freed_without_the_cycle_collector(self, walk):
+        domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces([domain])
+            loss, leaves, states, outputs = _released_graph(True, length=4000)
+            if walk:
+                loss.backward()
+            else:
+                outputs = None
+            loss = None
+            after = tracemalloc.take_snapshot().filter_traces([domain])
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        # the leaves, 1.5 arrays of (2, 3, 4000), and after a walk their
+        # gradients; a walked output that the caller still holds keeps
+        # nothing of the graph
+        assert grown <= (3.5 if walk else 2) * 2 * 3 * 4000 * 8, grown
+
+
 OPS = ("conv1d_per_tap", "conv1d_im2col", "convtranspose1d", "relu", "maxpool1d", "batchnorm1d_train",
        "batchnorm1d_eval", "batchnorm_relu_train", "batchnorm_relu_eval", "conv1d_bn_train", "conv1d_bn_eval",
        "zero_pad_concat", "convtranspose_concat", "pad_right", "crop_right", "softmax_cross_entropy")
@@ -943,6 +1045,20 @@ def test_small_kernel_calls_stay_on_the_calling_thread(monkeypatch):
     rng = np.random.default_rng(5)
     _forward_and_grads(lambda x, w, b: conv1d(x, w, b, padding=4), _conv_case(rng, 4, 8, 9), 5)
     _forward_and_grads(convtranspose1d, _convtranspose_case(rng, 4), 5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_transposed_weight_gradient_has_the_bits_of_the_tap_major_one(dtype):
+    # each tap summed into a C-order buffer, then copied into the transposed kernel's layout
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        B, C, O = rng.integers(1, 40), rng.integers(5, 70), rng.integers(1, 70)
+        k, stride, T = rng.integers(5, 10), rng.integers(1, 3), rng.integers(1, 50)
+        xp = rng.normal(size=(B, C, (T - 1) * stride + k)).astype(dtype)
+        g = rng.normal(size=(B, O, T)).astype(dtype)
+        dw = ecgseg.autodiff._correlate_weight_grad(xp, g, k, stride, transposed=True)
+        assert C * k <= _IM2COL_MAX_TAPS or dw.transpose(2, 1, 0).flags.c_contiguous
+        np.testing.assert_array_equal(dw, ecgseg.autodiff._correlate_weight_grad(xp, g, k, stride))
 
 
 def _shared_weight_case(rng):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -378,12 +379,21 @@ class TestKernelLayout:
         monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 1)
         model.scores(np.zeros((2, 500)))
         assert not sizes & set(copied)
-        # a kernel in C order, as a caller of conv1d may pass one, is still copied
+        # a kernel in C order, as a caller of conv1d may pass one, is still
+        # copied: one tap at a time, as the call runs on one thread
         w = Tensor(np.ascontiguousarray(model.params["enc2.conv1.weight"].data))
         copied.clear()
         ecgseg.autodiff.conv1d(Tensor(np.zeros((1, 16, 40), np.float32)), w,
                                model.params["enc2.conv1.bias"], padding=4)
-        assert copied == [w.data.size]
+        O, C, k = w.shape
+        assert copied == [O * C] * k
+        # split over two workers, each of the two chunks copies it tap by tap
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
+        monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)
+        copied.clear()
+        ecgseg.autodiff.conv1d(Tensor(np.zeros((2, 16, 40), np.float32)), w,
+                               model.params["enc2.conv1.bias"], padding=4)
+        assert copied == [O * C] * (2 * k)
 
 
 class TestDtype:
@@ -419,7 +429,7 @@ def two_node_model(config):
 
 
 def training_bits(model, steps, batch, length=2000):
-    """Losses, then each parameter's last gradient and the running statistics, as bytes."""
+    """Losses, then each parameter's last gradient, the running statistics and Adam's slots, as bytes."""
     adam = Adam(model.parameters(), lr=1e-3)
     rng = np.random.default_rng(23)
     bits = []
@@ -434,7 +444,70 @@ def training_bits(model, steps, batch, length=2000):
     for path, state in model.bn.items():
         bits += [(f"{path}.running_mean", state.running_mean.tobytes()),
                  (f"{path}.running_var", state.running_var.tobytes())]
+    for p, m, v in zip(adam.params, adam.m, adam.v):
+        bits += [(f"{p.name}.m", m.tobytes()), (f"{p.name}.v", v.tobytes())]
     return bits
+
+
+def spy_releases(monkeypatch):
+    """Patch Tensor.release to log it: returns the shapes it was called on, and those it dropped."""
+    calls, dropped = [], []
+    release = Tensor.release
+
+    def spy(self):
+        release(self)
+        calls.append(self.shape)
+        if self.data is None:
+            dropped.append(self.shape)
+
+    monkeypatch.setattr(Tensor, "release", spy)
+    return calls, dropped
+
+
+class TestBlockOutputRelease:
+    """forward() releases each block output after its last forward reader, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_training_bitwise_against_no_release(self, monkeypatch, workers):
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
+        monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)  # defer every weight gradient
+        with monkeypatch.context() as patch:
+            patch.setattr(Tensor, "release", lambda self: None)
+            want = training_bits(SegmentationModel(tiny_config()), steps=3, batch=8)
+        _, dropped = spy_releases(monkeypatch)
+        assert training_bits(SegmentationModel(tiny_config()), steps=3, batch=8) == want
+        # each step: the bottleneck's output, then from the deepest level up,
+        # each encoder's output and the decoder output of its width
+        cfg = tiny_config()
+        level = [(8, cfg.bottleneck_width, 125)]
+        for i in range(3, -1, -1):
+            level += [(8, cfg.encoder_widths[i], 2000 >> i)] * 2
+        assert dropped == level * 3
+
+    def test_eval_scores_release_nothing_and_keep_their_bits(self, monkeypatch):
+        model = SegmentationModel(tiny_config()).eval()
+        rows = np.random.default_rng(27).normal(size=(3, 700))
+        with monkeypatch.context() as patch:
+            patch.setattr(Tensor, "release", lambda self: None)
+            want = model.scores(rows)
+        calls, dropped = spy_releases(monkeypatch)
+        assert model.scores(rows).tobytes() == want.tobytes()
+        assert len(calls) == 3 * 9 and dropped == []
+
+    def test_eval_forward_drops_each_block_output_after_its_last_reader(self):
+        # traced peak of scoring one row, in arrays of 8 x 5000 float32: 10.2,
+        # against 11.2 when the forward kept every encoder output to its end,
+        # and 12.2 when it also kept each decoder level's input through its block
+        model = SegmentationModel(ModelConfig(encoder_widths=(8, 16, 32, 64), bottleneck_width=128)).eval()
+        row = np.random.default_rng(28).normal(size=5000)
+        model.scores(row)
+        tracemalloc.start()
+        try:
+            model.scores(row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * 5000 * 4) <= 10.7, peak / (8 * 5000 * 4)
 
 
 class TestFusedBlock:
@@ -510,19 +583,25 @@ def retained_by_forward(model):
 
 
 class TestBackwardMemory:
-    # The rise at 1 worker is 3.3 arrays, and 6.8 at 2. It was 2.4 and 2.9
-    # before conv2 took conv1's batch norm as its prologue: the forward now
-    # keeps 9.1 arrays fewer, and the backward builds each normalized input
-    # again, so the peak itself fell from 51.0 to 42.8 arrays. When no
-    # deferred task runs before the walk ends, as on a busy core, the rise
-    # is 22.3 (17.0 before), at a peak of 61.8 arrays (65.6 before). A walk
-    # that held every node to the end rose by 23-30.
-    @pytest.mark.parametrize("workers, bound", [(1, 6), (2, 20)])
-    def test_backward_peak_stays_near_the_forwards_memory(self, monkeypatch, workers, bound):
-        # numpy bytes traced during a training backward above those the forward
-        # left held, in full-size arrays (batch x enc1 width x length): the walk
-        # frees each activation once no node left to walk, and no pending
-        # weight-gradient task, reads it.
+    # The forward holds 30.4 arrays, against 39.4 before it released the 9
+    # block outputs, one array each here. The backward's rise is 5.3 arrays at
+    # 1 worker and 8.2-8.3 at 2 (3.3 and 2.6-6.8 before), as each released
+    # output is built again where a step reads it, but the peaks fell: from
+    # 42.7 to 35.6 arrays at 1 worker, and from 42.1-46.2 to 38.6-38.7 at 2.
+    # A correlation copies a kernel tap by tap, not whole, which keeps the
+    # 1-worker rise under its bound (8.3 with whole copies). When no deferred
+    # task runs before the walk ends, as on a busy core, the rise is 23.2
+    # (22.3 before) at a peak of 53.6 arrays (61.7 before). A walk that held
+    # every node to the end rose by 23-30.
+
+    @staticmethod
+    def traced(monkeypatch, workers, hold_pool=False):
+        """Traced bytes held after a training forward and peak in its backward, in full-size arrays.
+
+        Full-size is batch x enc1 width x length, and both are counted from
+        before the forward. ``hold_pool`` keeps the pool's one thread busy
+        until backward() has drained its deferred weight gradients.
+        """
         monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
         monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)  # defer every weight gradient
         model = SegmentationModel(ModelConfig(encoder_widths=(8, 16, 32, 64), bottleneck_width=128))
@@ -531,16 +610,43 @@ class TestBackwardMemory:
         x = rng.normal(size=(batch, 1, length)).astype(np.float32)
         targets = rng.integers(0, 4, size=(batch, length))
         full_size = batch * 8 * length * 4
+        pool = ecgseg.autodiff._lead_pool(workers) if workers > 1 else None  # made before tracing
+        hold, blocker = threading.Event(), None
         tracemalloc.start()
         try:
             loss = softmax_cross_entropy(model.forward(Tensor(x)), targets)
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            loss.backward()
+            if hold_pool:
+                assert workers == 2  # so the pool has one thread
+                blocker = pool.submit(hold.wait, 60)
+            try:
+                loss.backward()
+            finally:
+                hold.set()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - held) / full_size <= bound, (peak - held) / full_size
+        if blocker is not None:
+            assert blocker.result(timeout=60)  # the thread was held until backward() had ended
+        return held / full_size, peak / full_size
+
+    @pytest.mark.parametrize("workers, bound", [(1, 6), (2, 20)])
+    def test_backward_peak_stays_near_the_forwards_memory(self, monkeypatch, workers, bound):
+        # the walk frees each activation once no node left to walk, and no
+        # pending weight-gradient task, reads it
+        held, peak = self.traced(monkeypatch, workers)
+        assert peak - held <= bound, peak - held
+
+    def test_forward_releases_the_block_outputs(self, monkeypatch):
+        held, peak = self.traced(monkeypatch, 1)
+        assert held <= 31, held  # 30.4; 39.4 with every block output kept
+        assert peak <= 37, peak  # 35.6; 42.7 with every block output kept
+
+    def test_backward_peak_with_the_pool_held_until_backward_drains(self, monkeypatch):
+        # every deferred weight gradient waits for the end of the walk
+        held, peak = self.traced(monkeypatch, 2, hold_pool=True)
+        assert peak <= 61.8, (held, peak)  # 53.6; 61.7 with every block output kept
 
 
 class TestEndToEndGradients:
