@@ -1,8 +1,8 @@
 """Reverse-mode autodiff over (batch, channels, length) arrays.
 
 Covers exactly the layer set the segmentation network needs: stride-1
-cross-correlation, alone or after batch norm and ReLU as its prologue,
-ReLU, batch norm alone or fused with ReLU, 2x max pooling, stride-2
+cross-correlation, ReLU, batch norm alone or fused with ReLU, 2x max
+pooling, stride-2
 transposed convolution, zero-pad channel concatenation alone or fused
 with the transposed convolution before it, softmax cross-entropy, and
 Adam. Every op computes in the dtype of its operands,
@@ -54,37 +54,35 @@ In backward(), only a convolution's input gradient blocks the next layer.
 So conv1d and the transposed convs hand their weight gradient to the
 pool as a task, which runs it whole, and go straight on with the input
 gradient, under the same rules as a split: more than one worker, at
-least _SPLIT_MIN_MACS multiply-adds, and inline on a pool thread. backward()
+least _SPLIT_MIN_MACS multiply-adds, and inline on a pool thread. When
+more than _MAX_WAITING of them wait unstarted, the walking thread runs the
+oldest itself, so what they hold is bounded on a busy core too. backward()
 drains these tasks, then adds each weight gradient into its parameter in
 the order the tasks were submitted, which gives the bits of one worker. A
 deferred task reads only arrays that no later step of the backward
-writes: conv1d's pads its input's array again, or with a batch-norm
-prologue reads the normalized input that its backward built again, and
-convtranspose1d's reads its input's array. So no backward step writes
-an activation: a step writes only its own gradient and fresh arrays, and
-no op rebinds an input's ``.data``. Batch norm (every rebuild included),
-relu, pooling, the loss and Adam run on the calling thread.
+writes: conv1d's pads its input's array again, and convtranspose1d's
+reads its input's array. So no backward step writes an activation: a
+step writes only its own gradient and fresh arrays, and no op rebinds an
+input's ``.data``. Batch norm (every rebuild included), relu, pooling,
+the loss and Adam run on the calling thread.
 
 What each node keeps for its backward beyond its parents, whose arrays
 it may read: conv1d, convtranspose1d and convtranspose_concat nothing
-(conv1d pads its input again rather than keep a padded copy), and conv1d
-with a batch-norm prologue that batch norm's per-channel vectors;
+(conv1d pads its input again rather than keep a padded copy);
 zero_pad_concat nothing; batchnorm1d per-channel vectors; batchnorm_relu
 those and its own output, whose positive entries are relu's mask, unless
 ``Tensor.release()`` dropped it; relu nothing, as it masks by its input;
 maxpool1d which sample of each pair won, built only when a graph is
 recorded: inside ``no_graph()`` it builds the pooled values alone, and
 returns no indices; softmax_cross_entropy its exponentials and the
-targets. A conv-bn-relu layer whose batch norm and ReLU run as the next
-conv's prologue thus keeps one full-size array, the conv's output: the
-prologue's backward builds the normalized array again by the forward's
-ops, one elementwise pass per layer and step. A layer built on
-batchnorm_relu, as a block's last one is because a pooling, a skip, a
-transposed conv or the head reads it, keeps the same one array once its
-output is released after the forward's last reader: the first backward
-step that reads the output (the transposed conv's or the head's weight
+targets. Every conv-bn-relu layer of the model is a conv1d and a
+batchnorm_relu node, and keeps one full-size array, the conv's output:
+the batchnorm_relu output is released once the forward's last reader of
+it has run (the next conv, or a pooling, a skip, a transposed conv or the
+head), and the first backward step that reads it (a conv's weight
 gradient, or the node's own mask) builds it again by the forward's ops,
-and that one array serves the node's own backward too. A decoder level
+one elementwise pass per layer and step; that one array serves the
+node's own backward too. A decoder level
 built on convtranspose_concat keeps no upsampled array: the transposed
 conv writes into its channels of the concatenation. backward() drops
 each node once it has walked it, so an activation is freed as soon as
@@ -119,6 +117,13 @@ _SPLIT_MIN_MACS = 1 << 26
 # run_chunks cuts its range into up to this many chunks per worker, so
 # that a worker slowed by a busy core hands its share to the others.
 _CHUNKS_PER_WORKER = 4
+
+# A backward lets at most this many deferred weight gradients wait unstarted
+# on the pool; the walking thread runs the oldest of any more itself. Each
+# waiting task holds its input and its gradient, so this bounds the peak
+# when the pool's threads get no core. A full-preset step at 2 workers on
+# 2 cores leaves 1 or 2 waiting, bar a rare 3 (1 of 84 deferrals measured).
+_MAX_WAITING = 2
 
 
 def _lead_workers() -> int:
@@ -237,7 +242,8 @@ def _weight_grad(param: "Tensor", macs: int, compute) -> None:
     Inside backward(), the result is kept and added when the call ends. With
     more than one worker, at least _SPLIT_MIN_MACS multiply-adds and the
     caller outside the pool, ``compute`` runs on a pool thread meanwhile,
-    and must read only arrays that no later step writes. A parameter that
+    or on the caller once _MAX_WAITING newer tasks wait unstarted too, and
+    must read only arrays that no later step writes. A parameter that
     is itself computed needs its whole gradient before its own backward
     runs, so it gets this one at once.
     """
@@ -247,6 +253,13 @@ def _weight_grad(param: "Tensor", macs: int, compute) -> None:
         return
     defer = LEAD_WORKERS > 1 and macs >= _SPLIT_MIN_MACS and not _thread.pool
     grads.append((param, _Task(compute, _lead_pool(LEAD_WORKERS) if defer else None)))
+    # run the oldest of more than _MAX_WAITING unstarted tasks here, as _drain does
+    waiting = [task for _, task in grads
+               if task.future is not None and not (task.future.running() or task.future.done())]
+    for task in waiting[:-_MAX_WAITING]:
+        if task.future.cancel():
+            task.future = None
+            task.run()
 
 
 class ShapeError(ValueError):
@@ -542,56 +555,31 @@ def _padded_weight_grad(x: np.ndarray, g: np.ndarray, k: int, padding: int) -> n
     return _correlate_weight_grad(_pad_length(x, padding, padding), g, k)
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int, bn: BatchNormState | None = None) -> Tensor:
-    """Stride-1 cross-correlation; output length = L + 2*padding - k + 1.
-
-    With ``bn``, batch norm and ReLU run as the correlation's prologue: the
-    node gives the bits of ``conv1d(batchnorm_relu(x, bn), w, b, padding)``,
-    running statistics included, with parents (x, w, b, gamma, beta). Its
-    forward builds the normalized input, correlates a padded copy of it and
-    drops both, keeping x and batch norm's per-channel vectors. Its backward
-    builds that input again by the same ops, hands it to the weight-gradient
-    task, which pads it as it pads x without a prologue, masks the input
-    gradient by where it is positive while copying it out of the padded
-    result, and runs batch norm's backward into x. So a conv-bn-relu layer
-    that feeds a conv keeps one full-size array, not two.
-    """
+def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
+    """Stride-1 cross-correlation; output length = L + 2*padding - k + 1."""
     B, Cin, L = x.shape
     Cout, Cin_w, k = w.shape
     if Cin != Cin_w:
         raise ShapeError(f"conv1d: input has {Cin} channels, kernel expects {Cin_w}")
     if L + 2 * padding - k + 1 < 1:
         raise ShapeError(f"conv1d: length {L} too short for kernel {k} with padding {padding}")
-    norm = None if bn is None else _Normalization.of(x.data, bn)
-    xin = x.data if norm is None else norm.apply(x.data, relu=True)
-    y = _correlate(_pad_length(xin, padding, padding), w.data)
+    y = _correlate(_pad_length(x.data, padding, padding), w.data)
     y += b.data[:, None]
     out = Tensor(y)
 
     def backward(g):
         b._accumulate(g.sum(axis=(0, 2)), fresh=True)
-        # The graph keeps x, or x builds a released array again, and the
-        # prologue builds its output again here by the forward's ops; the
-        # task makes the padded copy, on the pool when it is deferred.
-        xin = x._array() if norm is None else norm.apply(x._array(), relu=True)
-        positive = None if norm is None else xin > 0
+        # The graph keeps x, or x builds a released array again; the task
+        # makes the padded copy, on the pool when it is deferred.
         _weight_grad(w, B * Cout * Cin * k * g.shape[2],
-                     functools.partial(_padded_weight_grad, xin, g, k, padding))
-        del xin  # the task holds it until it has run
-        if norm is None and not x.requires_grad:  # the network's input needs no gradient
+                     functools.partial(_padded_weight_grad, x._array(), g, k, padding))
+        if not x.requires_grad:  # the network's input needs no gradient
             return
         wf = w.data[:, :, ::-1].transpose(1, 0, 2)
         dxp = _correlate(_pad_length(g, k - 1, k - 1), wf)
-        if norm is None:
-            x._accumulate(dxp[:, :, padding:padding + L], fresh=True)
-        else:
-            # relu's mask, as the two nodes applied it to their copy of this slice
-            dy = np.multiply(dxp[:, :, padding:padding + L], positive)
-            del dxp, positive
-            x._accumulate(norm.backward(dy, x._array()), fresh=True)
+        x._accumulate(dxp[:, :, padding:padding + L], fresh=True)
 
-    parents = (x, w, b) if norm is None else (x, w, b, norm.gamma, norm.beta)
-    return _track(out, parents, backward)
+    return _track(out, (x, w, b), backward)
 
 
 def convtranspose1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, padding: int = 3) -> Tensor:

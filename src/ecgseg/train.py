@@ -82,7 +82,6 @@ class LeadSignal:
 @dataclass
 class DatasetSplit:
     train_pool: list[LeadSignal]
-    sampling_rate: float
 
 
 @dataclass
@@ -98,7 +97,8 @@ def make_split(records, train_ids, test_ids) -> DatasetSplit:
     """Partition records; the training side is expanded to per-lead signals.
 
     ``records`` holds (EcgRecord, waves_by_lead) pairs. Id lists must be
-    disjoint and fully present.
+    disjoint and fully present, and their records share one sampling rate,
+    which each LeadSignal of the pool carries.
     """
     train_ids = list(train_ids)
     test_ids = list(test_ids)
@@ -125,7 +125,7 @@ def make_split(records, train_ids, test_ids) -> DatasetSplit:
             pool.append(
                 LeadSignal(rid, lead, record.sampling_rate, record.signals[j], mask)
             )
-    return DatasetSplit(train_pool=pool, sampling_rate=rates.pop() if rates else 500.0)
+    return DatasetSplit(train_pool=pool)
 
 
 def augment_crop(source: LeadSignal, config: TrainConfig, rng: np.random.Generator) -> TrainingSample:

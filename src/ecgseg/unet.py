@@ -264,14 +264,16 @@ class SegmentationModel:
     def _block(self, h: Tensor, path: str) -> Tensor:
         """Two conv-bn-relu layers, ``path``.conv1 then ``path``.conv2.
 
-        conv1's batch norm and ReLU run as conv2's prologue, so no array of
-        their output is kept. conv2's are a node of their own: a maxpool, a
-        skip, a transposed conv or the head reads the block's output.
+        conv1's batchnorm_relu output is released once conv2 has read it,
+        and the backward builds it again. The block's output, conv2's, is
+        released by forward() after its last reader.
         """
         p, padding = self.params, self.config.padding
-        h = conv1d(h, p[f"{path}.conv1.weight"], p[f"{path}.conv1.bias"], padding)
-        h = conv1d(h, p[f"{path}.conv2.weight"], p[f"{path}.conv2.bias"], padding,
-                   bn=self.bn[f"{path}.conv1.bn"])
+        a = batchnorm_relu(conv1d(h, p[f"{path}.conv1.weight"], p[f"{path}.conv1.bias"], padding),
+                           self.bn[f"{path}.conv1.bn"])
+        h = conv1d(a, p[f"{path}.conv2.weight"], p[f"{path}.conv2.bias"], padding)
+        a.release()
+        del a  # inside no_graph() nothing else holds it
         return batchnorm_relu(h, self.bn[f"{path}.conv2.bn"])
 
     def scores(self, signals: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ecgseg.autodiff import Tensor
+from ecgseg.autodiff import Tensor, batchnorm_relu, conv1d
 from oracles import finite_difference_grad
 
 
@@ -30,3 +30,15 @@ def assert_grad_matches(forward, wrt: list[Tensor], rng, tol: float = 1e-4, h: f
         scale = max(np.abs(numeric).max(), np.abs(analytic).max(), 1e-8)
         err = np.abs(analytic - numeric).max() / scale
         assert err < tol, f"gradient mismatch: rel err {err:.2e} >= {tol}"
+
+
+def conv_after_released_bn_relu(x: Tensor, state, w: Tensor, b: Tensor, padding: int) -> Tensor:
+    """``conv1d(batchnorm_relu(x, state), w, b, padding)`` as a model block runs it.
+
+    The batchnorm_relu output is released once the conv's forward has read
+    it, so the conv's backward reads the array built again.
+    """
+    a = batchnorm_relu(x, state)
+    out = conv1d(a, w, b, padding)
+    a.release()
+    return out

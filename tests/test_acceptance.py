@@ -42,7 +42,7 @@ from ecgseg.wfdb import (
     record_to_json,
     to_mask,
 )
-from gradcheck import assert_grad_matches
+from gradcheck import assert_grad_matches, conv_after_released_bn_relu
 from oracles import conv1d_naive, convtranspose1d_naive, optimal_matching
 from synth import make_ecg_record, write_wfdb_fixture
 
@@ -140,7 +140,7 @@ def test_criterion_1_gradient_suite_all_layers():
         targets = rng.integers(0, 4, size=(B, L))
         assert_grad_matches(lambda: softmax_cross_entropy(logits, targets), [logits], rng)
 
-    for _ in range(5):  # conv1d with batch norm and ReLU as its prologue, training mode, away from the kink
+    for _ in range(5):  # conv1d after a released batchnorm_relu, training mode, away from the kink
         B, C, Cout = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
         k = int(rng.integers(1, 10))
         L = int(rng.integers(max(k, 3), k + 8))  # n >= 3, so redrawing x moves the normalized values
@@ -151,7 +151,7 @@ def test_criterion_1_gradient_suite_all_layers():
         x, w, b = rt(rng, (B, C, L)), rt(rng, (Cout, C, k)), rt(rng, (Cout,))
         while np.abs(batchnorm1d(x, state).data).min() < 0.05:
             x.data[:] = rng.normal(size=x.shape)
-        assert_grad_matches(lambda: conv1d(x, w, b, padding=pad, bn=state),
+        assert_grad_matches(lambda: conv_after_released_bn_relu(x, state, w, b, padding=pad),
                             [x, w, b, state.gamma, state.beta], rng)
 
     elapsed = time.monotonic() - start

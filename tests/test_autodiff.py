@@ -34,7 +34,7 @@ from ecgseg.autodiff import (
     zero_pad_concat,
 )
 from ecgseg.unet import ModelConfig, tiny_config
-from gradcheck import assert_grad_matches
+from gradcheck import assert_grad_matches, conv_after_released_bn_relu
 from oracles import (conv1d_naive, convtranspose1d_backward_taps, convtranspose1d_naive, maxpool1d_argmax,
                      upsample_concat_two_nodes)
 
@@ -394,7 +394,7 @@ class TestBatchNormRelu:
         assert self._run(batchnorm_relu, x, training, g) == want
 
 
-def _prologue_state(rng, channels, dtype, training):
+def _bn_state(rng, channels, dtype, training):
     state = BatchNormState.create(channels, "bn")
     state.gamma.data = rng.normal(size=channels).astype(dtype)
     state.beta.data = rng.normal(size=channels).astype(dtype)
@@ -404,21 +404,21 @@ def _prologue_state(rng, channels, dtype, training):
     return state
 
 
-class TestConvBatchNormPrologue:
-    """conv1d(c, w, b, padding, bn=state) gives conv1d(batchnorm_relu(c, state), w, b, padding)'s bits."""
+class TestReleasedBatchNormReluIntoConv:
+    """A released batchnorm_relu output feeding conv1d gives the bits of one kept."""
 
     @staticmethod
-    def _run(fused, dtype, training, cin, k):
+    def _run(release, dtype, training, cin, k):
         rng = np.random.default_rng(cin * k)
         c = rng.normal(size=(5, cin, 17)).astype(dtype)
         c[:, :, ::4] = 0.0  # with beta 0, an exact zero after normalization in eval mode
         c = Tensor(c, requires_grad=True)
         w = Parameter(rng.normal(size=(4, cin, k)).astype(dtype), "w")
         b = Parameter(rng.normal(size=4).astype(dtype), "b")
-        state = _prologue_state(rng, cin, dtype, training)
+        state = _bn_state(rng, cin, dtype, training)
         state.beta.data[0] = 0.0
-        if fused:
-            out = conv1d(c, w, b, padding=k // 2, bn=state)
+        if release:
+            out = conv_after_released_bn_relu(c, state, w, b, padding=k // 2)
         else:
             out = conv1d(batchnorm_relu(c, state), w, b, padding=k // 2)
         out.backward(rng.normal(size=out.shape).astype(dtype))
@@ -434,39 +434,42 @@ class TestConvBatchNormPrologue:
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("cin, k", CONV_SHAPES)
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_matches_the_two_nodes_bit_for_bit(self, monkeypatch, dtype, training, cin, k, workers):
+    def test_matches_the_kept_output_bit_for_bit(self, monkeypatch, dtype, training, cin, k, workers):
         monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", workers)
         monkeypatch.setattr(ecgseg.autodiff, "_SPLIT_MIN_MACS", 0)  # split and defer every call
         want = self._run(False, dtype, training, cin, k)
         assert self._run(True, dtype, training, cin, k) == want
 
-    def test_keeps_its_input_and_per_channel_vectors_only(self):
+    def test_graph_keeps_the_conv_input_and_per_channel_vectors_only(self):
         rng = np.random.default_rng(27)
         c = rand_tensor(rng, (2, 3, 13))
-        state = _prologue_state(rng, 3, np.float64, True)
-        out = conv1d(c, rand_tensor(rng, (4, 3, 9)), rand_tensor(rng, (4,)), padding=4, bn=state)
-        assert out._parents[3:] == (state.gamma, state.beta)
-        held = [cell.cell_contents for cell in out._backward.__closure__]
-        held += [v for obj in held for v in getattr(obj, "__dict__", {}).values()]
-        assert max(a.size for a in held if isinstance(a, np.ndarray)) == 3
+        state = _bn_state(rng, 3, np.float64, True)
+        out = conv_after_released_bn_relu(c, state, rand_tensor(rng, (4, 3, 9)), rand_tensor(rng, (4,)),
+                                          padding=4)
+        a = out._parents[0]
+        assert a.data is None and a._output.array is None  # released, not yet built again
+        for node in (out, a):
+            held = [cell.cell_contents for cell in node._backward.__closure__]
+            held += [v for obj in held for v in getattr(obj, "__dict__", {}).values()]
+            assert max((h.size for h in held if isinstance(h, np.ndarray)), default=0) <= 3
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(28)
-        state = _prologue_state(rng, 2, np.float64, True)
+        state = _bn_state(rng, 2, np.float64, True)
         with pytest.raises(ShapeError, match="3 channels vs state of 2"):
-            conv1d(rand_tensor(rng, (1, 3, 8)), rand_tensor(rng, (1, 3, 3)), rand_tensor(rng, (1,)),
-                   padding=1, bn=state)
+            conv_after_released_bn_relu(rand_tensor(rng, (1, 3, 8)), state, rand_tensor(rng, (1, 3, 3)),
+                                        rand_tensor(rng, (1,)), padding=1)
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("cin, k", CONV_SHAPES)
     def test_gradients(self, training, cin, k):
         rng = np.random.default_rng(29 + cin)
-        state = _prologue_state(rng, cin, np.float64, training)
+        state = _bn_state(rng, cin, np.float64, training)
         c, w, b = rand_tensor(rng, (2, cin, 11)), rand_tensor(rng, (3, cin, k)), rand_tensor(rng, (3,))
         with no_graph():  # normalized values away from relu's kink
             while np.abs(batchnorm1d(c, state).data).min() < 0.05:
                 c.data[:] = rng.normal(size=c.shape)
-        assert_grad_matches(lambda: conv1d(c, w, b, padding=k // 2, bn=state),
+        assert_grad_matches(lambda: conv_after_released_bn_relu(c, state, w, b, padding=k // 2),
                             [c, w, b, state.gamma, state.beta], rng)
 
 
@@ -792,9 +795,9 @@ def _op_cases(dtype):
         ("batchnorm1d_eval", lambda: batchnorm1d(x, bn_eval), [x, bn_eval.gamma, bn_eval.beta]),
         ("batchnorm_relu_train", lambda: batchnorm_relu(x, bn_train), [x, bn_train.gamma, bn_train.beta]),
         ("batchnorm_relu_eval", lambda: batchnorm_relu(x, bn_eval), [x, bn_eval.gamma, bn_eval.beta]),
-        ("conv1d_bn_train", lambda: conv1d(x, w3, b, padding=4, bn=bn_train),
+        ("conv1d_bn_train", lambda: conv_after_released_bn_relu(x, bn_train, w3, b, padding=4),
          [x, w3, b, bn_train.gamma, bn_train.beta]),
-        ("conv1d_bn_eval", lambda: conv1d(x, w3, b, padding=4, bn=bn_eval),
+        ("conv1d_bn_eval", lambda: conv_after_released_bn_relu(x, bn_eval, w3, b, padding=4),
          [x, w3, b, bn_eval.gamma, bn_eval.beta]),
         ("zero_pad_concat", lambda: zero_pad_concat(up, skip), [up, skip]),
         ("convtranspose_concat", lambda: convtranspose_concat(x, wt, bt, long_skip), [x, wt, bt, long_skip]),
@@ -1159,6 +1162,43 @@ class TestDeferredWeightGrads:
         assert threads == {worker}
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+    def test_a_held_pool_leaves_at_most_two_tasks_waiting(self, monkeypatch):
+        # the pool's one thread starts nothing until backward() has returned,
+        # so each task that a third waiting one pushes out runs on the caller
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.normal(size=(2, 3, 40)).astype(np.float32))
+        ws = [Parameter(rng.normal(size=(3, 3, 9)).astype(np.float32), f"w{i}") for i in range(6)]
+        b = Parameter(np.zeros(3, dtype=np.float32), "b")
+
+        def weight_grads():
+            h = x
+            for w in ws:
+                w.grad = None
+                h = conv1d(h, w, b, padding=4)
+            h.backward(np.ones(h.shape, dtype=np.float32))
+            return [w.grad.tobytes() for w in ws]
+
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 1)
+        want = weight_grads()
+        monkeypatch.setattr(ecgseg.autodiff, "LEAD_WORKERS", 2)
+        real, waiting = ecgseg.autodiff._weight_grad, []
+
+        def spy(param, macs, compute):
+            real(param, macs, compute)
+            waiting.append(sum(not (t.future is None or t.future.running() or t.future.done())
+                               for _, t in ecgseg.autodiff._thread.weight_grads))
+
+        monkeypatch.setattr(ecgseg.autodiff, "_weight_grad", spy)
+        hold = threading.Event()
+        blocker = ecgseg.autodiff._lead_pool(2).submit(hold.wait, 60)
+        try:
+            got = weight_grads()
+        finally:
+            hold.set()
+        assert blocker.result(timeout=60)  # the thread was held until backward() had ended
+        assert waiting == [1, 2, 2, 2, 2, 2]
+        assert got == want
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_training_step_starts_one_thread_fewer_than_workers(self, workers):

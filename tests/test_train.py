@@ -52,7 +52,7 @@ class TestMakeSplit:
         records = dataset(3, n_leads=12)
         split = make_split(records, ["rec0", "rec1"], ["rec2"])
         assert len(split.train_pool) == 24
-        assert split.sampling_rate == 500.0
+        assert {e.sampling_rate for e in split.train_pool} == {500.0}
 
     def test_single_record_gives_twelve_lead_signals(self):
         records = dataset(1, n_leads=12)

@@ -476,13 +476,17 @@ class TestBlockOutputRelease:
             want = training_bits(SegmentationModel(tiny_config()), steps=3, batch=8)
         _, dropped = spy_releases(monkeypatch)
         assert training_bits(SegmentationModel(tiny_config()), steps=3, batch=8) == want
-        # each step: the bottleneck's output, then from the deepest level up,
-        # each encoder's output and the decoder output of its width
+        # each step: every block's conv1 output as conv2 has read it, and each
+        # block's output after its last reader: from the deepest level up, the
+        # output of the level below, the skip, then that decoder's conv1
+        # output; last dec1's output, after the head
         cfg = tiny_config()
-        level = [(8, cfg.bottleneck_width, 125)]
+        widths = cfg.encoder_widths + (cfg.bottleneck_width,)
+        level = [(8, widths[i], 2000 >> i) for i in range(5)]
+        step = level.copy()
         for i in range(3, -1, -1):
-            level += [(8, cfg.encoder_widths[i], 2000 >> i)] * 2
-        assert dropped == level * 3
+            step += [level[i + 1], level[i], level[i]]
+        assert dropped == (step + [level[0]]) * 3
 
     def test_eval_scores_release_nothing_and_keep_their_bits(self, monkeypatch):
         model = SegmentationModel(tiny_config()).eval()
@@ -492,7 +496,7 @@ class TestBlockOutputRelease:
             want = model.scores(rows)
         calls, dropped = spy_releases(monkeypatch)
         assert model.scores(rows).tobytes() == want.tobytes()
-        assert len(calls) == 3 * 9 and dropped == []
+        assert len(calls) == 3 * 18 and dropped == []
 
     def test_eval_forward_drops_each_block_output_after_its_last_reader(self):
         # traced peak of scoring one row, in arrays of 8 x 5000 float32: 10.2,
@@ -540,10 +544,10 @@ class TestFusedBlock:
         oracle = retained_by_forward(two_node_model(tiny_config()))
         assert fused <= 0.7 * oracle, (fused, oracle)
 
-    def test_training_forward_keeps_at_most_half_with_the_conv_prologue(self):
-        # conv1's batch norm and ReLU run inside conv2, so no array of their
-        # output is kept: 0.453 of the two-node model, against 0.558 with a
-        # batchnorm_relu node after every conv
+    def test_training_forward_keeps_at_most_half_with_every_batch_norm_released(self):
+        # every batchnorm_relu output is released after its last forward
+        # reader, so a conv-bn-relu layer keeps only its conv's output: 0.347
+        # of the two-node model, against 0.558 with no output released
         fused = retained_by_forward(SegmentationModel(tiny_config()))
         oracle = retained_by_forward(two_node_model(tiny_config()))
         assert fused <= 0.5 * oracle, (fused, oracle)
@@ -583,16 +587,17 @@ def retained_by_forward(model):
 
 
 class TestBackwardMemory:
-    # The forward holds 30.4 arrays, against 39.4 before it released the 9
-    # block outputs, one array each here. The backward's rise is 5.3 arrays at
-    # 1 worker and 8.2-8.3 at 2 (3.3 and 2.6-6.8 before), as each released
-    # output is built again where a step reads it, but the peaks fell: from
-    # 42.7 to 35.6 arrays at 1 worker, and from 42.1-46.2 to 38.6-38.7 at 2.
-    # A correlation copies a kernel tap by tap, not whole, which keeps the
-    # 1-worker rise under its bound (8.3 with whole copies). When no deferred
-    # task runs before the walk ends, as on a busy core, the rise is 23.2
-    # (22.3 before) at a peak of 53.6 arrays (61.7 before). A walk that held
-    # every node to the end rose by 23-30.
+    # The forward holds 30.4 arrays, against 39.4 when it kept the 9 block
+    # outputs, one array each here. The backward's rise is 5.3 arrays at 1
+    # worker and 4.8-11.3 at 2 (mostly 8.0), as each released output is
+    # built again where a step reads it, at peaks of 35.7 and 35.2-41.7
+    # arrays (42.7 and 42.1-46.2 with the block outputs kept). A correlation
+    # copies a kernel tap by tap, not whole, which keeps the 1-worker rise
+    # under its bound (8.3 with whole copies). When no deferred task starts
+    # on the pool, as on a busy core, the walking thread runs each one that
+    # a third waiting task pushes out: the rise is 7.4 at a peak of 37.9
+    # arrays, against 23.2 and 53.6 with every task left to the end of the
+    # walk. A walk that held every node to the end rose by 23-30.
 
     @staticmethod
     def traced(monkeypatch, workers, hold_pool=False):
@@ -644,9 +649,11 @@ class TestBackwardMemory:
         assert peak <= 37, peak  # 35.6; 42.7 with every block output kept
 
     def test_backward_peak_with_the_pool_held_until_backward_drains(self, monkeypatch):
-        # every deferred weight gradient waits for the end of the walk
+        # no deferred weight gradient starts on the pool, so the walking thread
+        # runs each one that a third waiting task pushes out
         held, peak = self.traced(monkeypatch, 2, hold_pool=True)
-        assert peak <= 61.8, (held, peak)  # 53.6; 61.7 with every block output kept
+        assert peak - held <= 20, (held, peak)  # 7.4; 23.2 with every task left to the end
+        assert peak <= 61.8, (held, peak)  # 37.9; 53.6 with every task left to the end
 
 
 class TestEndToEndGradients:
