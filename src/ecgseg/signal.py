@@ -9,8 +9,7 @@ evaluated at the midpoints of m = ceil(target_rate * T) subdivisions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -113,58 +112,6 @@ def midpoint_grid(n: int, duration: float) -> np.ndarray:
     return (2.0 * i - 1.0) * (duration / (2.0 * n))
 
 
-def _exact_ceil_product(target_rate: float, n: int, source_rate: float) -> int:
-    # ceil(target_rate * n / source_rate) without float roundoff: a product
-    # like 3 * (10/3) must not creep past the integer it equals.
-    value = Fraction(target_rate) * n / Fraction(source_rate)
-    return math.ceil(value)
-
-
-@dataclass
-class ResamplePlan:
-    """Midpoint grids pairing a source rate with a target rate."""
-
-    source_rate: float
-    target_rate: float
-    n: int
-    m: int = field(init=False)
-    source_times: np.ndarray = field(init=False)
-    target_times: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not (is_sampling_rate(self.source_rate) and is_sampling_rate(self.target_rate)):
-            raise SignalError(
-                f"sampling rates must be positive and finite, got {self.source_rate!r} "
-                f"and {self.target_rate!r}"
-            )
-        if self.n < 1:
-            raise SignalError("source sample count must be >= 1")
-        duration = self.n / self.source_rate
-        self.m = _exact_ceil_product(self.target_rate, self.n, self.source_rate)
-        self.source_times = midpoint_grid(self.n, duration)
-        self.target_times = midpoint_grid(self.m, duration)
-
-    @cached_property
-    def source_knots(self) -> _Knots:
-        """The source grid's spline system, eliminated once for every lead."""
-        return _Knots(self.source_times)
-
-
-@dataclass
-class CubicSpline:
-    """Natural cubic spline: per-interval coefficients over strictly increasing knots.
-
-    On interval [knots[e], knots[e+1]] the value is
-    a[e] + b[e]*dx + c[e]*dx**2 + d[e]*dx**3 with dx = x - knots[e].
-    """
-
-    knots: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-
 class _Knots:
     """Strictly increasing knots with the moment system's forward elimination done.
 
@@ -195,7 +142,12 @@ class _Knots:
             cp.append(c)
         self.den, self.cp_back = den, [0.0] + cp[-2::-1]
 
-    def fit(self, y: np.ndarray) -> CubicSpline:
+    def fit(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The natural spline through ``y`` at the knots: zero second derivative at both ends.
+
+        Returns per-interval coefficients (a, b, c, d); on [t[e], t[e+1]] the
+        value is a[e] + b[e]*dx + c[e]*dx**2 + d[e]*dx**3 with dx = x - t[e].
+        """
         t, h = self.t, self.h
         slopes = np.diff(y) / h
         moments = np.zeros(t.size)
@@ -206,42 +158,8 @@ class _Knots:
             x = 0.0
             moments[-2:0:-1] = [x := d - c * x for d, c in zip(reversed(dp), self.cp_back)]
 
-        a = y[:-1].copy()
         b = slopes - h * (2.0 * moments[:-1] + moments[1:]) / 6.0
-        c = moments[:-1] / 2.0
-        d = np.diff(moments) / (6.0 * h)
-        return CubicSpline(knots=t.copy(), a=a, b=b, c=c, d=d)
-
-
-def fit_spline(times, values) -> CubicSpline:
-    """Fit a natural cubic spline (zero second derivative at both ends).
-
-    Interpolates every input point; requires >= 2 strictly increasing times.
-    The elimination depends only on the times, so ``resample`` does it once
-    per grid (``ResamplePlan.source_knots``) and reuses it for every lead.
-    """
-    t = np.asarray(times, dtype=np.float64)
-    y = np.asarray(values, dtype=np.float64)
-    if t.ndim != 1 or t.shape != y.shape:
-        raise SignalError("times and values must be 1-D arrays of equal length")
-    return _Knots(t).fit(y)
-
-
-def eval_spline(spline: CubicSpline, query) -> np.ndarray | float:
-    """Evaluate the spline at scalar or array query times.
-
-    Queries outside the knot range use the end interval's cubic (clamped
-    extrapolation); resampling to a higher rate needs the first/last
-    half-sample beyond the knots.
-    """
-    q = np.asarray(query, dtype=np.float64)
-    scalar = q.ndim == 0
-    q1 = np.atleast_1d(q)
-    idx = np.searchsorted(spline.knots, q1, side="right") - 1
-    np.clip(idx, 0, spline.knots.size - 2, out=idx)
-    dx = q1 - spline.knots[idx]
-    out = spline.a[idx] + dx * (spline.b[idx] + dx * (spline.c[idx] + dx * spline.d[idx]))
-    return float(out[0]) if scalar else out
+        return y[:-1], b, moments[:-1] / 2.0, np.diff(moments) / (6.0 * h)
 
 
 def resample(record: EcgRecord, target_rate: float) -> EcgRecord:
@@ -249,13 +167,32 @@ def resample(record: EcgRecord, target_rate: float) -> EcgRecord:
 
     Output has exactly ceil(target_rate * duration) samples per lead;
     lead order is preserved. Every lead shares the source grid, so one
-    elimination of the spline system serves them all; each lead is then
-    fitted and evaluated on its own.
+    elimination of the spline system and one search for each target
+    sample's interval serve them all; each lead is then fitted and
+    evaluated on its own. Target samples beyond the outer knots (the
+    first and last half-sample when upsampling) use the end interval's
+    cubic.
     """
-    plan = ResamplePlan(record.sampling_rate, target_rate, record.n_samples)
-    out = np.empty((len(record.leads), plan.m), dtype=np.float64)
-    for row in range(len(record.leads)):
-        out[row] = eval_spline(plan.source_knots.fit(record.signals[row]), plan.target_times)
+    source_rate, n = record.sampling_rate, record.n_samples
+    if not (is_sampling_rate(source_rate) and is_sampling_rate(target_rate)):
+        raise SignalError(
+            f"sampling rates must be positive and finite, got {source_rate!r} and {target_rate!r}"
+        )
+    # ceil(target_rate * n / source_rate) without float roundoff: a product
+    # like 3 * (10/3) must not creep past the integer it equals.
+    m = math.ceil(Fraction(target_rate) * n / Fraction(source_rate))
+    if n < 2:
+        raise SignalError(f"record {record.record_id!r} has a single sample; resampling it from "
+                          f"{source_rate:g} to {target_rate:g} Hz needs at least 2")
+    t, target = midpoint_grid(n, record.duration), midpoint_grid(m, record.duration)
+    knots = _Knots(t)
+    idx = np.searchsorted(t, target, side="right") - 1
+    np.clip(idx, 0, n - 2, out=idx)
+    dx = target - t[idx]
+    out = np.empty((len(record.leads), m), dtype=np.float64)
+    for row, y in enumerate(record.signals):
+        a, b, c, d = knots.fit(y)
+        out[row] = a[idx] + dx * (b[idx] + dx * (c[idx] + dx * d[idx]))
     return EcgRecord(
         record_id=record.record_id,
         leads=list(record.leads),

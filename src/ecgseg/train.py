@@ -54,6 +54,8 @@ class TrainConfig:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
         if self.checkpoint_every < 0:
             raise ConfigurationError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
         # Outside this range Adam trains on into a useless model, or fails later blaming a batch.
         lr = self.learning_rate
         if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 <= lr < math.inf:

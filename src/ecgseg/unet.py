@@ -103,6 +103,8 @@ class ModelConfig:
                 raise ShapeError(f"{key} must hold integers, got {getattr(self, key)!r}")
         if any(w < 1 for w in self.encoder_widths) or self.bottleneck_width < 1:
             raise ShapeError("channel widths must be >= 1")
+        if type(self.seed) is not int or self.seed < 0:  # as a checkpoint header stores it
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 # ModelConfig's constants; a checkpoint header stores them beside its fields.
@@ -435,7 +437,9 @@ def _weights_from_container(path, header: dict, arrays: dict[str, np.ndarray]) -
     if header.get("kind") != "segmentation-model":
         raise CheckpointError(f"{path}: container holds {header.get('kind')!r}, not a model")
     try:
-        step_count = int(header["step_count"])
+        step_count = header["step_count"]
+        if type(step_count) is not int or step_count < 0:
+            raise ValueError(f"step_count must be an integer >= 0, got {step_count!r}")
         settings = {k: tuple(v) if isinstance(v, list) else v for k, v in header["config"].items()}
         config = ModelConfig(**stored_settings(settings, _CONSTANTS))
     except KeyError as exc:

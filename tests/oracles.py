@@ -46,7 +46,7 @@ def natural_spline_coeffs_dense(t, y):
 def fit_spline_scalar(t, y):
     """Natural cubic spline coefficients, one Thomas solve on numpy scalars.
 
-    The per-lead solve ``signal.fit_spline`` ran before it shared the
+    The per-lead solve ``signal.resample`` ran before it shared the
     elimination between leads and moved its loops to Python floats; the
     library must match it bit for bit. Returns (a, b, c, d) per interval.
     """

@@ -31,7 +31,7 @@ from ecgseg.evaluate import (
     evaluate_dataset,
     match_points,
 )
-from ecgseg.signal import ResamplePlan, resample
+from ecgseg.signal import midpoint_grid, resample
 from ecgseg.train import TrainConfig, make_split, train
 from ecgseg.unet import SegmentationModel, tiny_config
 from ecgseg.wfdb import (
@@ -228,13 +228,13 @@ def test_criterion_4_spline_properties():
     identity = resample(record, 500.0)
     np.testing.assert_allclose(identity.signals, record.signals, atol=1e-12)
 
-    plan = ResamplePlan(40.0, 170.0, 120)
+    source_times, target_times = midpoint_grid(120, 3.0), midpoint_grid(510, 3.0)
     linear_record, _ = make_ecg_record(seed=5, n_leads=1)
     from ecgseg.signal import EcgRecord
 
-    line = EcgRecord("line", ["ii"], (3.5 * plan.source_times - 1.25)[None, :], 40.0)
+    line = EcgRecord("line", ["ii"], (3.5 * source_times - 1.25)[None, :], 40.0)
     up = resample(line, 170.0)
-    np.testing.assert_allclose(up.signals[0], 3.5 * plan.target_times - 1.25, atol=1e-9)
+    np.testing.assert_allclose(up.signals[0], 3.5 * target_times - 1.25, atol=1e-9)
 
     low = resample(record, 50.0)
     assert low.n_samples == 500

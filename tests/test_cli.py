@@ -6,7 +6,7 @@ import pytest
 import ecgseg.cli
 from ecgseg import wfdb
 from ecgseg.cli import build_parser, main
-from ecgseg.signal import map_sample_indices
+from ecgseg.signal import EcgRecord, map_sample_indices
 from ecgseg.unet import SegmentationModel, load_container, save_container, save_weights, tiny_config
 from ecgseg.wfdb import load_json_record, save_json_record
 from oracles import assert_kernels_read_in_place
@@ -399,6 +399,25 @@ class TestTrain:
         assert err.startswith(f"error: {checkpoint}: ") and err.count("\n") == 1
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    def test_negative_seed_flag_is_usage_error(self, json_dir, tmp_path, capsys):
+        code = main(self.train_args(json_dir, tmp_path / "run", ["--seed", "-1"]))
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("case", ["seed-negative", "seed-fraction", "step_count-infinite",
+                                      "step_count-fraction"])
+    def test_resume_from_a_bad_model_header_fails_with_one_line(self, json_dir, tmp_path, capsys,
+                                                                 case):
+        checkpoint = tmp_path / "trainer.ckpt"
+        save_trainer_checkpoint(checkpoint)
+        corrupt_checkpoint(checkpoint, case)
+        code = main(self.train_args(json_dir, tmp_path / "run", ["--resume", str(checkpoint)]))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {checkpoint}: bad checkpoint header (") and err.count("\n") == 1
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     def test_config_file_driving(self, json_dir, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(
@@ -723,6 +742,22 @@ class TestNonUtf8Record:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {bad}: not valid JSON") and err.count("\n") == 1
+
+
+class TestSingleSampleRecord:
+    @pytest.mark.parametrize("command", [
+        lambda path, tmp, ckpt: ["resample", str(path), str(tmp / "out.json"), "--rate", "500"],
+        lambda path, tmp, ckpt: ["segment", str(path), "--checkpoint", str(ckpt), "--out", str(tmp / "d")],
+    ], ids=["resample", "segment"])
+    def test_fails_with_one_line_naming_the_record(self, untrained_checkpoint, tmp_path, capsys,
+                                                   command):
+        path = tmp_path / "one.json"
+        save_json_record(path, EcgRecord("one", ["ii"], [[0.25]], 250.0))
+        code = main(command(path, tmp_path, untrained_checkpoint))
+        assert code == 1
+        assert capsys.readouterr().err == ("error: record 'one' has a single sample; resampling it "
+                                           "from 250 to 500 Hz needs at least 2\n")
+        assert not (tmp_path / "out.json").exists() and not list(tmp_path.glob("d/*"))
 
 
 class TestWaveOutsideRecord:

@@ -101,6 +101,8 @@ class TestRejectMalformedFile:
         ("[train]\nbatch_size = 0\n", r"\[train\] batch_size must be >= 1, got 0"),
         ("[train]\nlearning_rate = -1\n",
          r"\[train\] learning_rate must be a number finite and >= 0, got -1.0"),
+        ("[train]\nseed = -1\n", r"\[train\] seed must be an integer >= 0, got -1"),
+        ("[model]\nseed = -1\n", r"\[model\] seed must be an integer >= 0, got -1"),
     ])
     def test_names_file_section_and_key(self, tmp_path, text, match):
         path = tmp_path / "bad.ini"
@@ -124,7 +126,7 @@ class TestRejectMalformedFile:
 
     @pytest.mark.parametrize("text", ["[train]\niteratons = 50\n", "[model]\nseed = x\n",
                                       "[evaluate]\ntrim_edges = true\n", "[model]\nbn_eps = -1\n",
-                                      "[train]\nbatch_size = 0\n"])
+                                      "[train]\nbatch_size = 0\n", "[train]\nseed = -1\n"])
     def test_cli_train_exits_2_with_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.ini"
         path.write_text(text)

@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgseg.signal import (
-    CubicSpline,
     EcgRecord,
-    ResamplePlan,
     SignalError,
-    eval_spline,
-    fit_spline,
+    _Knots,
     map_sample_indices,
     midpoint_grid,
     resample,
@@ -50,65 +47,54 @@ class TestMidpointGrid:
         assert 0.0 < t[0] and t[-1] < duration
 
 
-class TestFitSpline:
-    def test_reproduces_line(self):
-        t = np.linspace(0.0, 4.0, 17)
-        s = fit_spline(t, 2.0 * t + 1.0)
-        q = np.linspace(0.0, 4.0, 301)
-        assert eval_spline(s, q) == pytest.approx(2.0 * q + 1.0, abs=1e-9)
+def _fit(t, y):
+    return _Knots(np.asarray(t, dtype=np.float64)).fit(np.asarray(y, dtype=np.float64))
 
-    def test_two_points_gives_connecting_line(self):
-        s = fit_spline([1.0, 3.0], [2.0, 8.0])
-        assert eval_spline(s, 2.0) == pytest.approx(5.0, abs=1e-12)
-        assert eval_spline(s, 1.5) == pytest.approx(3.5, abs=1e-12)
 
+class TestKnots:
     def test_matches_dense_solve_oracle(self):
         rng = np.random.default_rng(7)
         t = np.sort(rng.uniform(0.0, 10.0, size=50))
         t += np.arange(50) * 1e-3  # keep strictly increasing
         y = rng.normal(size=50)
-        s = fit_spline(t, y)
-        a, b, c, d = natural_spline_coeffs_dense(t, y)
-        np.testing.assert_allclose(s.a, a, atol=1e-9)
-        np.testing.assert_allclose(s.b, b, atol=1e-9)
-        np.testing.assert_allclose(s.c, c, atol=1e-9)
-        np.testing.assert_allclose(s.d, d, atol=1e-9)
+        for got, want in zip(_fit(t, y), natural_spline_coeffs_dense(t, y)):
+            np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_rejects_duplicates_and_unsorted(self):
         with pytest.raises(SignalError):
-            fit_spline([0.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+            _Knots(np.array([0.0, 1.0, 1.0]))
         with pytest.raises(SignalError):
-            fit_spline([0.0, 2.0, 1.0], [1.0, 2.0, 3.0])
+            _Knots(np.array([0.0, 2.0, 1.0]))
 
     def test_rejects_fewer_than_two_points(self):
         with pytest.raises(SignalError):
-            fit_spline([1.0], [1.0])
+            _Knots(np.array([1.0]))
         with pytest.raises(SignalError):
-            fit_spline([], [])
+            _Knots(np.array([]))
 
     def test_c2_continuity_at_interior_knots(self):
         rng = np.random.default_rng(3)
         t = np.cumsum(rng.uniform(0.1, 1.0, size=30))
         y = rng.normal(size=30)
-        s = fit_spline(t, y)
+        a, b, c, d = _fit(t, y)
         h = np.diff(t)
         for e in range(len(t) - 2):
             dx = h[e]
-            val_left = s.a[e] + s.b[e] * dx + s.c[e] * dx**2 + s.d[e] * dx**3
-            d1_left = s.b[e] + 2 * s.c[e] * dx + 3 * s.d[e] * dx**2
-            d2_left = 2 * s.c[e] + 6 * s.d[e] * dx
-            assert val_left == pytest.approx(s.a[e + 1], abs=1e-9)
-            assert d1_left == pytest.approx(s.b[e + 1], abs=1e-9)
-            assert d2_left == pytest.approx(2 * s.c[e + 1], abs=1e-9)
+            val_left = a[e] + b[e] * dx + c[e] * dx**2 + d[e] * dx**3
+            d1_left = b[e] + 2 * c[e] * dx + 3 * d[e] * dx**2
+            d2_left = 2 * c[e] + 6 * d[e] * dx
+            assert val_left == pytest.approx(a[e + 1], abs=1e-9)
+            assert d1_left == pytest.approx(b[e + 1], abs=1e-9)
+            assert d2_left == pytest.approx(2 * c[e + 1], abs=1e-9)
 
     def test_natural_boundary_second_derivative_zero(self):
         rng = np.random.default_rng(11)
         t = np.cumsum(rng.uniform(0.1, 1.0, size=12))
         y = rng.normal(size=12)
-        s = fit_spline(t, y)
-        assert 2 * s.c[0] == pytest.approx(0.0, abs=1e-12)
+        _, _, c, d = _fit(t, y)
+        assert 2 * c[0] == pytest.approx(0.0, abs=1e-12)
         hn = t[-1] - t[-2]
-        assert 2 * s.c[-1] + 6 * s.d[-1] * hn == pytest.approx(0.0, abs=1e-9)
+        assert 2 * c[-1] + 6 * d[-1] * hn == pytest.approx(0.0, abs=1e-9)
 
 
 def _knots(n, kind):
@@ -127,12 +113,13 @@ def _values(t, kind):
 
 def _resample_scalar(record, target_rate):
     """``resample`` with each lead's spline from the numpy-scalar oracle."""
-    plan = ResamplePlan(record.sampling_rate, target_rate, record.n_samples)
-    return np.stack([
-        eval_spline(CubicSpline(plan.source_times, *fit_spline_scalar(plan.source_times, row)),
-                    plan.target_times)
-        for row in record.signals
-    ])
+    m = -((-int(target_rate) * record.n_samples) // int(record.sampling_rate))
+    t = midpoint_grid(record.n_samples, record.duration)
+    q = midpoint_grid(m, record.duration)
+    idx = np.clip(np.searchsorted(t, q, side="right") - 1, 0, t.size - 2)
+    dx = q - t[idx]
+    return np.stack([a[idx] + dx * (b[idx] + dx * (c[idx] + dx * d[idx]))
+                     for a, b, c, d in (fit_spline_scalar(t, row) for row in record.signals)])
 
 
 # (source rate, target rate, seed) -> sha256 of resample(...).signals of a
@@ -163,8 +150,7 @@ class TestSplineBits:
     def test_coefficients_match_scalar_solve(self, n, knots, values):
         t = _knots(n, knots)
         y = _values(t, values)
-        s = fit_spline(t, y)
-        for name, got, want in zip("abcd", (s.a, s.b, s.c, s.d), fit_spline_scalar(t, y)):
+        for name, got, want in zip("abcd", _Knots(t).fit(y), fit_spline_scalar(t, y)):
             assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("source,target", [
@@ -179,27 +165,6 @@ class TestSplineBits:
     def test_resample_digest_is_unchanged(self, source, target, seed):
         out = resample(_digest_record(source, seed), target).signals
         assert hashlib.sha256(out.tobytes()).hexdigest() == RESAMPLE_DIGESTS[source, target, seed]
-
-
-class TestEvalSpline:
-    def test_interpolates_knots_exactly(self):
-        rng = np.random.default_rng(5)
-        t = np.cumsum(rng.uniform(0.2, 1.0, size=20))
-        y = rng.normal(size=20)
-        s = fit_spline(t, y)
-        np.testing.assert_allclose(eval_spline(s, t), y, rtol=1e-12, atol=1e-12)
-
-    def test_linear_midpoint(self):
-        s = fit_spline([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
-        assert eval_spline(s, 0.5) == pytest.approx(2.0, abs=1e-12)
-
-    def test_extrapolation_before_first_knot_matches_end_cubic(self):
-        rng = np.random.default_rng(9)
-        t = np.cumsum(rng.uniform(0.2, 1.0, size=8)) + 0.5
-        y = rng.normal(size=8)
-        s = fit_spline(t, y)
-        expected = eval_cubic_dense(t, y, [0.0])[0]
-        assert eval_spline(s, 0.0) == pytest.approx(expected, abs=1e-9)
 
 
 class TestResample:
@@ -222,9 +187,30 @@ class TestResample:
         sig = rng.normal(size=720)
         rec = make_record(sig, 360.0)
         out = resample(rec, 500.0)
-        plan = ResamplePlan(360.0, 500.0, 720)
-        expected = eval_cubic_dense(plan.source_times, sig, plan.target_times)
+        expected = eval_cubic_dense(midpoint_grid(720, 2.0), sig, midpoint_grid(1000, 2.0))
         np.testing.assert_allclose(out.signals[0], expected, atol=1e-9)
+
+    def test_interpolates_every_source_sample_exactly(self):
+        # At 3x the rate, target sample 3i + 1 sits on source sample i.
+        rng = np.random.default_rng(5)
+        y = rng.normal(size=(2, 20))
+        out = resample(make_record(y, 4.0), 12.0)
+        np.testing.assert_allclose(out.signals[:, 1::3], y, rtol=1e-12, atol=1e-12)
+
+    def test_two_samples_give_the_connecting_line(self):
+        # Knots at 0.5 s and 1.5 s; 4 Hz targets run 0.125..1.875 s, both ends extrapolated.
+        out = resample(make_record([2.0, 8.0], 1.0), 4.0)
+        q = midpoint_grid(8, 2.0)
+        np.testing.assert_allclose(out.signals[0], 2.0 + 6.0 * (q - 0.5), atol=1e-12)
+
+    def test_extrapolation_beyond_the_outer_knots_uses_the_end_cubics(self):
+        rng = np.random.default_rng(9)
+        y = rng.normal(size=8)
+        out = resample(make_record(y, 8.0), 24.0)
+        t, q = midpoint_grid(8, 1.0), midpoint_grid(24, 1.0)
+        assert q[0] < t[0] and q[-1] > t[-1]
+        expected = eval_cubic_dense(t, y, [q[0], q[-1]])
+        np.testing.assert_allclose(out.signals[0, [0, -1]], expected, atol=1e-9)
 
     def test_preserves_lead_order(self):
         rec = make_record(np.arange(20.0).reshape(4, 5), 5.0, leads=["i", "ii", "v1", "v6"])
@@ -258,35 +244,38 @@ class TestResample:
     )
     @settings(max_examples=40, deadline=None)
     def test_reproduces_degree_one_polynomials(self, nu, mu, n, a, b):
-        plan = ResamplePlan(float(nu), float(mu), n)
-        rec = make_record(a * plan.source_times + b, float(nu))
+        rec = make_record(a * midpoint_grid(n, n / nu) + b, float(nu))
         out = resample(rec, float(mu))
-        np.testing.assert_allclose(out.signals[0], a * plan.target_times + b, atol=1e-9)
+        target_times = midpoint_grid(out.n_samples, rec.duration)
+        np.testing.assert_allclose(out.signals[0], a * target_times + b, atol=1e-9)
 
-
-class TestResamplePlan:
     def test_exact_ceiling_resists_float_creep(self):
-        # 3 * (10/3) crosses 10.0 in floats; the plan must still give m = 10.
-        plan = ResamplePlan(3.0, 3.0, 10)
-        assert plan.m == 10
+        # 3 * (10/3) crosses 10.0 in floats; the output must still have 10 samples.
+        assert resample(make_record(np.zeros((1, 10)), 3.0), 3.0).n_samples == 10
 
-    @pytest.mark.parametrize("source,target", [
-        (np.inf, 500.0), (500.0, np.inf), (-np.inf, 500.0), (np.nan, 500.0), (500.0, np.nan),
-    ])
-    def test_rejects_non_finite_rates(self, source, target):
-        with pytest.raises(SignalError, match="positive and finite"):
-            ResamplePlan(source, target, 10)
-
-    def test_infinite_target_rate_is_a_signal_error(self):
+    @pytest.mark.parametrize("target", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_target_rate(self, target):
         record = make_record(np.zeros((2, 10)), 10.0)
         with pytest.raises(SignalError, match="positive and finite"):
-            resample(record, np.inf)
+            resample(record, target)
 
-    def test_grids_inside_open_interval(self):
-        plan = ResamplePlan(500.0, 50.0, 5000)
-        assert plan.m == 500
-        for grid in (plan.source_times, plan.target_times):
+    @pytest.mark.parametrize("source", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_source_rate(self, source):
+        record = make_record(np.zeros((2, 10)), 10.0)
+        record.sampling_rate = source  # set after the record checked it
+        with pytest.raises(SignalError, match="positive and finite"):
+            resample(record, 500.0)
+
+    def test_downsampled_grids_lie_inside_the_record(self):
+        out = resample(make_record(np.zeros((1, 5000)), 500.0), 50.0)
+        assert out.n_samples == 500
+        for grid in (midpoint_grid(5000, 10.0), midpoint_grid(500, 10.0)):
             assert grid[0] > 0.0 and grid[-1] < 10.0
+
+    def test_single_sample_record_is_refused_by_record_id(self):
+        record = make_record([[0.25], [0.5]], 250.0, record_id="one")
+        with pytest.raises(SignalError, match="record 'one' has a single sample"):
+            resample(record, 500.0)
 
 
 class TestEcgRecord:

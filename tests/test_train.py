@@ -104,8 +104,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError, match=f"^{key} must be a number {rule}, got "):
             TrainConfig(**{key: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_rejects_a_seed_numpy_cannot_take(self, seed):
+        with pytest.raises(ConfigurationError, match=r"^seed must be an integer >= 0, got "):
+            TrainConfig(seed=seed)
+
     def test_accepts_the_range_ends(self):
         TrainConfig(learning_rate=0.0)
+        TrainConfig(seed=0)
+        TrainConfig(seed=2**64)
 
     def test_protocol_is_fixed(self):
         # The fields are the [train] keys; Adam and the crop window are constants.

@@ -98,6 +98,11 @@ class TestBuild:
         with pytest.raises(ShapeError, match=f"{key} must hold integers"):
             ModelConfig(**{**TINY_WIDTHS, key: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None, np.int64(3)])
+    def test_rejects_a_seed_numpy_cannot_take(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"):
+            ModelConfig(**TINY_WIDTHS, seed=seed)
+
     def test_kernel_geometry_is_fixed(self):
         # The fields are the [model] keys; the geometry and batch norm's settings are constants.
         assert [f.name for f in dataclasses.fields(ModelConfig)] == [*_MODEL_KEYS]
@@ -913,6 +918,12 @@ def corrupt_checkpoint(path, case: str) -> None:
             header["config"]["bogus"] = 1
         elif case == "step_count-not-int":
             header["step_count"] = "abc"
+        elif case == "step_count-infinite":
+            header["step_count"] = float("inf")
+        elif case == "step_count-fraction":
+            header["step_count"] = 2.7
+        elif case == "step_count-negative":
+            header["step_count"] = -1
         elif case == "bottleneck_width-huge":
             header["config"]["bottleneck_width"] = 10**9  # far beyond memory: numpy would refuse at once
         elif case in BAD_CONFIGS:
@@ -929,11 +940,12 @@ BAD_CONFIGS = {"up_stride-0": {"up_stride": 0}, "bn_eps-negative": {"bn_eps": -1
                "kernel_size-7": {"kernel_size": 7}, "up_kernel_size-4": {"up_kernel_size": 4},
                "kernel_size-float": {"kernel_size": 9.0}, "up_stride-true": {"up_stride": True},
                "padding-null": {"padding": None}, "bn_eps-other": {"bn_eps": 1e-3},
-               "bn_momentum-int": {"bn_momentum": 0}}
+               "bn_momentum-int": {"bn_momentum": 0}, "seed-negative": {"seed": -1},
+               "seed-fraction": {"seed": 1.5}, "seed-true": {"seed": True}}
 
 CORRUPTIONS = ("header-utf8", "header-json", "header-not-object", "array-name", "shape-size-overflows",
-               "config", "step_count", "config-unknown-key", "step_count-not-int", "bottleneck_width-huge",
-               *BAD_CONFIGS)
+               "config", "step_count", "config-unknown-key", "step_count-not-int", "step_count-infinite",
+               "step_count-fraction", "step_count-negative", "bottleneck_width-huge", *BAD_CONFIGS)
 
 
 def save_trainer_checkpoint(path) -> None:
