@@ -758,85 +758,64 @@ def batchnorm_relu(x: Tensor, state: BatchNormState) -> Tensor:
     return _batchnorm(x, state, fuse_relu=True)
 
 
-@dataclass(frozen=True, eq=False)
-class _Normalization:
-    """One forward's batch norm as y = scale*x + shift per channel, and what its backward reads."""
+def _batchnorm(x: Tensor, state: BatchNormState, fuse_relu: bool) -> Tensor:
+    xd = x.data
+    B, C, L = xd.shape
+    if C != state.gamma.data.size:
+        raise ShapeError(f"batchnorm1d: {C} channels vs state of {state.gamma.data.size}")
+    gamma, beta, training = state.gamma, state.beta, state.training
+    n = B * L
+    if training:
+        # Batch statistics, updating the running ones. One sum gives the mean
+        # and, through it, the variance: the bits of np.mean and np.var, which
+        # would each take their own sum. dev is freed before the output is built.
+        mean = xd.sum(axis=(0, 2), keepdims=True) / n
+        dev = xd - mean
+        dev *= dev
+        var = dev.sum(axis=(0, 2)) / n
+        del dev
+        mean = mean.reshape(C)
+        state.running_mean = (1.0 - state.momentum) * state.running_mean + state.momentum * mean
+        state.running_var = (1.0 - state.momentum) * state.running_var + state.momentum * var
+    else:
+        mean = state.running_mean
+        var = state.running_var
+    inv = 1.0 / np.sqrt(var + state.eps)
+    # fused y = scale*x + shift; xhat is never materialized
+    scale = gamma.data * inv
+    shift = beta.data - scale * mean
 
-    gamma: Parameter
-    beta: Parameter
-    training: bool
-    mean: np.ndarray
-    inv: np.ndarray  # 1 / sqrt(var + eps)
-    scale: np.ndarray
-    shift: np.ndarray
-
-    @classmethod
-    def of(cls, x: np.ndarray, state: BatchNormState) -> "_Normalization":
-        """The batch's statistics in training (updating the running ones), else the running ones."""
-        B, C, L = x.shape
-        if C != state.gamma.data.size:
-            raise ShapeError(f"batchnorm1d: {C} channels vs state of {state.gamma.data.size}")
-        if state.training:
-            # One sum gives the mean and, through it, the variance: the bits of
-            # np.mean and np.var, which would each take their own sum. dev is
-            # freed when this returns, before any output is built.
-            n = B * L
-            mean = x.sum(axis=(0, 2), keepdims=True) / n
-            dev = x - mean
-            dev *= dev
-            var = dev.sum(axis=(0, 2)) / n
-            mean = mean.reshape(C)
-            state.running_mean = (1.0 - state.momentum) * state.running_mean + state.momentum * mean
-            state.running_var = (1.0 - state.momentum) * state.running_var + state.momentum * var
-        else:
-            mean = state.running_mean
-            var = state.running_var
-        inv = 1.0 / np.sqrt(var + state.eps)
-        # fused y = scale*x + shift; xhat is never materialized
-        scale = state.gamma.data * inv
-        shift = state.beta.data - scale * mean
-        return cls(state.gamma, state.beta, state.training, mean, inv, scale, shift)
-
-    def apply(self, x: np.ndarray, relu: bool) -> np.ndarray:
-        """scale*x + shift, then relu's where(y > 0, y, 0) if asked, NaN -> 0 included."""
-        y = x * self.scale[:, None]
-        y += self.shift[:, None]
-        if relu:
+    def apply(xd):
+        # scale*x + shift, then relu's where(y > 0, y, 0) if fused, NaN -> 0 included
+        y = xd * scale[:, None]
+        y += shift[:, None]
+        if fuse_relu:
             np.fmax(y, 0, out=y)
         return y
 
-    def backward(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Add gamma's and beta's gradients for gradient ``g`` of the output; return x's."""
-        B, _, L = x.shape
-        n = B * L
-        inv, scale, mean = self.inv, self.scale, self.mean
-        # One pass over g and x: sum(g*xhat) = inv*(sum(g*x) - mean*sum(g)).
-        sum_g = g.sum(axis=(0, 2))
-        sum_gxhat = inv * ((g * x).sum(axis=(0, 2)) - mean * sum_g)
-        self.gamma._accumulate(sum_gxhat)
-        self.beta._accumulate(sum_g)
-        dx = g * scale[:, None]
-        if self.training:
-            # dx = gamma*inv/n * (n*g - sum(g) - xhat*sum(g*xhat)), with xhat
-            # expanded to (x - mean)*inv: an affine function of g and x.
-            slope = scale * inv * sum_gxhat / n
-            dx -= x * slope[:, None]
-            dx += (slope * mean - scale * sum_g / n)[:, None]
-        return dx
-
-
-def _batchnorm(x: Tensor, state: BatchNormState, fuse_relu: bool) -> Tensor:
-    norm = _Normalization.of(x.data, state)
-    out = Tensor(norm.apply(x.data, relu=fuse_relu))
+    out = Tensor(apply(xd))
     # a fused output may be released after the forward and built again from x
-    kept = _Output(out.data, functools.partial(norm.apply, x.data, relu=True)) if fuse_relu else None
+    kept = _Output(out.data, functools.partial(apply, xd)) if fuse_relu else None
 
     def backward(g):
         if fuse_relu:  # g is this node's own gradient, dropped once this returns
             np.multiply(g, kept.get() > 0, out=g)
-        x._accumulate(norm.backward(g, x._array()), fresh=True)
+        xd = x._array()
+        # One pass over g and x: sum(g*xhat) = inv*(sum(g*x) - mean*sum(g)).
+        sum_g = g.sum(axis=(0, 2))
+        sum_gxhat = inv * ((g * xd).sum(axis=(0, 2)) - mean * sum_g)
+        gamma._accumulate(sum_gxhat)
+        beta._accumulate(sum_g)
+        dx = g * scale[:, None]
+        if training:
+            # dx = gamma*inv/n * (n*g - sum(g) - xhat*sum(g*xhat)), with xhat
+            # expanded to (x - mean)*inv: an affine function of g and x.
+            slope = scale * inv * sum_gxhat / n
+            dx -= xd * slope[:, None]
+            dx += (slope * mean - scale * sum_g / n)[:, None]
+        x._accumulate(dx, fresh=True)
 
-    if _track(out, (x, norm.gamma, norm.beta), backward)._parents:
+    if _track(out, (x, gamma, beta), backward)._parents:
         out._output = kept
     return out
 
@@ -859,20 +838,6 @@ def zero_pad_concat(up: Tensor, skip: Tensor) -> Tensor:
         up._accumulate(g[:, Cs:, :Lu])
 
     return _track(out, (up, skip), backward)
-
-
-def pad_right(x: Tensor, amount: int) -> Tensor:
-    """Append ``amount`` zeros along the length axis."""
-    if amount < 0:
-        raise ShapeError(f"pad_right: negative amount {amount}")
-    if amount == 0:
-        return x
-    out = Tensor(_pad_length(x.data, 0, amount))
-
-    def backward(g):
-        x._accumulate(g[:, :, :x.shape[2]])
-
-    return _track(out, (x,), backward)
 
 
 def crop_right(x: Tensor, length: int) -> Tensor:

@@ -213,8 +213,6 @@ def cmd_segment(args) -> int:
         return EXIT_FAILURE
     out = Path(args.out)
     single_file = len(inputs) == 1 and out.suffix == ".json"
-    if not single_file:
-        out.mkdir(parents=True, exist_ok=True)
     sources = {}  # record id -> the input it came from
     for path in inputs:
         record, _ = load_json_record(path)
@@ -224,6 +222,8 @@ def cmd_segment(args) -> int:
             return EXIT_FAILURE
         sources[record.record_id] = path
         result = delineate(record, model, args.mode, min_duration_ms=args.min_duration_ms)
+        if not single_file:  # made only once a record has a delineation to write
+            out.mkdir(parents=True, exist_ok=True)
         target = out if single_file else out / f"{record.record_id}.delineation.json"
         target.write_text(json.dumps(result.to_json()))
         n_waves = sum(len(ws) for ws in result.streams.values())

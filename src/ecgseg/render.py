@@ -7,6 +7,8 @@ waves (P yellow, QRS red, T green).
 
 from __future__ import annotations
 
+from html import escape
+
 from .delineate import AVERAGED_STREAM, DelineationError, DelineationResult
 from .signal import EcgRecord
 
@@ -55,6 +57,7 @@ def render_svg(record: EcgRecord, delineation: DelineationResult | None = None) 
     averaged = streams.get(AVERAGED_STREAM)
 
     for row, lead in enumerate(record.leads):
+        label = escape(lead)  # a header may name a lead with any characters, < & " included
         top = _MARGIN_TOP + row * (_PANEL_HEIGHT + _GAP)
         signal = record.signals[row]
         lo = float(signal.min())
@@ -66,7 +69,7 @@ def render_svg(record: EcgRecord, delineation: DelineationResult | None = None) 
             frac = (value - (lo - pad)) / (span + 2 * pad)
             return top + _PANEL_HEIGHT * (1.0 - frac)
 
-        parts.append(f'<g id="lead-{lead}">')
+        parts.append(f'<g id="lead-{label}">')
         waves = averaged if averaged is not None else streams.get(lead, [])
         for w in waves:
             x0 = x_of(w.onset)
@@ -83,7 +86,7 @@ def render_svg(record: EcgRecord, delineation: DelineationResult | None = None) 
             f'<polyline points="{points}" fill="none" stroke="#222222" stroke-width="0.8"/>'
         )
         parts.append(
-            f'<text x="4" y="{top + 16}" font-family="monospace" font-size="12">{lead}</text>'
+            f'<text x="4" y="{top + 16}" font-family="monospace" font-size="12">{label}</text>'
         )
         parts.append("</g>")
     parts.append("</svg>")

@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import Adam, Tensor, softmax_cross_entropy
+from .autodiff import Adam, softmax_cross_entropy
 from .unet import (CheckpointError, SegmentationModel, _weights_from_container, load_container,
                    save_weights, stored_settings)
 from .wfdb import to_mask
@@ -196,7 +196,7 @@ def train(model: SegmentationModel, split: DatasetSplit, config: TrainConfig,
         samples = [augment_crop(pool[i], config, rng) for i in picks]
         x = np.stack([s.signal for s in samples])[:, None, :]
         targets = np.stack([s.mask for s in samples]).astype(np.int64)
-        loss = softmax_cross_entropy(model.forward(Tensor(x)), targets)
+        loss = softmax_cross_entropy(model.forward(x), targets)
         value = float(loss.data)
         if not np.isfinite(value):
             batch = [(s.record_id, s.lead, s.crop_start) for s in samples]

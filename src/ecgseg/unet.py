@@ -57,7 +57,7 @@ from .autodiff import (
     fan_in_uniform,
     maxpool1d,
     no_graph,
-    pad_right,
+    _pad_length,
     run_chunks,
 )
 
@@ -95,11 +95,11 @@ class ModelConfig:
         object.__setattr__(self, "encoder_widths", tuple(self.encoder_widths))
         if len(self.encoder_widths) != 4:
             raise ShapeError(f"exactly 4 encoder widths required, got {self.encoder_widths}")
-        # A float or bool size would pass the checks below and fail, or
-        # mean 1, only once the model is drawn.
+        # A float, bool or numpy integer size would fail, or mean 1, only once
+        # the model is drawn or its checkpoint's JSON header is written.
         for key, sizes in (("encoder_widths", self.encoder_widths),
                            ("bottleneck_width", (self.bottleneck_width,))):
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in sizes):
+            if not all(type(v) is int for v in sizes):
                 raise ShapeError(f"{key} must hold integers, got {getattr(self, key)!r}")
         if any(w < 1 for w in self.encoder_widths) or self.bottleneck_width < 1:
             raise ShapeError("channel widths must be >= 1")
@@ -225,22 +225,19 @@ class SegmentationModel:
     def forward(self, x) -> Tensor:
         """Scores of shape (batch, 4, l) for inputs of shape (batch, 1, l).
 
-        The input is cast to the model's dtype; a tensor that needs a
-        gradient must already have that dtype, or the cast would cut it
-        off from its graph.
+        The input is data, an array or a Tensor that needs no gradient: it
+        is cast to the model's dtype and right-padded with zeros to a
+        multiple of 16, and no gradient flows back to it.
         """
-        if isinstance(x, Tensor) and x.data.dtype != self.dtype:
+        if isinstance(x, Tensor):
             if x.requires_grad:
-                raise TypeError(f"forward: input of dtype {x.data.dtype} needs a gradient, "
-                                f"but the model is {self.dtype}")
+                raise TypeError("forward: the input takes no gradient, but this tensor needs one")
             x = x.data
-        if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=self.dtype))
-        if x.data.ndim != 3 or x.shape[1] != 1:
+        x = np.asarray(x, dtype=self.dtype)
+        if x.ndim != 3 or x.shape[1] != 1:
             raise ShapeError(f"forward expects (batch, 1, length), got {x.shape}")
         length = x.shape[2]
-        padded = -(-length // _POOL_FACTOR) * _POOL_FACTOR
-        h = pad_right(x, padded - length)
+        h = Tensor(_pad_length(x, 0, -length % _POOL_FACTOR))
         skips = []
         for i in range(1, 5):
             h = self._block(h, f"enc{i}")

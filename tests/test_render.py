@@ -1,4 +1,5 @@
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -64,6 +65,17 @@ def test_twelve_lead_record_stacks_panels():
     assert svg.count("<g id=") == 12
     for lead in record.leads:
         assert f'<g id="lead-{lead}">' in svg
+
+
+def test_any_lead_name_gives_well_formed_svg():
+    # JSON and WFDB headers may name a lead with XML's special characters
+    record, _ = golden_inputs()
+    name = 'V1 <&> "x"'
+    record = EcgRecord(record.record_id, [name, "ii"], record.signals, record.sampling_rate)
+    doc = minidom.parseString(render_svg(record, None))
+    groups = doc.getElementsByTagName("g")
+    assert [g.getAttribute("id") for g in groups] == [f"lead-{name}", "lead-ii"]
+    assert [t.firstChild.data for t in doc.getElementsByTagName("text")] == [name, "ii"]
 
 
 def test_wave_colors():

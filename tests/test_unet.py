@@ -93,6 +93,8 @@ class TestBuild:
     @pytest.mark.parametrize("key, value", [
         ("encoder_widths", (True, 8, 16, 32)), ("encoder_widths", (4.0, 8, 16, 32)),
         ("bottleneck_width", 64.0),
+        # a checkpoint header stores the widths as JSON, which takes no numpy integer
+        ("encoder_widths", (np.int64(4), 8, 16, 32)), ("bottleneck_width", np.int64(64)),
     ])
     def test_rejects_non_integer_sizes(self, key, value):
         with pytest.raises(ShapeError, match=f"{key} must hold integers"):
@@ -420,10 +422,12 @@ class TestDtype:
         assert s32.dtype == np.float32 and s64.dtype == np.float64
         np.testing.assert_allclose(s32, s64, rtol=0, atol=1e-4 * np.abs(s64).max())
 
-    def test_gradient_input_of_other_dtype_rejected(self):
+    def test_gradient_input_rejected(self):
+        # the input is data, whatever its dtype: no gradient flows back to it
         model = SegmentationModel(tiny_config())
-        with pytest.raises(TypeError):
-            model.forward(Tensor(np.zeros((1, 1, 32)), requires_grad=True))
+        for dtype in (np.float32, np.float64):
+            with pytest.raises(TypeError):
+                model.forward(Tensor(np.zeros((1, 1, 32), dtype=dtype), requires_grad=True))
 
 
 def two_node_model(config):
